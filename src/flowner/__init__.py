@@ -9,9 +9,9 @@ from .standoff import (DuplicateId, MalformedLine, OffsetOutOfRange,
 from .stats import StatsReport, corpus_stats
 from .schema import (BIOTOFLOW, SOFTCITE_QUALIFIERS, ConversionReport,
                      MappingRule, MappingTable, SchemaDef, UnknownSourceLabel,
-                     convert_corpus, default_softcite_table, map_label)
+                     convert_corpus, default_softcite_table)
 from .evaluation import (DocSetMismatch, EntityRef, LabelScore, MatchMode,
-                         MatchReport, entities_compatible, iaa, macro_average,
+                         MatchReport, entities_compatible, macro_average,
                          match_document, score)
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
                          MixedModes, RunResult, SplitManifest, aggregate,
@@ -19,8 +19,8 @@ from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
 from .gazetteer import (BuildOptions, Gazetteer, MalformedDump, VocabEntry,
                         build_gazetteer, export_vocab, ingest, vocab_lines)
 from .tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                     FusionMode, FusionSource, MissingPrediction, RuleSet,
-                     TaggerPredictor, default_ruleset, fuse, provenance_counts,
-                     silver_annotate, tag)
+                     FusionSource, MalformedPrediction, MissingPrediction,
+                     RuleSet, TaggerPredictor, default_ruleset, fuse,
+                     provenance_counts, silver_annotate, tag)
 
 __version__ = "0.1.0"

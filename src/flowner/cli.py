@@ -7,9 +7,10 @@ are fixed so CI can gate on them: 0 success, 1 validation/data failure,
 artifacts are written atomically; given identical inputs and flags every
 subcommand writes byte-identical outputs.
 
-A JSON file passed via ``--config`` supplies defaults for any long flag
-(keys use underscores, e.g. ``{"label_filter": "Tool,Biblio"}``); flags
-given on the command line win.
+A JSON file passed via ``--config PATH`` or ``--config=PATH`` supplies
+defaults for any long flag (keys are flag destinations, e.g.
+``{"focus": "Tool,Biblio"}``); flags given on the command line win, and a
+key that no subcommand accepts is a usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import corpus_io, evaluation, experiment, gazetteer, schema, tagger
 from .model import Corpus, Provenance, validate_corpus
-from .schema import BIOTOFLOW, SOFTCITE_QUALIFIERS, UnknownSourceLabel
+from .schema import BIOTOFLOW, SOFTCITE_QUALIFIERS
 from .standoff import StandoffParseError
 from .stats import corpus_stats
 
@@ -30,11 +31,8 @@ class UsageError(ValueError):
     pass
 
 
-_DATA_ERRORS = (StandoffParseError, evaluation.DocSetMismatch, tagger.DuplicateDocId,
-                tagger.MissingPrediction, gazetteer.MalformedDump, UnknownSourceLabel,
-                experiment.CorpusTooSmall, experiment.EmptyResults,
-                experiment.MixedModes, FileNotFoundError, NotADirectoryError,
-                json.JSONDecodeError, OSError, ValueError, KeyError)
+# Every typed data error of the package is a ValueError or KeyError subclass.
+_DATA_ERRORS = (OSError, ValueError, KeyError)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -52,10 +50,10 @@ def _labels_arg(value) -> list[str] | None:
 
 
 def _load_corpus(path, provenance: Provenance = Provenance.GOLD,
-                 softcite: bool = False, jobs: int = 1):
+                 softcite: bool = False):
     qualifiers = SOFTCITE_QUALIFIERS if softcite else None
     return corpus_io.load_corpus_dir(path, provenance=provenance,
-                                     qualifiers=qualifiers, jobs=jobs)
+                                     qualifiers=qualifiers)
 
 
 def _cmd_validate(args) -> int:
@@ -86,7 +84,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     _require(args, "corpus")
-    corpus = _load_corpus(args.corpus, jobs=args.jobs)
+    corpus = _load_corpus(args.corpus)
     report = corpus_stats(corpus)
     payload = report.to_json_dict()
     text = json.dumps(payload, ensure_ascii=False, indent=2)
@@ -98,7 +96,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus, softcite=True, jobs=args.jobs)
+    corpus = _load_corpus(args.corpus, softcite=True)
     table = (schema.mapping_table_from_file(args.table) if args.table
              else schema.default_softcite_table())
     converted, report = schema.convert_corpus(corpus, table, strict=args.strict)
@@ -111,7 +109,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_split(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus, jobs=args.jobs)
+    corpus = _load_corpus(args.corpus)
     ratios = experiment.DEFAULT_RATIOS
     if args.ratios:
         parts = [float(x) for x in str(args.ratios).split(",")]
@@ -137,8 +135,8 @@ def _print_report(report, macro: bool, diff: bool) -> None:
 
 def _cmd_eval(args) -> int:
     _require(args, "gold", "pred")
-    gold = _load_corpus(args.gold, jobs=args.jobs)
-    pred = _load_corpus(args.pred, jobs=args.jobs)
+    gold = _load_corpus(args.gold)
+    pred = _load_corpus(args.pred)
     focus = _labels_arg(args.focus)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
@@ -156,10 +154,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_iaa(args) -> int:
     _require(args, "annotator_a", "annotator_b")
-    a = _load_corpus(args.annotator_a, jobs=args.jobs)
-    b = _load_corpus(args.annotator_b, jobs=args.jobs)
+    a = _load_corpus(args.annotator_a)
+    b = _load_corpus(args.annotator_b)
     mode = evaluation.MatchMode(args.mode)
-    report = evaluation.iaa(a, b, mode, _labels_arg(args.focus))
+    report = evaluation.score(a, b, mode, _labels_arg(args.focus))
     _print_report(report, args.macro, args.diff)
     if args.json:
         corpus_io.atomic_write_json(args.json, report.to_json_dict())
@@ -215,7 +213,7 @@ def _ruleset(args) -> tagger.RuleSet:
 
 def _cmd_tag(args) -> int:
     _require(args, "corpus", "gazetteer", "out")
-    corpus = _load_corpus(args.corpus, jobs=args.jobs)
+    corpus = _load_corpus(args.corpus)
     predictor = tagger.TaggerPredictor(_load_gazetteer(args.gazetteer), _ruleset(args))
     tagged = tagger.silver_annotate(corpus, predictor)
     corpus_io.write_corpus_dir(tagged, args.out)
@@ -225,7 +223,7 @@ def _cmd_tag(args) -> int:
 
 def _cmd_silver(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus, jobs=args.jobs)
+    corpus = _load_corpus(args.corpus)
     if args.predictions:
         path = Path(args.predictions)
         predictor = (tagger.ExternalPredictions.from_jsonl(path)
@@ -248,12 +246,16 @@ def _cmd_fuse(args) -> int:
     sources = []
     for raw in args.source:
         path, _, role_name = raw.partition(":")
-        role = Provenance(role_name) if role_name else None
+        try:
+            role = Provenance(role_name) if role_name else None
+        except ValueError:
+            raise UsageError(f"unknown role {role_name!r} in --source {raw!r}, expected "
+                             + "|".join(p.value for p in Provenance)) from None
         corpus = _load_corpus(path, provenance=role or Provenance.GOLD)
         sources.append(tagger.FusionSource(corpus=corpus, role=role))
     config = tagger.FusionConfig(
-        mode=tagger.FusionMode(args.mode), sources=tuple(sources),
-        for_training=args.for_training, prefix_on_collision=args.prefix_collisions)
+        sources=tuple(sources), for_training=args.for_training,
+        prefix_on_collision=args.prefix_collisions)
     fused = tagger.fuse(config)
     corpus_io.write_corpus_dir(fused, args.out)
     counts = tagger.provenance_counts(fused)
@@ -283,8 +285,6 @@ def _cmd_report(args) -> int:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file supplying flag defaults")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="per-document parallelism (output is identical for any N)")
 
     parser = argparse.ArgumentParser(
         prog="flowner",
@@ -377,8 +377,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--source", action="append",
                    help="corpus dir, optionally DIR:role (gold|silver|converted)")
     p.add_argument("--out")
-    p.add_argument("--mode", choices=[m.value for m in tagger.FusionMode],
-                   default="converted_only")
     p.add_argument("--for-training", action="store_true")
     p.add_argument("--prefix-collisions", action="store_true")
 
@@ -393,27 +391,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, registry
 
 
-def _apply_config(argv: list[str], registry: dict[str, argparse.ArgumentParser]) -> None:
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return  # let argparse produce the usage error
-    with open(argv[idx + 1], encoding="utf-8") as fh:
+def _apply_config(path, registry: dict[str, argparse.ArgumentParser]) -> None:
+    with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError("--config must contain a JSON object")
+    valid = {a.dest for sub in registry.values() for a in sub._actions
+             if a.option_strings} - {"help", "config"}
+    unknown = sorted(config.keys() - valid)
+    if unknown:
+        raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
     for sub in registry.values():
-        valid = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in config.items() if k in valid})
+        dests = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = _build_parser()
     try:
-        _apply_config(argv, registry)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Re-parse so the config defaults sit below the explicit flags.
+            _apply_config(args.config, registry)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,14 +11,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Mapping, Optional
 
 from .model import Corpus, Document, Provenance
 from .standoff import parse_standoff, serialize_standoff
-
-T = TypeVar("T")
 
 
 def atomic_write_text(path, content: str) -> None:
@@ -39,19 +36,6 @@ def atomic_write_json(path, data) -> None:
     atomic_write_text(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
 
 
-def map_documents(fn: Callable[[Document], T], documents: Sequence[Document],
-                  jobs: int = 1) -> list[T]:
-    """Apply a pure per-document function, optionally with a thread pool.
-
-    Results come back in document order regardless of ``jobs``, so output
-    determinism never depends on scheduling.
-    """
-    if jobs <= 1 or len(documents) <= 1:
-        return [fn(doc) for doc in documents]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, documents))
-
-
 def load_document(txt_path, ann_path=None, doc_id: Optional[str] = None,
                   provenance: Provenance = Provenance.GOLD,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
@@ -68,22 +52,14 @@ def load_document(txt_path, ann_path=None, doc_id: Optional[str] = None,
 def load_corpus_dir(path, name: Optional[str] = None,
                     provenance: Provenance = Provenance.GOLD,
                     qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
-                    jobs: int = 1) -> Corpus:
+                    ) -> Corpus:
     """Load every ``<id>.txt`` (with its ``<id>.ann``, if present)."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    txt_paths = sorted(root.glob("*.txt"))
-
-    def load_one(txt_path: Path) -> Document:
-        return load_document(txt_path, txt_path.with_suffix(".ann"),
-                             provenance=provenance, qualifiers=qualifiers)
-
-    if jobs > 1 and len(txt_paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            documents = list(pool.map(load_one, txt_paths))
-    else:
-        documents = [load_one(p) for p in txt_paths]
+    documents = [load_document(p, p.with_suffix(".ann"), provenance=provenance,
+                               qualifiers=qualifiers)
+                 for p in sorted(root.glob("*.txt"))]
     return Corpus(name=name or root.name, documents=tuple(documents))
 
 

@@ -179,7 +179,6 @@ class MatchReport:
     per_label: Mapping[str, LabelScore]
     overall: LabelScore
     label_filter: Optional[tuple[str, ...]] = None
-    pairs: tuple[tuple[EntityRef, EntityRef], ...] = ()
     missed: tuple[EntityRef, ...] = ()
     spurious: tuple[EntityRef, ...] = ()
 
@@ -245,7 +244,6 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
 
     pred_by_id = {d.doc_id: d for d in pred_corpus.documents}
     counts: dict[str, Counter] = defaultdict(Counter)
-    pairs: list[tuple[EntityRef, EntityRef]] = []
     missed: list[EntityRef] = []
     spurious: list[EntityRef] = []
 
@@ -255,10 +253,8 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
                                  qualifier_sensitive)
         matched_gold = {g for g, _ in matched}
         matched_pred = {p for _, p in matched}
-        for g, p in matched:
+        for g, _ in matched:
             counts[g.label.base]["tp"] += 1
-            pairs.append((EntityRef.of(gold_doc.doc_id, g),
-                          EntityRef.of(gold_doc.doc_id, p)))
         for g in gold_doc.entities:
             if g not in matched_gold:
                 counts[g.label.base]["fn"] += 1
@@ -281,20 +277,9 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
         per_label=per_label,
         overall=_micro(per_label, flt),
         label_filter=flt,
-        pairs=tuple(sorted(pairs, key=lambda gp: (gp[0].sort_key(), gp[1].sort_key()))),
         missed=tuple(sorted(missed, key=EntityRef.sort_key)),
         spurious=tuple(sorted(spurious, key=EntityRef.sort_key)),
     )
-
-
-def iaa(annotations_a: Corpus, annotations_b: Corpus, mode: MatchMode,
-        label_filter: Optional[Sequence[str]] = None) -> MatchReport:
-    """Agreement between two annotators over the same documents.
-
-    Annotator B takes the prediction role; F1 is symmetric under argument
-    exchange (P and R swap exactly).
-    """
-    return score(annotations_a, annotations_b, mode, label_filter)
 
 
 def render_report(report: MatchReport) -> str:

@@ -79,9 +79,6 @@ class SplitManifest:
     test_ids: tuple[str, ...]
     ratios: tuple[float, float]
 
-    def all_ids(self) -> frozenset[str]:
-        return frozenset(self.train_ids) | frozenset(self.dev_ids) | frozenset(self.test_ids)
-
     def to_json_dict(self) -> dict:
         return {
             "split_id": self.split_id,

@@ -36,14 +36,13 @@ class MalformedDump(ValueError):
 
 @dataclass(frozen=True)
 class VocabEntry:
-    surface: str
     canonical: str
     kind: str
     sources: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.surface.strip():
-            raise ValueError("vocab entry surface is empty")
+        if not self.canonical.strip():
+            raise ValueError("vocab entry name is empty")
 
 
 def _line_names(payload: str) -> Iterable[tuple[int, str]]:
@@ -68,17 +67,17 @@ def _ingest_json_records(payload: str, source: str) -> list[VocabEntry]:
         if not isinstance(name, str) or not name.strip():
             raise MalformedDump("record has no usable 'name' field", idx)
         name = name.strip()
-        entries.append(VocabEntry(name, name, TOOL_NAME, frozenset({source})))
+        entries.append(VocabEntry(name, TOOL_NAME, frozenset({source})))
         for binary in record.get("binaries", []):
             if not isinstance(binary, str) or not binary.strip():
                 raise MalformedDump("empty name in 'binaries'", idx)
             binary = binary.strip()
-            entries.append(VocabEntry(binary, binary, BINARY_NAME, frozenset({source})))
+            entries.append(VocabEntry(binary, BINARY_NAME, frozenset({source})))
     return entries
 
 
 def _ingest_lines(payload: str, source: str, kind: str) -> list[VocabEntry]:
-    return [VocabEntry(name, name, kind, frozenset({source}))
+    return [VocabEntry(name, kind, frozenset({source}))
             for _idx, name in _line_names(payload)]
 
 
@@ -88,7 +87,7 @@ def _ingest_images(payload: str, source: str) -> list[VocabEntry]:
         name = image.rsplit("/", 1)[-1].split(":", 1)[0].split("@", 1)[0].strip()
         if not name:
             raise MalformedDump(f"cannot extract a name from image {image!r}", idx)
-        entries.append(VocabEntry(name, name, BINARY_NAME, frozenset({source})))
+        entries.append(VocabEntry(name, BINARY_NAME, frozenset({source})))
     return entries
 
 
@@ -127,19 +126,13 @@ class BuildOptions:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Deduplicated name table keyed by case-folded surface."""
+    """Deduplicated name table keyed by case-folded name."""
 
     entries: Mapping[str, VocabEntry]
     normalization: Mapping
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface.casefold() in self.entries
-
-    def canonicals(self) -> list[str]:
-        return [e.canonical for e in self.entries.values()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,8 +147,8 @@ class Gazetteer:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Gazetteer":
         entries = {
-            row["key"]: VocabEntry(row["canonical"], row["canonical"],
-                                   row["kind"], frozenset(row["sources"]))
+            row["key"]: VocabEntry(row["canonical"], row["kind"],
+                                   frozenset(row["sources"]))
             for row in data["entries"]
         }
         return cls(entries=dict(sorted(entries.items())),
@@ -176,15 +169,14 @@ def build_gazetteer(entries: Sequence[VocabEntry],
 
     merged: dict[str, VocabEntry] = {}
     for entry in entries:
-        key = entry.surface.strip().casefold()
+        name = entry.canonical.strip()
+        key = name.casefold()
         prior = merged.get(key)
         if prior is None:
-            merged[key] = VocabEntry(entry.surface.strip(), entry.surface.strip(),
-                                     entry.kind, entry.sources)
+            merged[key] = VocabEntry(name, entry.kind, entry.sources)
         else:
             kind = TOOL_NAME if TOOL_NAME in (prior.kind, entry.kind) else BINARY_NAME
-            merged[key] = VocabEntry(prior.surface, prior.canonical, kind,
-                                     prior.sources | entry.sources)
+            merged[key] = VocabEntry(prior.canonical, kind, prior.sources | entry.sources)
 
     kept: dict[str, VocabEntry] = {}
     filtered = {"too_short": 0, "numeric": 0, "common_word": 0}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class Provenance(str, Enum):
@@ -42,9 +42,6 @@ class Span:
 
     def __len__(self) -> int:
         return self.end - self.start
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 @dataclass(frozen=True)
@@ -147,17 +144,6 @@ class Document:
                 return e
         return None
 
-    def with_entities(self, entities: Iterable[Entity],
-                      provenance: Optional[Provenance] = None,
-                      sidecar: Optional[Iterable[str]] = None) -> "Document":
-        return Document(
-            doc_id=self.doc_id,
-            text=self.text,
-            entities=tuple(entities),
-            provenance=self.provenance if provenance is None else provenance,
-            sidecar=self.sidecar if sidecar is None else tuple(sidecar),
-        )
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -174,12 +160,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def get(self, doc_id: str) -> Optional[Document]:
-        for d in self.documents:
-            if d.doc_id == doc_id:
-                return d
-        return None
 
 
 @dataclass(frozen=True)

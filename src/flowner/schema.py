@@ -111,6 +111,8 @@ class MappingTable:
                     f"attributed rule for {rule.source!r} must precede its bare rule")
 
     def lookup(self, source_base: str, source_attribute: Optional[str]) -> Optional[MappingRule]:
+        """The exact ``(base, attribute)`` rule, else the base's attribute-free
+        rule, else None (the caller drops the entity)."""
         if source_attribute is not None:
             for rule in self.rules:
                 if rule.source == source_base and rule.attribute == source_attribute:
@@ -126,20 +128,6 @@ class MappingTable:
 
     def rule_index(self, rule: MappingRule) -> int:
         return self.rules.index(rule)
-
-
-def map_label(source_base: str, source_attribute: Optional[str],
-              table: MappingTable) -> Optional[EntityLabel]:
-    """Target label for a source ``(base, attribute)``, or None to drop.
-
-    The most specific rule wins: an exact ``(base, attribute)`` match,
-    then the attribute-free rule for the base.  Unmapped sources map to
-    None as well (the caller drops the entity).
-    """
-    rule = table.lookup(source_base, source_attribute)
-    if rule is None:
-        return None
-    return rule.target
 
 
 @dataclass

@@ -150,29 +150,25 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
                     provenance=provenance, sidecar=tuple(sidecar))
 
 
-def serialize_standoff(doc: Document, renumber: bool = False) -> tuple[str, str]:
+def serialize_standoff(doc: Document) -> tuple[str, str]:
     """Render a Document back to (ann_content, doc_text).
 
-    Entity lines come out in ascending (first-fragment start, end) order.
-    Ids are kept as-is unless ``renumber`` is set, in which case entities
-    are renamed T1..Tn in emission order (opaque sidecar lines that
-    reference old ids are NOT rewritten).  Output re-parses to an equal
-    Document provided the input satisfies the model invariants and its
-    qualifiers are registered for their base labels.
+    Entity lines come out in ascending (first-fragment start, end) order,
+    with their ids kept as-is.  Output re-parses to an equal Document
+    provided the input satisfies the model invariants and its qualifiers
+    are registered for their base labels.
     """
-    id_map = {e.id: (f"T{i}" if renumber else e.id)
-              for i, e in enumerate(doc.entities, start=1)}
     lines = []
     for ent in doc.entities:
         span_text = ";".join(f"{f.start} {f.end}" for f in ent.fragments)
         surface = re.sub(r"[\r\n]", " ", ent.surface)
-        lines.append(f"{id_map[ent.id]}\t{ent.label.base} {span_text}\t{surface}")
+        lines.append(f"{ent.id}\t{ent.label.base} {span_text}\t{surface}")
 
     next_attr = 1 + max((int(m.group(1)) for line in doc.sidecar
                          if (m := _ATTR_ID_RE.match(line))), default=0)
     for ent in doc.entities:
         if ent.label.qualifier:
-            lines.append(f"A{next_attr}\t{ent.label.qualifier} {id_map[ent.id]}")
+            lines.append(f"A{next_attr}\t{ent.label.qualifier} {ent.id}")
             next_attr += 1
     lines.extend(doc.sidecar)
     ann_content = "\n".join(lines) + "\n" if lines else ""

@@ -16,7 +16,6 @@ import re
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
-from enum import Enum
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -156,6 +155,18 @@ class MissingPrediction(KeyError):
     """An external predictor has no output for a requested doc_id."""
 
 
+class MalformedPrediction(ValueError):
+    """A JSONL prediction record that cannot be read, located by file and line."""
+
+    def __init__(self, message: str, path, line_no: int):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.line_no = line_no
+
+
+_JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
+_JSONL_FIELDS = frozenset(_JSONL_REQUIRED + ("qualifier",))
+
+
 class TaggerPredictor:
     """Adapts the built-in tagger to the predictor interface."""
 
@@ -203,17 +214,35 @@ class ExternalPredictions:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedPrediction(f"invalid JSON: {exc.msg} at column {exc.colno}",
+                                              path, line_no) from None
+                if not isinstance(rec, dict):
+                    raise MalformedPrediction("record is not a JSON object", path, line_no)
+                missing = [k for k in _JSONL_REQUIRED if k not in rec]
+                if missing:
+                    raise MalformedPrediction(f"missing field(s) {', '.join(missing)}",
+                                              path, line_no)
+                unknown = sorted(rec.keys() - _JSONL_FIELDS)
+                if unknown:
+                    raise MalformedPrediction(f"unknown field(s) {', '.join(unknown)}",
+                                              path, line_no)
                 starts = rec["start"] if isinstance(rec["start"], list) else [rec["start"]]
                 ends = rec["end"] if isinstance(rec["end"], list) else [rec["end"]]
                 if len(starts) != len(ends):
-                    raise ValueError(f"{path}:{line_no}: start/end arrays differ in length")
-                fragments = tuple(Span(s, e) for s, e in zip(starts, ends))
-                ents = per_doc.setdefault(rec["doc_id"], [])
-                ents.append(Entity(
-                    id=f"T{len(ents) + 1}",
-                    label=EntityLabel(rec["label"], rec.get("qualifier")),
-                    fragments=fragments, surface=rec["surface"]))
+                    raise MalformedPrediction("start/end arrays differ in length",
+                                              path, line_no)
+                try:
+                    ents = per_doc.setdefault(rec["doc_id"], [])
+                    ents.append(Entity(
+                        id=f"T{len(ents) + 1}",
+                        label=EntityLabel(rec["label"], rec.get("qualifier")),
+                        fragments=tuple(Span(s, e) for s, e in zip(starts, ends)),
+                        surface=rec["surface"]))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedPrediction(str(exc), path, line_no) from None
         return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()})
 
 
@@ -237,11 +266,6 @@ def silver_annotate(corpus: Corpus,
     return Corpus(name=corpus.name, documents=tuple(out))
 
 
-class FusionMode(str, Enum):
-    CONVERTED_ONLY = "converted_only"
-    SILVER = "silver"
-
-
 class DuplicateDocId(ValueError):
     pass
 
@@ -254,7 +278,6 @@ class FusionSource:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    mode: FusionMode
     sources: tuple[FusionSource, ...]
     for_training: bool = False
     prefix_on_collision: bool = False

@@ -6,6 +6,7 @@ import pytest
 from flowner.cli import main
 from flowner.corpus_io import load_corpus_dir, write_corpus_dir
 from flowner.model import Corpus, Document, Provenance
+from flowner.tagger import ExternalPredictions, MalformedPrediction
 from util import doc_of, ent
 
 
@@ -247,10 +248,54 @@ def test_inputs_are_never_mutated(gold_dir, tmp_path):
     assert {p.name: p.read_bytes() for p in sorted(gold_dir.iterdir())} == snapshot
 
 
-def test_jobs_flag_gives_identical_results(gold_dir, tmp_path, capsys):
-    pred = _write_pred_dir(tmp_path)
-    assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred),
-                 "--jobs", "4"]) == 0
-    out_parallel = capsys.readouterr().out
-    assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred)]) == 0
-    assert capsys.readouterr().out == out_parallel
+def test_config_equals_form_applies(gold_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "stats.json"
+    config.write_text(json.dumps({"out": str(out)}), encoding="utf-8")
+    assert main(["stats", "--corpus", str(gold_dir), f"--config={config}"]) == 0
+    assert json.loads(out.read_text("utf-8")) == json.loads(capsys.readouterr().out)
+
+
+def test_unknown_config_keys_exit_two(gold_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"focus": "Tool", "label_filter": "Tool",
+                                  "outt": "x"}), encoding="utf-8")
+    assert main(["stats", "--corpus", str(gold_dir), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: unknown config key(s) in {config}: "
+                            "label_filter, outt\n")
+    assert captured.out == ""
+
+
+def test_fuse_unknown_role_exits_two(tmp_path, capsys):
+    a = tmp_path / "a"
+    write_corpus_dir(Corpus("a", (doc_of("g1", "x"),)), a)
+    assert main(["fuse", "--source", f"{a}:bogus", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "gold|silver|converted" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("record, reason", [
+    ('{"doc_id": "d1", "label": "Tool", "end": 16, "surface": "BWA"}',
+     "missing field(s) start"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, "surface": "BWA", '
+     '"qualifer": "General"}', "unknown field(s) qualifer"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 13,', "invalid JSON"),
+    ('["d1", "Tool", 13, 16, "BWA"]', "not a JSON object"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 16, "end": 13, "surface": "BWA"}',
+     "span must be non-empty"),
+])
+def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record, reason):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, '
+                     '"surface": "BWA"}\n\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(MalformedPrediction) as exc:
+        ExternalPredictions.from_jsonl(preds)
+    assert exc.value.line_no == 3
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{preds}:3: " in err and reason in err

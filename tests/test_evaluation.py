@@ -4,7 +4,7 @@ import random
 import pytest
 
 from flowner.evaluation import (DocSetMismatch, MatchMode, entities_compatible,
-                                iaa, macro_average, match_document, score)
+                                macro_average, match_document, score)
 from flowner.model import Corpus, Document, Entity, EntityLabel, Span
 from gen import random_corpus_pair, random_match_instance
 from oracles import brute_force_max_pairs, oracle_compatible
@@ -174,8 +174,8 @@ def test_iaa_symmetry():
     rng = random.Random(2718)
     for _ in range(100):
         a, b = random_corpus_pair(rng)
-        ab = iaa(a, b, RELAXED)
-        ba = iaa(b, a, RELAXED)
+        ab = score(a, b, RELAXED)
+        ba = score(b, a, RELAXED)
         assert ab.overall.f1 == pytest.approx(ba.overall.f1, abs=1e-12)
         assert ab.overall.p == pytest.approx(ba.overall.r, abs=1e-12)
         assert ab.overall.tp == ba.overall.tp
@@ -183,15 +183,15 @@ def test_iaa_symmetry():
 
 def test_iaa_self_is_one():
     corpus = _self_eval_corpus()
-    assert iaa(corpus, corpus, STRICT).overall.f1 == 1.0
+    assert score(corpus, corpus, STRICT).overall.f1 == 1.0
 
 
 def test_boundary_disagreement_relaxed_one_strict_zero():
     text = "mapping reads with BWA"
     a = Corpus("a", (doc_of("d", text, ent("T1", "Tool", 19, 22, text)),))
     b = Corpus("b", (doc_of("d", text, ent("T1", "Tool", 15, 22, text)),))
-    assert iaa(a, b, RELAXED).overall.f1 == 1.0
-    assert iaa(a, b, STRICT).overall.f1 == 0.0
+    assert score(a, b, RELAXED).overall.f1 == 1.0
+    assert score(a, b, STRICT).overall.f1 == 0.0
 
 
 def test_no_entity_in_two_pairs():
@@ -211,7 +211,8 @@ def test_report_independent_of_document_order():
     pred_rev = Corpus("p", tuple(reversed(pred.documents)))
     report2 = score(gold_rev, pred_rev, RELAXED)
     assert json.dumps(report1.to_json_dict()) == json.dumps(report2.to_json_dict())
-    assert report1.pairs == report2.pairs
+    assert report1.missed == report2.missed
+    assert report1.spurious == report2.spurious
 
 
 def test_removing_predictions_of_a_label_zeroes_its_recall():

@@ -11,20 +11,20 @@ from flowner.gazetteer import (BINARY_NAME, TOOL_NAME, BuildOptions, Gazetteer,
 
 def test_ingest_biotools_json():
     entries = ingest("biotools", '[{"name":"BWA"},{"name":"SAMtools"}]')
-    assert [(e.surface, e.kind) for e in entries] == \
+    assert [(e.canonical, e.kind) for e in entries] == \
         [("BWA", TOOL_NAME), ("SAMtools", TOOL_NAME)]
     assert entries[0].sources == frozenset({"biotools"})
 
 
 def test_ingest_biotools_binaries():
     entries = ingest("biotools", '[{"name":"SAMtools","binaries":["samtools"]}]')
-    assert [(e.surface, e.kind) for e in entries] == \
+    assert [(e.canonical, e.kind) for e in entries] == \
         [("SAMtools", TOOL_NAME), ("samtools", BINARY_NAME)]
 
 
 def test_ingest_package_list():
     entries = ingest("bioconda", "bwa\nsamtools\n")
-    assert [(e.surface, e.kind) for e in entries] == \
+    assert [(e.canonical, e.kind) for e in entries] == \
         [("bwa", BINARY_NAME), ("samtools", BINARY_NAME)]
 
 
@@ -32,7 +32,7 @@ def test_ingest_container_images():
     entries = ingest("biocontainers",
                      "quay.io/biocontainers/bwa:0.7.17--h84994c4_5\n"
                      "biocontainers/samtools:v1.9\n")
-    assert [e.surface for e in entries] == ["bwa", "samtools"]
+    assert [e.canonical for e in entries] == ["bwa", "samtools"]
     assert all(e.kind == BINARY_NAME for e in entries)
 
 
@@ -115,7 +115,7 @@ def test_export_is_deterministic_and_reingestable(tmp_path):
 
     again = build_gazetteer(ingest("custom", path.read_text("utf-8")))
     assert sorted(again.entries) == sorted(gaz.entries)
-    assert again.canonicals() == gaz.canonicals()
+    assert again.entries == gaz.entries
 
 
 def test_rebuild_from_own_output_is_identity():

@@ -4,7 +4,7 @@ from flowner.model import Corpus, Document, EntityLabel, Provenance
 from flowner.schema import (BIOTOFLOW, CORE, ENVIRONMENT, SPECIFICS,
                             MappingRule, MappingTable, UnknownSourceLabel,
                             convert_corpus, default_softcite_table,
-                            load_mapping_table, map_label)
+                            load_mapping_table)
 from flowner.standoff import parse_standoff, serialize_standoff
 from flowner.schema import SOFTCITE_QUALIFIERS
 from util import doc_of, ent
@@ -62,16 +62,16 @@ def test_table_targets_never_appear_as_sources():
     ("formula", None, None),
 ])
 def test_map_label_against_published_table(source, attribute, expected):
-    assert map_label(source, attribute, default_softcite_table()) == expected
+    assert default_softcite_table().lookup(source, attribute).target == expected
 
 
 def test_map_label_unmapped_source_is_absent():
-    assert map_label("paragraph", None, default_softcite_table()) is None
+    assert default_softcite_table().lookup("paragraph", None) is None
 
 
 def test_unknown_attribute_falls_back_to_bare_rule():
-    assert map_label("software", "whatnot", default_softcite_table()) == \
-        EntityLabel("Tool")
+    rule = default_softcite_table().lookup("software", "whatnot")
+    assert (rule.attribute, rule.target) == (None, EntityLabel("Tool"))
 
 
 def test_table_rejects_duplicate_rules_and_bad_order():

@@ -141,15 +141,6 @@ def test_serialize_orders_entities_by_offset():
     assert ann.splitlines() == ["T2\tData 0 2\taa", "T9\tTool 6 8\tcc"]
 
 
-def test_serialize_renumber():
-    text = "aa bb cc"
-    doc = Document("d1", text, entities=(
-        Entity("T9", EntityLabel("Tool"), (Span(6, 8),), "cc"),
-        Entity("T5", EntityLabel("Data"), (Span(0, 2),), "aa"),))
-    ann, _ = serialize_standoff(doc, renumber=True)
-    assert ann.splitlines() == ["T1\tData 0 2\taa", "T2\tTool 6 8\tcc"]
-
-
 def test_roundtrip_with_qualifier_and_sidecar():
     text = "mapping reads with BWA"
     doc = Document(

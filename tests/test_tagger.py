@@ -7,8 +7,8 @@ from flowner.gazetteer import build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                            FusionMode, FusionSource, MissingPrediction,
-                            RuleSet, TaggerPredictor, default_ruleset, fuse,
+                            FusionSource, MissingPrediction, RuleSet,
+                            TaggerPredictor, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
 from util import doc_of, ent
 
@@ -193,24 +193,22 @@ def _corpus(name, n, provenance, prefix=""):
 def test_fuse_counts_provenance():
     gold = _corpus("gold", 52, Provenance.GOLD, "g")
     conv = _corpus("conv", 1159, Provenance.CONVERTED, "c")
-    fused = fuse(FusionConfig(mode=FusionMode.CONVERTED_ONLY,
-                              sources=(FusionSource(gold), FusionSource(conv))))
+    fused = fuse(FusionConfig(sources=(FusionSource(gold), FusionSource(conv))))
     assert len(fused) == 1211
     assert dict(provenance_counts(fused)) == {"gold": 52, "converted": 1159}
 
 
 def test_fuse_single_source_is_identity():
     gold = _corpus("gold", 5, Provenance.GOLD)
-    fused = fuse(FusionConfig(mode=FusionMode.CONVERTED_ONLY,
-                              sources=(FusionSource(gold),)))
+    fused = fuse(FusionConfig(sources=(FusionSource(gold),)))
     assert fused.documents == gold.documents
 
 
 def test_fuse_is_order_independent_on_document_sets():
     a = _corpus("a", 3, Provenance.GOLD, "a")
     b = _corpus("b", 4, Provenance.SILVER, "b")
-    ab = fuse(FusionConfig(FusionMode.SILVER, (FusionSource(a), FusionSource(b))))
-    ba = fuse(FusionConfig(FusionMode.SILVER, (FusionSource(b), FusionSource(a))))
+    ab = fuse(FusionConfig((FusionSource(a), FusionSource(b))))
+    ba = fuse(FusionConfig((FusionSource(b), FusionSource(a))))
     assert set(ab.documents) == set(ba.documents)
 
 
@@ -218,28 +216,24 @@ def test_fuse_rejects_collisions_unless_prefixing():
     a = _corpus("a", 3, Provenance.GOLD)
     b = _corpus("b", 3, Provenance.CONVERTED)
     with pytest.raises(DuplicateDocId):
-        fuse(FusionConfig(FusionMode.CONVERTED_ONLY,
-                          (FusionSource(a), FusionSource(b))))
-    fused = fuse(FusionConfig(FusionMode.CONVERTED_ONLY,
-                              (FusionSource(a), FusionSource(b)),
+        fuse(FusionConfig((FusionSource(a), FusionSource(b))))
+    fused = fuse(FusionConfig((FusionSource(a), FusionSource(b)),
                               prefix_on_collision=True))
     assert sorted(fused.doc_ids())[:2] == ["a:doc0", "a:doc1"]
 
 
 def test_fuse_role_overrides_provenance():
     a = _corpus("a", 2, Provenance.GOLD)
-    fused = fuse(FusionConfig(FusionMode.SILVER,
-                              (FusionSource(a, role=Provenance.SILVER),)))
+    fused = fuse(FusionConfig((FusionSource(a, role=Provenance.SILVER),)))
     assert dict(provenance_counts(fused)) == {"silver": 2}
 
 
 def test_fuse_training_requires_gold():
     silver = _corpus("s", 3, Provenance.SILVER)
     with pytest.raises(ValueError):
-        fuse(FusionConfig(FusionMode.SILVER, (FusionSource(silver),),
+        fuse(FusionConfig((FusionSource(silver),),
                           for_training=True))
     gold = _corpus("g", 1, Provenance.GOLD, "g")
-    fused = fuse(FusionConfig(FusionMode.SILVER,
-                              (FusionSource(silver), FusionSource(gold)),
+    fused = fuse(FusionConfig((FusionSource(silver), FusionSource(gold)),
                               for_training=True))
     assert len(fused) == 4
