@@ -19,8 +19,8 @@ from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
 from .gazetteer import (BuildOptions, Gazetteer, MalformedDump, VocabEntry,
                         build_gazetteer, export_vocab, ingest, vocab_lines)
 from .tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                     FusionSource, MalformedPrediction, MissingPrediction,
-                     RuleSet, TaggerPredictor, default_ruleset, fuse,
-                     provenance_counts, silver_annotate, tag)
+                     FusionSource, MalformedPrediction, MalformedRules, Matcher,
+                     MissingPrediction, RuleSet, TaggerPredictor, default_ruleset,
+                     fuse, provenance_counts, silver_annotate, tag)
 
 __version__ = "0.1.0"

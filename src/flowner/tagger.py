@@ -1,12 +1,30 @@
 """Deterministic gazetteer + rule tagger, silver annotation and corpus fusion.
 
 The dictionary pass matches gazetteer names (and the rule set's fixed
-lists) at word boundaries, longest alternative first at every position,
-case-sensitively with a case-insensitive fallback.  The rule pass adds
-version-string and citation-marker regex matches.  Overlapping candidates
-are resolved greedily by (longer span, earlier start, dictionary before
-rule), so the output is a flat, non-overlapping annotation layer; nested
-predictions only ever come from external predictors.
+lists) at word boundaries, longest name first at every position, both
+exactly and under a case fold.  A :class:`Matcher` holds the dictionary
+and is built once per run; a scan costs a few hash lookups per word
+start, whatever the dictionary size.  The fold maps each character on its
+own and keeps the length: ``c.casefold()`` if that is one character, else
+``c.lower()`` if that is one character, else ``c`` (so ``\u1e9e`` folds to
+``\u00df``).  A folded hit takes the label of the first dictionary surface
+with the same ``casefold()``.
+
+This reproduces the case-insensitive regex scan it replaced, except at
+characters that the regex engine relates differently.  U+0130 and U+0131
+(dotted capital I, dotless small i) are the same letter as ``i`` to the
+engine but casefold apart from it, so that scan dropped the position and
+never tried a shorter name; the fold keeps them apart and the shorter name
+matches (names ``["ia- b", "\u0130a-"]`` in ``"\u0130A- b"`` now give
+``"\u0130A-"``).  U+0390/U+1FD3, U+03B0/U+1FE3 and U+FB05/U+FB06 have equal
+casefolds and matched each other in that scan, but fold apart and no
+longer do.
+
+The rule pass adds version-string and citation-marker regex matches.
+Overlapping candidates are resolved greedily by (longer span, earlier
+start, dictionary before rule), so the output is a flat, non-overlapping
+annotation layer; nested predictions only ever come from external
+predictors.
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence
@@ -25,13 +43,30 @@ from .model import (Corpus, Document, Entity, EntityLabel, Provenance, Span,
 from .standoff import parse_standoff
 
 
+class MalformedRules(ValueError):
+    """A rule set that cannot be used, located by rules file and key."""
+
+    def __init__(self, reason: str, key: Optional[str] = None, path=None):
+        super().__init__(": ".join(str(p) for p in (path, key, reason) if p is not None))
+        self.reason = reason
+        self.key = key
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    if isinstance(value, str) or not isinstance(value, (list, tuple)) or \
+            not all(isinstance(v, str) for v in value):
+        raise MalformedRules("expected a list of strings", key)
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Regex patterns and fixed surface lists for the rule pass.
 
-    Patterns are compiled at construction, so a broken data file fails
-    fast.  Shipped defaults live in ``data/default_rules.json`` and can
-    be edited without code changes.
+    Fields are checked at construction (a list of strings each, non-empty
+    surfaces, compilable patterns), so a broken data file fails fast with
+    :class:`MalformedRules` naming the key.  Shipped defaults live in
+    ``data/default_rules.json`` and can be edited without code changes.
     """
 
     version_patterns: tuple[str, ...] = ()
@@ -39,32 +74,58 @@ class RuleSet:
     fixed_lists: Mapping[str, tuple[str, ...]] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "version_patterns", tuple(self.version_patterns))
-        object.__setattr__(self, "biblio_patterns", tuple(self.biblio_patterns))
-        object.__setattr__(self, "fixed_lists",
-                           {k: tuple(v) for k, v in (self.fixed_lists or {}).items()})
+        fixed_lists = {} if self.fixed_lists is None else self.fixed_lists
+        if not isinstance(fixed_lists, Mapping):
+            raise MalformedRules("expected an object of lists", "fixed_lists")
+        object.__setattr__(self, "fixed_lists", {
+            base: _strings(surfaces, f"fixed_lists.{base}")
+            for base, surfaces in fixed_lists.items()})
         for base, surfaces in self.fixed_lists.items():
-            for s in surfaces:
-                if not s:
-                    raise ValueError(f"empty surface in fixed list {base!r}")
-        for pattern in self.version_patterns + self.biblio_patterns:
-            re.compile(pattern)  # fail fast on a broken data file
+            if not all(surfaces):
+                raise MalformedRules("empty surface", f"fixed_lists.{base}")
+        for key in ("version_patterns", "biblio_patterns"):
+            patterns = _strings(getattr(self, key), key)
+            object.__setattr__(self, key, patterns)
+            for i, pattern in enumerate(patterns):
+                try:
+                    re.compile(pattern)
+                except re.error as exc:
+                    raise MalformedRules(f"invalid regex {pattern!r}: {exc}",
+                                         f"{key}[{i}]") from None
 
 
-def ruleset_from_json(data: Mapping) -> RuleSet:
-    return RuleSet(version_patterns=tuple(data.get("version_patterns", ())),
-                   biblio_patterns=tuple(data.get("biblio_patterns", ())),
-                   fixed_lists=data.get("fixed_lists", {}))
+_RULES_KEYS = ("version_patterns", "biblio_patterns", "fixed_lists")
+
+
+def ruleset_from_json(data: Mapping, path) -> RuleSet:
+    """Build a rule set from parsed JSON; every fault names ``path`` and its key."""
+    try:
+        if not isinstance(data, Mapping):
+            raise MalformedRules("expected a JSON object")
+        unknown = sorted(data.keys() - set(_RULES_KEYS))
+        if unknown:
+            raise MalformedRules(f"unknown key (expected one of {', '.join(_RULES_KEYS)})",
+                                 unknown[0])
+        return RuleSet(version_patterns=data.get("version_patterns", ()),
+                       biblio_patterns=data.get("biblio_patterns", ()),
+                       fixed_lists=data.get("fixed_lists", {}))
+    except MalformedRules as exc:
+        raise MalformedRules(exc.reason, exc.key, path) from None
 
 
 def ruleset_from_file(path) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
-        return ruleset_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRules(f"invalid JSON: {exc.msg} at line {exc.lineno} "
+                                 f"column {exc.colno}", path=path) from None
+    return ruleset_from_json(data, path)
 
 
 def default_ruleset() -> RuleSet:
     text = resources.files("flowner.data").joinpath("default_rules.json").read_text("utf-8")
-    return ruleset_from_json(json.loads(text))
+    return ruleset_from_json(json.loads(text), "default_rules.json")
 
 
 _RANK_DICT_CASED = 0
@@ -72,64 +133,108 @@ _RANK_DICT_FOLDED = 1
 _RANK_RULE = 2
 
 
-def _dictionary(gaz: Optional[Gazetteer], rules: RuleSet) -> dict[str, str]:
-    """surface -> base label; fixed-list labels override the Tool default."""
-    table: dict[str, str] = {}
-    if gaz is not None:
-        for entry in gaz.entries.values():
-            table[entry.canonical] = "Tool"
-    for base in sorted(rules.fixed_lists):
-        for surface in rules.fixed_lists[base]:
-            table[surface] = base
-    return table
+class _FoldTable(dict):
+    """``str.translate`` table from a code point to its fold, filled on first use."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        folded = next((f for f in (char.casefold(), char.lower()) if len(f) == 1), char)
+        self[code] = folded
+        return folded
 
 
-def _dict_candidates(text: str, table: dict[str, str],
-                     ) -> list[tuple[int, int, int, str]]:
-    """(start, end, rank, label) for every word-boundary dictionary hit.
+_FOLD_TABLE = _FoldTable()
 
-    A lookahead wrapper makes the scan yield a candidate at every start
-    position, longest alternative first, instead of consuming matches.
-    """
-    if not table:
-        return []
-    alternation = "|".join(re.escape(s)
-                           for s in sorted(table, key=lambda s: (-len(s), s)))
-    pattern = r"(?=((?<!\w)(?:" + alternation + r")(?!\w)))"
-    folded = {}
-    for surface, base in table.items():
-        folded.setdefault(surface.casefold(), base)
 
-    found: dict[tuple[int, int], tuple[int, str]] = {}
-    for flags, rank in ((0, _RANK_DICT_CASED), (re.IGNORECASE, _RANK_DICT_FOLDED)):
-        for m in re.finditer(pattern, text, flags):
-            matched = m.group(1)
-            span = (m.start(1), m.end(1))
-            label = table.get(matched) if rank == _RANK_DICT_CASED else \
-                folded.get(matched.casefold())
-            if label is None:
+def _fold(s: str) -> str:
+    """Fold each character on its own, keeping the length (see the module doc)."""
+    folded = s.casefold()
+    # casefold() works one character at a time, so when no character expands
+    # it already is the per-character fold.
+    return folded if len(folded) == len(s) else s.translate(_FOLD_TABLE)
+
+
+_WORD = re.compile(r"\w")
+_WORD_START = re.compile(r"(?<!\w).", re.DOTALL)  # any character not after \w
+
+
+class Matcher:
+    """The dictionary (gazetteer names plus fixed lists) and the rule
+    regexes, compiled once and applied to any number of texts."""
+
+    def __init__(self, gaz: Optional[Gazetteer], rules: RuleSet):
+        exact: dict[str, str] = {}  # surface -> base; fixed lists override Tool
+        if gaz is not None:
+            for entry in gaz.entries.values():
+                exact[entry.canonical] = "Tool"
+        for base in sorted(rules.fixed_lists):
+            for surface in rules.fixed_lists[base]:
+                exact[surface] = base
+        # A folded hit takes the label of the first-inserted surface with the
+        # same casefold().  Surfaces with equal folds have equal casefolds,
+        # but not the reverse ("ss" and "\u00df"), so key the labels by casefold.
+        by_casefold: dict[str, str] = {}
+        folded: dict[str, str] = {}
+        for surface, base in exact.items():
+            casefolded = surface.casefold()
+            key = casefolded if len(casefolded) == len(surface) else \
+                surface.translate(_FOLD_TABLE)  # _fold(surface), inlined for build time
+            folded[key] = by_casefold.setdefault(casefolded, base)
+        lengths: defaultdict[str, set[int]] = defaultdict(set)
+        for key in folded:
+            lengths[key[0]].add(len(key))
+        self._exact = exact
+        self._folded = folded
+        self._lengths = {c: sorted(ls, reverse=True) for c, ls in lengths.items()}
+        self._patterns = tuple((re.compile(pattern), label)
+                               for patterns, label in ((rules.version_patterns, "Version"),
+                                                       (rules.biblio_patterns, "Biblio"))
+                               for pattern in patterns)
+
+    def candidates(self, text: str) -> list[tuple[int, int, int, str]]:
+        """(start, end, rank, label) for every dictionary and rule hit.
+
+        At each start not preceded by a word character it emits the longest
+        exact hit (rank 0) and the longest folded hit (rank 1), the latter
+        only when its span differs; a hit must not be followed by a word
+        character.  Rule hits (rank 2) are every non-empty regex match.
+        """
+        exact, folded, lengths = self._exact, self._folded, self._lengths
+        folded_text = _fold(text)
+        n = len(text)
+        out = []
+        for m in _WORD_START.finditer(text):
+            start = m.start()
+            by_length = lengths.get(folded_text[start])
+            if by_length is None:
                 continue
-            prior = found.get(span)
-            if prior is None or rank < prior[0]:
-                found[span] = (rank, label)
-    return [(s, e, rank, label) for (s, e), (rank, label) in found.items()]
-
-
-def _rule_candidates(text: str, rules: RuleSet) -> list[tuple[int, int, int, str]]:
-    out = []
-    for patterns, label in ((rules.version_patterns, "Version"),
-                            (rules.biblio_patterns, "Biblio")):
-        for pattern in patterns:
-            for m in re.finditer(pattern, text):
+            folded_hit = exact_end = None
+            for length in by_length:
+                end = start + length
+                if end > n:
+                    continue
+                label = folded.get(folded_text[start:end])
+                if label is None or (end < n and _WORD.match(text, end)):
+                    continue
+                if folded_hit is None:
+                    folded_hit = (end, label)
+                label = exact.get(text[start:end])
+                if label is not None:
+                    out.append((start, end, _RANK_DICT_CASED, label))
+                    exact_end = end
+                    break
+            if folded_hit is not None and folded_hit[0] != exact_end:
+                out.append((start, folded_hit[0], _RANK_DICT_FOLDED, folded_hit[1]))
+        for pattern, label in self._patterns:
+            for m in pattern.finditer(text):
                 if m.end() > m.start():
                     out.append((m.start(), m.end(), _RANK_RULE, label))
-    return out
+        return out
 
 
-def tag(doc_text: str, gaz: Optional[Gazetteer], rules: RuleSet) -> tuple[Entity, ...]:
+def tag(doc_text: str, matcher: Matcher) -> tuple[Entity, ...]:
     """Tag one text; returns a flat set of entities, ids T1..Tn by offset."""
-    candidates = _dict_candidates(doc_text, _dictionary(gaz, rules))
-    candidates.extend(_rule_candidates(doc_text, rules))
+    candidates = matcher.candidates(doc_text)
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[2], c[3]))
 
     chosen: list[tuple[int, int, str]] = []
@@ -171,11 +276,10 @@ class TaggerPredictor:
     """Adapts the built-in tagger to the predictor interface."""
 
     def __init__(self, gaz: Optional[Gazetteer], rules: Optional[RuleSet] = None):
-        self.gaz = gaz
-        self.rules = rules if rules is not None else default_ruleset()
+        self.matcher = Matcher(gaz, rules if rules is not None else default_ruleset())
 
     def __call__(self, doc: Document) -> tuple[Entity, ...]:
-        return tag(doc.text, self.gaz, self.rules)
+        return tag(doc.text, self.matcher)
 
 
 class ExternalPredictions:

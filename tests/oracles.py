@@ -2,11 +2,20 @@
 
 Everything here is deliberately written from the definitions, not by
 calling into the package: compatibility via explicit character-position
-sets, maximum matching via exhaustive search over injective mappings.
-Keep it slow and obvious.
+sets, maximum matching via exhaustive search over injective mappings,
+dictionary tagging via the regex alternation of every name that the
+tagger scanned with before ``tagger.Matcher`` replaced it.  Keep it slow
+and obvious.
 """
 
 from __future__ import annotations
+
+import re
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from flowner.gazetteer import Gazetteer
+    from flowner.tagger import RuleSet
 
 
 def _char_positions(entity) -> set[int]:
@@ -49,3 +58,53 @@ def brute_force_max_pairs(gold, pred, mode_name: str) -> int:
 
     search(0, 0, 0)
     return best
+
+
+# The dictionary scan the tagger used before ``Matcher``: one lookahead
+# alternation of every surface, run case-sensitively and then with
+# re.IGNORECASE.  O(text x names), kept as the reference for the matcher.
+_RANK_DICT_CASED = 0
+_RANK_DICT_FOLDED = 1
+
+
+def _dictionary(gaz: Optional[Gazetteer], rules: RuleSet) -> dict[str, str]:
+    """surface -> base label; fixed-list labels override the Tool default."""
+    table: dict[str, str] = {}
+    if gaz is not None:
+        for entry in gaz.entries.values():
+            table[entry.canonical] = "Tool"
+    for base in sorted(rules.fixed_lists):
+        for surface in rules.fixed_lists[base]:
+            table[surface] = base
+    return table
+
+
+def _dict_candidates(text: str, table: dict[str, str],
+                     ) -> list[tuple[int, int, int, str]]:
+    """(start, end, rank, label) for every word-boundary dictionary hit.
+
+    A lookahead wrapper makes the scan yield a candidate at every start
+    position, longest alternative first, instead of consuming matches.
+    """
+    if not table:
+        return []
+    alternation = "|".join(re.escape(s)
+                           for s in sorted(table, key=lambda s: (-len(s), s)))
+    pattern = r"(?=((?<!\w)(?:" + alternation + r")(?!\w)))"
+    folded = {}
+    for surface, base in table.items():
+        folded.setdefault(surface.casefold(), base)
+
+    found: dict[tuple[int, int], tuple[int, str]] = {}
+    for flags, rank in ((0, _RANK_DICT_CASED), (re.IGNORECASE, _RANK_DICT_FOLDED)):
+        for m in re.finditer(pattern, text, flags):
+            matched = m.group(1)
+            span = (m.start(1), m.end(1))
+            label = table.get(matched) if rank == _RANK_DICT_CASED else \
+                folded.get(matched.casefold())
+            if label is None:
+                continue
+            prior = found.get(span)
+            if prior is None or rank < prior[0]:
+                found[span] = (rank, label)
+    return [(s, e, rank, label) for (s, e), (rank, label) in found.items()]

@@ -29,7 +29,7 @@ from flowner.gazetteer import build_gazetteer, ingest
 from flowner.model import Corpus, Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import convert_corpus, default_softcite_table
 from flowner.standoff import parse_standoff, serialize_standoff
-from flowner.tagger import FusionConfig, FusionSource, fuse, \
+from flowner.tagger import FusionConfig, FusionSource, Matcher, fuse, \
     provenance_counts, tag, default_ruleset
 from gen import (random_corpus_pair, random_document, random_match_instance)
 from oracles import brute_force_max_pairs
@@ -316,14 +316,14 @@ def test_criterion_8_gazetteer_tagger_fixture():
                                        (Span(start, start + len(word)),), word))
             gold_corpus = Corpus("g", (Document("d", text,
                                                 entities=tuple(gold)),))
-            pred = tag(text, gaz, default_ruleset())
+            pred = tag(text, Matcher(gaz, default_ruleset()))
             pred_corpus = Corpus("p", (Document("d", text, entities=pred),))
             report = score(gold_corpus, pred_corpus, MatchMode.RELAXED)
             assert report.overall.r == 1.0, f"recall loss in trial {trial}"
             assert report.overall.p == 1.0, f"spurious tags in trial {trial}"
 
         text = "fusion calls from STAR-Fusion output"
-        entities = tag(text, gaz, default_ruleset())
+        entities = tag(text, Matcher(gaz, default_ruleset()))
         tools = [e.surface for e in entities if e.label.base == "Tool"]
         assert tools == ["STAR-Fusion"]
 

@@ -6,7 +6,8 @@ import pytest
 from flowner.cli import main
 from flowner.corpus_io import load_corpus_dir, write_corpus_dir
 from flowner.model import Corpus, Document, Provenance
-from flowner.tagger import ExternalPredictions, MalformedPrediction
+from flowner.tagger import (ExternalPredictions, MalformedPrediction, MalformedRules,
+                            ruleset_from_file)
 from util import doc_of, ent
 
 
@@ -299,3 +300,27 @@ def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{preds}:3: " in err and reason in err
+
+
+@pytest.mark.parametrize("rules, key, reason", [
+    ('{"version_pattern": ["v[0-9]+"]}', "version_pattern", "unknown key"),
+    ('{"fixed_lists": {"ProgrammingLanguage": "Python"}}',
+     "fixed_lists.ProgrammingLanguage", "expected a list of strings"),
+    ('{"biblio_patterns": ["[0-9"]}', "biblio_patterns[0]", "invalid regex"),
+    ('{"fixed_lists": {', None, "invalid JSON"),
+])
+def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, reason):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "written in Python"),)), corpus_dir)
+    gaz_path = tmp_path / "gaz.json"
+    gaz_path.write_text('{"entries": []}', encoding="utf-8")
+    rules_path = tmp_path / "rules.json"
+    rules_path.write_text(rules, encoding="utf-8")
+    with pytest.raises(MalformedRules) as exc:
+        ruleset_from_file(rules_path)
+    assert exc.value.key == key
+    assert main(["tag", "--corpus", str(corpus_dir), "--gazetteer", str(gaz_path),
+                 "--rules", str(rules_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{rules_path}: {key + ': ' if key else ''}" in err and reason in err
+    assert not (tmp_path / "o").exists()

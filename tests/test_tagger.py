@@ -1,15 +1,19 @@
 import random
+import re
+import string
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowner.evaluation import MatchMode, score
-from flowner.gazetteer import build_gazetteer, ingest
+from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                            FusionSource, MissingPrediction, RuleSet,
-                            TaggerPredictor, default_ruleset, fuse,
+                            FusionSource, Matcher, MissingPrediction, RuleSet,
+                            TaggerPredictor, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
+from oracles import _dict_candidates, _dictionary
 from util import doc_of, ent
 
 
@@ -22,19 +26,19 @@ EMPTY_RULES = RuleSet()
 
 def test_dictionary_tagging_at_word_boundaries():
     text = "aligned with BWA and sorted with SAMtools"
-    entities = tag(text, _gaz("BWA", "SAMtools"), EMPTY_RULES)
+    entities = tag(text, Matcher(_gaz("BWA", "SAMtools"), EMPTY_RULES))
     got = [(e.label.base, e.start, e.end, e.surface) for e in entities]
     assert got == [("Tool", 13, 16, "BWA"), ("Tool", 33, 41, "SAMtools")]
 
 
 def test_no_match_inside_words():
     text = "the subSTARship runs"
-    assert tag(text, _gaz("STAR"), EMPTY_RULES) == ()
+    assert tag(text, Matcher(_gaz("STAR"), EMPTY_RULES)) == ()
 
 
 def test_longest_match_wins_star_fusion():
     text = "fusions called with STAR-Fusion v1.6.0"
-    entities = tag(text, _gaz("STAR", "STAR-Fusion"), default_ruleset())
+    entities = tag(text, Matcher(_gaz("STAR", "STAR-Fusion"), default_ruleset()))
     by_label = {e.label.base: e.surface for e in entities}
     assert by_label["Tool"] == "STAR-Fusion"
     assert by_label["Version"] == "v1.6.0"
@@ -43,13 +47,13 @@ def test_longest_match_wins_star_fusion():
 
 def test_case_insensitive_fallback():
     text = "reads piped through bwa quickly"
-    entities = tag(text, _gaz("BWA"), EMPTY_RULES)
+    entities = tag(text, Matcher(_gaz("BWA"), EMPTY_RULES))
     assert [(e.label.base, e.surface) for e in entities] == [("Tool", "bwa")]
 
 
 def test_fixed_lists_override_tool_label():
     text = "implemented in Python under Nextflow"
-    entities = tag(text, _gaz("Python", "Nextflow"), default_ruleset())
+    entities = tag(text, Matcher(_gaz("Python", "Nextflow"), default_ruleset()))
     labels = {e.surface: e.label.base for e in entities}
     assert labels == {"Python": "ProgrammingLanguage",
                       "Nextflow": "ManagementSystem"}
@@ -61,14 +65,14 @@ def test_fixed_lists_override_tool_label():
     ("version 2.1b was slow", "version 2.1b"),
 ])
 def test_version_patterns(text, expected):
-    entities = tag(text, None, default_ruleset())
+    entities = tag(text, Matcher(None, default_ruleset()))
     versions = [e.surface for e in entities if e.label.base == "Version"]
     assert versions == [expected]
 
 
 def test_biblio_patterns():
     text = "as shown [1, 2] and at https://example.org/x, see 10.5281/zenodo.14900544"
-    entities = tag(text, None, default_ruleset())
+    entities = tag(text, Matcher(None, default_ruleset()))
     biblio = [e.surface for e in entities if e.label.base == "Biblio"]
     assert "[1, 2]" in biblio
     assert "https://example.org/x" in biblio
@@ -77,7 +81,7 @@ def test_biblio_patterns():
 
 def test_output_is_flat_and_surfaces_match_slices():
     text = "STAR-Fusion v1.6.0 with STAR and bwa [3] in Python"
-    entities = tag(text, _gaz("STAR", "STAR-Fusion", "bwa"), default_ruleset())
+    entities = tag(text, Matcher(_gaz("STAR", "STAR-Fusion", "bwa"), default_ruleset()))
     spans = sorted((e.start, e.end) for e in entities)
     for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
         assert e1 <= s2, "tagger emitted overlapping entities"
@@ -90,7 +94,8 @@ def test_output_is_flat_and_surfaces_match_slices():
 def test_tagger_is_deterministic():
     text = "STAR and STAR-Fusion v1.2 in Python with bwa [1]"
     gaz = _gaz("STAR", "STAR-Fusion", "bwa")
-    assert tag(text, gaz, default_ruleset()) == tag(text, gaz, default_ruleset())
+    assert tag(text, Matcher(gaz, default_ruleset())) == \
+        tag(text, Matcher(gaz, default_ruleset()))
 
 
 def test_planted_names_recall_and_precision():
@@ -111,10 +116,93 @@ def test_planted_names_recall_and_precision():
                            (Span(start, start + len(name)),), name))
     gold_corpus = Corpus("g", (Document("d", text, entities=tuple(gold)),))
     pred_corpus = Corpus("p", (Document("d", text,
-                                        entities=tag(text, gaz, EMPTY_RULES)),))
+                                        entities=tag(text, Matcher(gaz, EMPTY_RULES))),))
     report = score(gold_corpus, pred_corpus, MatchMode.RELAXED)
     assert report.overall.r == 1.0
     assert report.overall.p == 1.0
+
+
+# Characters whose case relatives IGNORECASE and the fold must agree on:
+# expanding casefolds (sharp s), final and capital sigma, the Kelvin sign,
+# long s, micro sign and mu, a titlecase digraph, accented letters.
+FOLD_ALPHABET = (string.ascii_letters + string.digits + " +-_." +
+                 "\u00df\u1e9e\u03c3\u03c2\u03a3\u212a\u017f\u00b5\u03bc\u01c5\u00e9\u00c9")
+_NAMES = st.one_of(st.sampled_from(["C++", "bwa-mem", "R", "Picard Tools"]),
+                   st.text(FOLD_ALPHABET, min_size=1, max_size=6).filter(str.strip),
+                   # few letters, so that names share prefixes and case folds
+                   st.text("sS\u00df\u1e9e\u017fk\u212a-", min_size=1, max_size=3))
+_CASINGS = (str, str.upper, str.lower, str.swapcase, str.title, str.casefold)
+
+
+def _gaz_of(names):
+    return Gazetteer({str(i): VocabEntry(name, "tool_name", frozenset({"custom"}))
+                      for i, name in enumerate(names)}, {})
+
+
+@settings(max_examples=300)
+@given(names=st.lists(_NAMES, max_size=8),
+       fixed=st.dictionaries(st.sampled_from(["ProgrammingLanguage", "ManagementSystem",
+                                              "Tool"]),
+                             st.lists(_NAMES, min_size=1, max_size=3), max_size=2),
+       # (separator, random text or (surface index, casing index))
+       pieces=st.lists(st.tuples(st.sampled_from(["", " ", "-", "."]),
+                                 st.text(FOLD_ALPHABET, max_size=4) |
+                                 st.tuples(st.integers(0, 99),
+                                           st.integers(0, len(_CASINGS) - 1))),
+                       max_size=12))
+# "SS" casefolds like the first-inserted "\u00df" (Tool) but folds like "ss".
+@example(names=["\u00df"], fixed={"ProgrammingLanguage": ["ss"]}, pieces=[("", (0, 1))])
+def test_matcher_candidates_equal_the_regex_oracle(names, fixed, pieces):
+    surfaces = names + [s for listed in fixed.values() for s in listed]
+    text = ""
+    for sep, piece in pieces:
+        if isinstance(piece, tuple):
+            if not surfaces:
+                continue
+            piece = _CASINGS[piece[1]](surfaces[piece[0] % len(surfaces)])
+        text += sep + piece
+    gaz, rules = _gaz_of(names), RuleSet(fixed_lists=fixed)
+    assert sorted(Matcher(gaz, rules).candidates(text)) == \
+        sorted(_dict_candidates(text, _dictionary(gaz, rules)))
+
+
+@pytest.mark.parametrize("names, text, oracle, matched", [
+    # U+0130 matches "i" under IGNORECASE, but its casefold is "i" plus a
+    # combining dot, so the old scan dropped the position without trying
+    # the shorter name.  The fold keeps the character as it is.
+    (["ia- b", "\u0130a-"], "\u0130A- b", [], [(0, 3, 1, "Tool")]),
+    # U+0131 (dotless i) likewise matches "i" under IGNORECASE but
+    # casefolds to itself.
+    (["ia-b", "\u0131A"], "\u0131a-b", [], [(0, 2, 1, "Tool")]),
+    # Equal casefolds, both lower case: the per-character fold keeps them apart.
+    (["\u0390x"], "\u1fd3x", [(0, 2, 1, "Tool")], []),
+    (["\ufb05x"], "\ufb06x", [(0, 2, 1, "Tool")], []),
+])
+def test_where_the_fold_departs_from_ignorecase(names, text, oracle, matched):
+    gaz, rules = _gaz_of(names), RuleSet()
+    assert sorted(_dict_candidates(text, _dictionary(gaz, rules))) == oracle
+    assert sorted(Matcher(gaz, rules).candidates(text)) == matched
+
+
+def test_fold_agrees_with_the_regex_engine_except_where_documented():
+    # Every character with a case mapping, and every one-character image.
+    cased = set()
+    for code in range(0x110000):
+        c = chr(code)
+        if c.lower() != c or c.upper() != c or c.casefold() != c:
+            cased.add(c)
+            cased.update(f for f in (c.lower(), c.upper(), c.casefold()) if len(f) == 1)
+    alphabet = "".join(sorted(cased))
+    by_fold: dict[str, set[str]] = {}
+    for c in alphabet:
+        by_fold.setdefault(_fold(c), set()).add(c)
+    # Characters with equal folds have equal casefolds, so a folded hit's
+    # label can be looked up by casefold.
+    assert all(len({c.casefold() for c in same}) == 1 for same in by_fold.values())
+    departures = {c for c in alphabet
+                  if {m.group() for m in re.finditer(re.escape(c), alphabet, re.IGNORECASE)}
+                  != by_fold[_fold(c)]}
+    assert departures == set("Ii\u0130\u0131\u0390\u1fd3\u03b0\u1fe3\ufb05\ufb06")
 
 
 def test_silver_annotate_with_builtin_tagger():
