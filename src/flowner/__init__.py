@@ -8,14 +8,14 @@ from .standoff import (DuplicateId, MalformedLine, OffsetOutOfRange,
                        serialize_standoff)
 from .stats import StatsReport, corpus_stats
 from .schema import (BIOTOFLOW, SOFTCITE_QUALIFIERS, ConversionReport,
-                     MappingRule, MappingTable, SchemaDef, UnknownSourceLabel,
-                     convert_corpus, default_softcite_table)
+                     MalformedTable, MappingRule, MappingTable, SchemaDef,
+                     UnknownSourceLabel, convert_corpus, default_softcite_table)
 from .evaluation import (DocSetMismatch, EntityRef, LabelScore, MatchMode,
                          MatchReport, entities_compatible, macro_average,
                          match_document, score)
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
-                         MixedModes, RunResult, SplitManifest, aggregate,
-                         make_splits, render_table, split_sizes)
+                         MalformedResult, MixedModes, RunResult, SplitManifest,
+                         aggregate, make_splits, render_table, split_sizes)
 from .gazetteer import (BuildOptions, Gazetteer, MalformedDump, VocabEntry,
                         build_gazetteer, export_vocab, ingest, vocab_lines)
 from .tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import corpus_io, evaluation, experiment, gazetteer, schema, tagger
 from .model import Corpus, Provenance, validate_corpus
-from .schema import BIOTOFLOW, SOFTCITE_QUALIFIERS
+from .schema import BIOTOFLOW
 from .standoff import StandoffParseError
 from .stats import corpus_stats
 
@@ -47,13 +47,6 @@ def _labels_arg(value) -> list[str] | None:
     if isinstance(value, list):
         return value
     return [v for v in (s.strip() for s in value.split(",")) if v]
-
-
-def _load_corpus(path, provenance: Provenance = Provenance.GOLD,
-                 softcite: bool = False):
-    qualifiers = SOFTCITE_QUALIFIERS if softcite else None
-    return corpus_io.load_corpus_dir(path, provenance=provenance,
-                                     qualifiers=qualifiers)
 
 
 def _cmd_validate(args) -> int:
@@ -84,7 +77,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     _require(args, "corpus")
-    corpus = _load_corpus(args.corpus)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     report = corpus_stats(corpus)
     payload = report.to_json_dict()
     text = json.dumps(payload, ensure_ascii=False, indent=2)
@@ -96,7 +89,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus, softcite=True)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     table = (schema.mapping_table_from_file(args.table) if args.table
              else schema.default_softcite_table())
     converted, report = schema.convert_corpus(corpus, table, strict=args.strict)
@@ -109,7 +102,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_split(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     ratios = experiment.DEFAULT_RATIOS
     if args.ratios:
         parts = [float(x) for x in str(args.ratios).split(",")]
@@ -135,8 +128,8 @@ def _print_report(report, macro: bool, diff: bool) -> None:
 
 def _cmd_eval(args) -> int:
     _require(args, "gold", "pred")
-    gold = _load_corpus(args.gold)
-    pred = _load_corpus(args.pred)
+    gold = corpus_io.load_corpus_dir(args.gold)
+    pred = corpus_io.load_corpus_dir(args.pred)
     focus = _labels_arg(args.focus)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
@@ -154,8 +147,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_iaa(args) -> int:
     _require(args, "annotator_a", "annotator_b")
-    a = _load_corpus(args.annotator_a)
-    b = _load_corpus(args.annotator_b)
+    a = corpus_io.load_corpus_dir(args.annotator_a)
+    b = corpus_io.load_corpus_dir(args.annotator_b)
     mode = evaluation.MatchMode(args.mode)
     report = evaluation.score(a, b, mode, _labels_arg(args.focus))
     _print_report(report, args.macro, args.diff)
@@ -170,7 +163,8 @@ def _cmd_gazetteer_build(args) -> int:
     for kind in gazetteer.SOURCE_KINDS:
         path = getattr(args, kind, None)
         if path:
-            entries.extend(gazetteer.ingest(kind, Path(path).read_text(encoding="utf-8")))
+            entries.extend(gazetteer.ingest(kind, Path(path).read_text(encoding="utf-8"),
+                                            path))
     if not entries:
         raise UsageError("no dump files given (--biotools/--bioconda/...)")
     common = None
@@ -192,8 +186,8 @@ def _cmd_gazetteer_build(args) -> int:
 
 
 def _load_gazetteer(path) -> gazetteer.Gazetteer:
-    with open(path, encoding="utf-8") as fh:
-        return gazetteer.Gazetteer.from_json_dict(json.load(fh))
+    data = corpus_io.read_json(path, gazetteer.MalformedDump)
+    return gazetteer.Gazetteer.from_json_dict(data, path)
 
 
 def _cmd_gazetteer_export(args) -> int:
@@ -213,7 +207,7 @@ def _ruleset(args) -> tagger.RuleSet:
 
 def _cmd_tag(args) -> int:
     _require(args, "corpus", "gazetteer", "out")
-    corpus = _load_corpus(args.corpus)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     predictor = tagger.TaggerPredictor(_load_gazetteer(args.gazetteer), _ruleset(args))
     tagged = tagger.silver_annotate(corpus, predictor)
     corpus_io.write_corpus_dir(tagged, args.out)
@@ -223,7 +217,7 @@ def _cmd_tag(args) -> int:
 
 def _cmd_silver(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _load_corpus(args.corpus)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     if args.predictions:
         path = Path(args.predictions)
         predictor = (tagger.ExternalPredictions.from_jsonl(path)
@@ -251,7 +245,7 @@ def _cmd_fuse(args) -> int:
         except ValueError:
             raise UsageError(f"unknown role {role_name!r} in --source {raw!r}, expected "
                              + "|".join(p.value for p in Provenance)) from None
-        corpus = _load_corpus(path, provenance=role or Provenance.GOLD)
+        corpus = corpus_io.load_corpus_dir(path)
         sources.append(tagger.FusionSource(corpus=corpus, role=role))
     config = tagger.FusionConfig(
         sources=tuple(sources), for_training=args.for_training,
@@ -269,10 +263,7 @@ def _cmd_report(args) -> int:
     for raw in args.results:
         p = Path(raw)
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
-    results = []
-    for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            results.append(experiment.RunResult.from_json_dict(json.load(fh)))
+    results = [experiment.run_result_from_file(p) for p in paths]
     table = experiment.aggregate(results, _labels_arg(args.focus),
                                  per_split=args.per_split)
     rendered = experiment.render_table(table, layout=args.layout)
@@ -392,10 +383,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _apply_config(path, registry: dict[str, argparse.ArgumentParser]) -> None:
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = corpus_io.read_json(path, lambda reason, path: UsageError(f"{path}: {reason}"))
     if not isinstance(config, dict):
-        raise UsageError("--config must contain a JSON object")
+        raise UsageError(f"{path}: --config must contain a JSON object")
     valid = {a.dest for sub in registry.values() for a in sub._actions
              if a.option_strings} - {"help", "config"}
     unknown = sorted(config.keys() - valid)

@@ -12,9 +12,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .model import Corpus, Document, Provenance
+from .model import Corpus, Document
 from .standoff import parse_standoff, serialize_standoff
 
 
@@ -36,8 +36,17 @@ def atomic_write_json(path, data) -> None:
     atomic_write_text(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
 
 
-def load_document(txt_path, ann_path=None, doc_id: Optional[str] = None,
-                  provenance: Provenance = Provenance.GOLD,
+def read_json(path, error: Callable[..., ValueError]):
+    """Parse a JSON file; invalid JSON raises ``error(reason, path=path)``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON: {exc.msg} at line {exc.lineno} "
+                        f"column {exc.colno}", path=path) from None
+
+
+def load_document(txt_path, ann_path=None,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                   ) -> Document:
     txt_path = Path(txt_path)
@@ -45,22 +54,18 @@ def load_document(txt_path, ann_path=None, doc_id: Optional[str] = None,
     ann = ""
     if ann_path is not None and Path(ann_path).exists():
         ann = Path(ann_path).read_text(encoding="utf-8")
-    return parse_standoff(ann, text, doc_id or txt_path.stem,
-                          provenance=provenance, qualifiers=qualifiers)
+    return parse_standoff(ann, text, txt_path.stem, qualifiers=qualifiers)
 
 
-def load_corpus_dir(path, name: Optional[str] = None,
-                    provenance: Provenance = Provenance.GOLD,
-                    qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
+def load_corpus_dir(path, qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                     ) -> Corpus:
     """Load every ``<id>.txt`` (with its ``<id>.ann``, if present)."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    documents = [load_document(p, p.with_suffix(".ann"), provenance=provenance,
-                               qualifiers=qualifiers)
+    documents = [load_document(p, p.with_suffix(".ann"), qualifiers=qualifiers)
                  for p in sorted(root.glob("*.txt"))]
-    return Corpus(name=name or root.name, documents=tuple(documents))
+    return Corpus(name=root.name, documents=tuple(documents))
 
 
 def write_corpus_dir(corpus: Corpus, path) -> None:

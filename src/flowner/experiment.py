@@ -22,6 +22,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from .corpus_io import read_json
 from .evaluation import LabelScore, MatchMode, MatchReport, _micro
 from .model import Corpus
 
@@ -38,6 +39,13 @@ class EmptyResults(ValueError):
 
 class MixedModes(ValueError):
     pass
+
+
+class MalformedResult(ValueError):
+    """A run-result file that cannot be read, located by path."""
+
+    def __init__(self, reason: str, path=None):
+        super().__init__(": ".join(str(p) for p in (path, reason) if p is not None))
 
 
 def _splitmix64(x: int) -> int:
@@ -159,6 +167,17 @@ class RunResult:
         return cls(split_id=data["split_id"], seed_model=data["seed_model"],
                    report=MatchReport.from_json_dict(data["report"]),
                    meta=data.get("meta", {}))
+
+
+def run_result_from_file(path) -> RunResult:
+    """Read one :meth:`RunResult.to_json_dict` file; every fault names ``path``."""
+    data = read_json(path, MalformedResult)
+    try:
+        return RunResult.from_json_dict(data)
+    except KeyError as exc:
+        raise MalformedResult(f"missing field {exc}", path) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise MalformedResult(f"not a run result: {exc}", path) from None
 
 
 @dataclass(frozen=True)

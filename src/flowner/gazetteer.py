@@ -24,13 +24,18 @@ TOOL_NAME = "tool_name"
 BINARY_NAME = "binary_name"
 
 _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
+_ENTRY_SHAPE = ("entry must be an object of exactly a string key, a non-empty string "
+                "canonical, a string kind and a list of string sources")
 
 
 class MalformedDump(ValueError):
-    """A dump record the adapter cannot use, located by record index."""
+    """A dump or gazetteer file that cannot be used, located by file and
+    record (a dump record or a gazetteer entry; None for the whole file)."""
 
-    def __init__(self, message: str, record_index: int):
-        super().__init__(f"record {record_index}: {message}")
+    def __init__(self, reason: str, record_index: Optional[int] = None, path=None):
+        record = None if record_index is None else f"record {record_index}"
+        super().__init__(": ".join(str(p) for p in (path, record, reason) if p is not None))
+        self.reason = reason
         self.record_index = record_index
 
 
@@ -56,9 +61,9 @@ def _ingest_json_records(payload: str, source: str) -> list[VocabEntry]:
     try:
         records = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise MalformedDump(f"payload is not valid JSON: {exc}", 0) from None
+        raise MalformedDump(f"payload is not valid JSON: {exc}") from None
     if not isinstance(records, list):
-        raise MalformedDump("payload must be a JSON array of records", 0)
+        raise MalformedDump("payload must be a JSON array of records")
     entries = []
     for idx, record in enumerate(records):
         if not isinstance(record, dict):
@@ -91,22 +96,26 @@ def _ingest_images(payload: str, source: str) -> list[VocabEntry]:
     return entries
 
 
-def ingest(source_kind: str, payload: str) -> list[VocabEntry]:
-    """Extract vocab entries from one dump.
+def ingest(source_kind: str, payload: str, path=None) -> list[VocabEntry]:
+    """Extract vocab entries from one dump; a :class:`MalformedDump` names
+    ``path`` and the record.
 
     biotools: JSON records, ``name`` (tool) plus optional ``binaries``;
     bioconda: package index, one binary name per line;
     biocontainers: image listing, last path component minus tag;
     bioweb / custom: one tool name per line.
     """
-    if source_kind == "biotools":
-        return _ingest_json_records(payload, source_kind)
-    if source_kind == "bioconda":
-        return _ingest_lines(payload, source_kind, BINARY_NAME)
-    if source_kind == "biocontainers":
-        return _ingest_images(payload, source_kind)
-    if source_kind in ("bioweb", "custom"):
-        return _ingest_lines(payload, source_kind, TOOL_NAME)
+    try:
+        if source_kind == "biotools":
+            return _ingest_json_records(payload, source_kind)
+        if source_kind == "bioconda":
+            return _ingest_lines(payload, source_kind, BINARY_NAME)
+        if source_kind == "biocontainers":
+            return _ingest_images(payload, source_kind)
+        if source_kind in ("bioweb", "custom"):
+            return _ingest_lines(payload, source_kind, TOOL_NAME)
+    except MalformedDump as exc:
+        raise MalformedDump(exc.reason, exc.record_index, path) from None
     raise ValueError(f"unknown source kind {source_kind!r}, expected one of {SOURCE_KINDS}")
 
 
@@ -145,12 +154,23 @@ class Gazetteer:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Gazetteer":
-        entries = {
-            row["key"]: VocabEntry(row["canonical"], row["kind"],
-                                   frozenset(row["sources"]))
-            for row in data["entries"]
-        }
+    def from_json_dict(cls, data: Mapping, path=None) -> "Gazetteer":
+        """Read :meth:`to_json_dict` output; a :class:`MalformedDump` names
+        ``path`` and the index of the entry at fault."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
+            raise MalformedDump("expected a JSON object with an 'entries' list", path=path)
+        entries = {}
+        for idx, row in enumerate(data["entries"]):
+            try:
+                key, canonical, kind, sources = (row["key"], row["canonical"], row["kind"],
+                                                 row["sources"])
+                if not (len(row) == 4 and type(key) is type(canonical) is type(kind) is str
+                        and type(sources) is list):
+                    raise TypeError
+                "".join(sources)  # TypeError unless every source is a string
+                entries[key] = VocabEntry(canonical, kind, frozenset(sources))
+            except (KeyError, TypeError, ValueError):
+                raise MalformedDump(_ENTRY_SHAPE, idx, path) from None
         return cls(entries=dict(sorted(entries.items())),
                    normalization=data.get("normalization", {}))
 

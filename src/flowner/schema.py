@@ -3,7 +3,9 @@
 Holds the 16-label workflow annotation schema (with its category grouping
 and Tool qualifiers) and a rule-table engine that rewrites a corpus from a
 source schema (SoftCite-style ``(base, attribute)`` labels) into this one.
-The built-in SoftCite table ships as ``data/softcite_mapping.json``.
+An entity's attributes come from its document's sidecar, and the first
+rule in table order whose attribute the entity carries wins.  The built-in
+SoftCite table ships as ``data/softcite_mapping.json``.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
+from .corpus_io import read_json
 from .model import Corpus, Document, Entity, EntityLabel, Provenance
-from .standoff import attribute_values_for_entity
+from .standoff import attribute_values
 
 CORE = "core"
 ENVIRONMENT = "environment"
@@ -76,6 +79,15 @@ class UnknownSourceLabel(ValueError):
     """Raised in strict conversion when a source label has no rule at all."""
 
 
+class MalformedTable(ValueError):
+    """A mapping table that cannot be used, located by table file and row."""
+
+    def __init__(self, reason: str, row: Optional[int] = None, path=None):
+        row_name = None if row is None else f"row {row}"
+        super().__init__(": ".join(str(p) for p in (path, row_name, reason) if p is not None))
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class MappingRule:
     source: str
@@ -110,24 +122,16 @@ class MappingTable:
                 raise ValueError(
                     f"attributed rule for {rule.source!r} must precede its bare rule")
 
-    def lookup(self, source_base: str, source_attribute: Optional[str]) -> Optional[MappingRule]:
-        """The exact ``(base, attribute)`` rule, else the base's attribute-free
-        rule, else None (the caller drops the entity)."""
-        if source_attribute is not None:
-            for rule in self.rules:
-                if rule.source == source_base and rule.attribute == source_attribute:
-                    return rule
+    def lookup(self, source_base: str, *attributes: Optional[str]) -> Optional[MappingRule]:
+        """The first rule for ``source_base`` in table order whose attribute
+        is one of ``attributes``, else the base's attribute-free rule, else
+        None (the caller drops the entity).  Attributed rules precede the
+        bare one, so a single pass finds either."""
         for rule in self.rules:
-            if rule.source == source_base and rule.attribute is None:
+            if rule.source == source_base and (rule.attribute is None
+                                               or rule.attribute in attributes):
                 return rule
         return None
-
-    def known_attributes(self, source_base: str) -> frozenset[str]:
-        return frozenset(r.attribute for r in self.rules
-                         if r.source == source_base and r.attribute is not None)
-
-    def rule_index(self, rule: MappingRule) -> int:
-        return self.rules.index(rule)
 
 
 @dataclass
@@ -152,37 +156,13 @@ class ConversionReport:
         }
 
 
-def _source_key(base: str, attribute: Optional[str]) -> str:
-    return f"{base}+{attribute}" if attribute else base
-
-
-def _resolve_attribute(doc: Document, ent: Entity, table: MappingTable,
-                       report: ConversionReport) -> Optional[str]:
-    """Pick the attribute the conversion should use for this entity.
-
-    The parser attaches at most one qualifier; extra attribute lines stay
-    in the sidecar.  If several known attributes are present, the one whose
-    rule comes first in the table wins and a warning is counted.
-    """
-    known = table.known_attributes(ent.label.base)
-    candidates = []
-    if ent.label.qualifier in known:
-        candidates.append(ent.label.qualifier)
-    for value in attribute_values_for_entity(doc.sidecar, ent.id):
-        if value in known and value not in candidates:
-            candidates.append(value)
-    if not candidates:
-        return None
-    if len(candidates) > 1:
-        report.multi_attribute_warnings += 1
-        candidates.sort(key=lambda a: table.rule_index(table.lookup(ent.label.base, a)))
-    return candidates[0]
-
-
 def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
                    ) -> tuple[Corpus, ConversionReport]:
     """Rewrite every entity label through the table.
 
+    An entity's attributes are its sidecar attribute values plus its label
+    qualifier, if the load consumed one; :meth:`MappingTable.lookup` picks
+    the rule, and two or more distinct known attributes count a warning.
     Entities whose rule maps to None (or that have no rule, in default
     mode) are removed.  Spans and text are never touched; output documents
     carry ``provenance=converted`` and drop their sidecar records, which
@@ -191,15 +171,22 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
     report = ConversionReport()
     out_docs = []
     for doc in corpus.documents:
+        attributes_by_id = attribute_values(doc.sidecar)
         kept: list[Entity] = []
         for ent in doc.entities:
-            attribute = _resolve_attribute(doc, ent, table, report)
-            rule = table.lookup(ent.label.base, attribute)
-            key = _source_key(ent.label.base, rule.attribute if rule else attribute)
+            base = ent.label.base
+            attributes = attributes_by_id.get(ent.id, [])
+            if ent.label.qualifier is not None:
+                attributes = [ent.label.qualifier, *attributes]
+            # Rule keys are unique, so this counts distinct known attributes.
+            if sum(r.source == base and r.attribute in attributes for r in table.rules) > 1:
+                report.multi_attribute_warnings += 1
+            rule = table.lookup(base, *attributes)
+            key = f"{base}+{rule.attribute}" if rule and rule.attribute else base
             if rule is None:
                 if strict:
                     raise UnknownSourceLabel(
-                        f"no mapping rule for source label {ent.label.base!r} "
+                        f"no mapping rule for source label {base!r} "
                         f"(doc {doc.doc_id}, entity {ent.id})")
                 report.unknown[key] += 1
                 report.dropped[key] += 1
@@ -216,22 +203,50 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
     return Corpus(name=corpus.name, documents=tuple(out_docs)), report
 
 
-def load_mapping_table(rows: Iterable[Mapping]) -> MappingTable:
-    """Build a table from JSON rows {source, attribute, target, qualifier}."""
+_ROW_KEYS = frozenset({"source", "attribute", "target", "qualifier"})
+
+
+def _rule_of(row) -> MappingRule:
+    if not isinstance(row, Mapping):
+        raise MalformedTable("expected a JSON object")
+    unknown = sorted(row.keys() - _ROW_KEYS)
+    if unknown:
+        raise MalformedTable(f"unknown key(s) {', '.join(unknown)} (expected "
+                             "source, attribute, target, qualifier)")
+    if not isinstance(row.get("source"), str):
+        raise MalformedTable("'source' must be a string")
+    for key in ("attribute", "target", "qualifier"):
+        if not isinstance(row.get(key), (str, type(None))):
+            raise MalformedTable(f"{key!r} must be a string or null")
+    target = None
+    if row.get("target") is not None:
+        target = EntityLabel(row["target"], row.get("qualifier"))
+        if not BIOTOFLOW.is_registered(target):
+            raise MalformedTable(f"target {target} is not a label of the workflow schema")
+    elif row.get("qualifier") is not None:
+        raise MalformedTable("'qualifier' needs a 'target'")
+    return MappingRule(source=row["source"], attribute=row.get("attribute"), target=target)
+
+
+def load_mapping_table(rows: Sequence[Mapping], path=None) -> MappingTable:
+    """Build a table from JSON rows {source, attribute, target, qualifier};
+    every fault raises :class:`MalformedTable` naming ``path`` and the row."""
+    if not isinstance(rows, (list, tuple)):
+        raise MalformedTable("expected a JSON array of rows", path=path)
     rules = []
-    for row in rows:
-        target = None
-        if row.get("target") is not None:
-            target = EntityLabel(row["target"], row.get("qualifier"))
-        rules.append(MappingRule(source=row["source"],
-                                 attribute=row.get("attribute"),
-                                 target=target))
-    return MappingTable(tuple(rules))
+    for i, row in enumerate(rows):
+        try:
+            rules.append(_rule_of(row))
+        except MalformedTable as exc:
+            raise MalformedTable(exc.reason, i, path) from None
+    try:
+        return MappingTable(tuple(rules))
+    except ValueError as exc:
+        raise MalformedTable(str(exc), path=path) from None
 
 
 def mapping_table_from_file(path) -> MappingTable:
-    with open(path, encoding="utf-8") as fh:
-        return load_mapping_table(json.load(fh))
+    return load_mapping_table(read_json(path, MalformedTable), path)
 
 
 def default_softcite_table() -> MappingTable:

@@ -175,15 +175,16 @@ def serialize_standoff(doc: Document) -> tuple[str, str]:
     return ann_content, doc.text
 
 
-def attribute_values_for_entity(sidecar: tuple[str, ...], entity_id: str) -> list[str]:
-    """Qualifier values of sidecar attribute lines targeting one entity.
+def attribute_values(sidecar: tuple[str, ...]) -> dict[str, list[str]]:
+    """Values of the sidecar's attribute lines, by target entity id.
 
     Binary attributes (``A1<TAB>name T3``) yield their name; valued ones
     (``A1<TAB>name T3 value``) yield the value.  File order is preserved.
     """
-    values = []
+    values: dict[str, list[str]] = {}
     for line in sidecar:
         m = _ATTR_LINE_RE.match(line)
-        if m and m.group(3) == entity_id:
-            values.append(m.group(4) if m.group(4) is not None else m.group(2))
+        if m:
+            _attr_id, name, target, value = m.groups()
+            values.setdefault(target, []).append(name if value is None else value)
     return values

@@ -37,9 +37,11 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence
 
+from .corpus_io import read_json
 from .gazetteer import Gazetteer
 from .model import (Corpus, Document, Entity, EntityLabel, Provenance, Span,
                     validate_document)
+from .schema import BIOTOFLOW
 from .standoff import parse_standoff
 
 
@@ -64,7 +66,8 @@ class RuleSet:
     """Regex patterns and fixed surface lists for the rule pass.
 
     Fields are checked at construction (a list of strings each, non-empty
-    surfaces, compilable patterns), so a broken data file fails fast with
+    surfaces, fixed lists keyed by workflow-schema labels, compilable
+    patterns), so a broken data file fails fast with
     :class:`MalformedRules` naming the key.  Shipped defaults live in
     ``data/default_rules.json`` and can be edited without code changes.
     """
@@ -81,6 +84,9 @@ class RuleSet:
             base: _strings(surfaces, f"fixed_lists.{base}")
             for base, surfaces in fixed_lists.items()})
         for base, surfaces in self.fixed_lists.items():
+            if base not in BIOTOFLOW.labels:
+                raise MalformedRules("not a label of the workflow schema",
+                                     f"fixed_lists.{base}")
             if not all(surfaces):
                 raise MalformedRules("empty surface", f"fixed_lists.{base}")
         for key in ("version_patterns", "biblio_patterns"):
@@ -114,13 +120,7 @@ def ruleset_from_json(data: Mapping, path) -> RuleSet:
 
 
 def ruleset_from_file(path) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRules(f"invalid JSON: {exc.msg} at line {exc.lineno} "
-                                 f"column {exc.colno}", path=path) from None
-    return ruleset_from_json(data, path)
+    return ruleset_from_json(read_json(path, MalformedRules), path)
 
 
 def default_ruleset() -> RuleSet:

@@ -4,17 +4,21 @@ Everything here is deliberately written from the definitions, not by
 calling into the package: compatibility via explicit character-position
 sets, maximum matching via exhaustive search over injective mappings,
 dictionary tagging via the regex alternation of every name that the
-tagger scanned with before ``tagger.Matcher`` replaced it.  Keep it slow
+tagger scanned with before ``tagger.Matcher`` replaced it, and SoftCite
+attribute resolution by the candidate sort that ``schema.convert_corpus``
+used before ``MappingTable.lookup`` took several attributes.  Keep it slow
 and obvious.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from flowner.gazetteer import Gazetteer
+    from flowner.schema import MappingRule, MappingTable
     from flowner.tagger import RuleSet
 
 
@@ -108,3 +112,59 @@ def _dict_candidates(text: str, table: dict[str, str],
             if prior is None or rank < prior[0]:
                 found[span] = (rank, label)
     return [(s, e, rank, label) for (s, e), (rank, label) in found.items()]
+
+
+# SoftCite attribute resolution as ``schema`` did it before
+# ``MappingTable.lookup`` took several attributes, over ``table.rules`` only.
+def _exact_or_bare_rule(table: MappingTable, base: str,
+                        attribute: Optional[str]) -> Optional[MappingRule]:
+    """The exact ``(base, attribute)`` rule, else the base's attribute-free rule."""
+    for rule in table.rules:
+        if rule.source == base and attribute is not None and rule.attribute == attribute:
+            return rule
+    for rule in table.rules:
+        if rule.source == base and rule.attribute is None:
+            return rule
+    return None
+
+
+def oracle_resolve(table: MappingTable, base: str, qualifier: Optional[str],
+                   sidecar_values: list[str]) -> tuple[Optional[MappingRule], bool]:
+    """(rule, warned) for one entity.
+
+    The known attributes are those with a rule for ``base``; among the
+    entity's (label qualifier first, then sidecar values) the one whose rule
+    comes first in the table wins, with no known attribute the bare rule
+    applies, and two or more distinct known attributes count a warning.
+    """
+    known = {r.attribute for r in table.rules if r.source == base and r.attribute is not None}
+    candidates: list[str] = []
+    for value in [qualifier, *sidecar_values]:
+        if value in known and value not in candidates:
+            candidates.append(value)
+    candidates.sort(key=lambda a: table.rules.index(_exact_or_bare_rule(table, base, a)))
+    attribute = candidates[0] if candidates else None
+    return _exact_or_bare_rule(table, base, attribute), len(candidates) > 1
+
+
+def oracle_convert(table: MappingTable, entities) -> tuple[dict, dict]:
+    """Target labels by entity id, and the report ``ConversionReport.to_json_dict``
+    should give, for ``(entity id, base, qualifier, sidecar values)`` tuples."""
+    labels = {}
+    mapped: Counter = Counter()
+    dropped: Counter = Counter()
+    unknown: Counter = Counter()
+    warnings = 0
+    for ent_id, base, qualifier, sidecar_values in entities:
+        rule, warned = oracle_resolve(table, base, qualifier, sidecar_values)
+        warnings += warned
+        key = base if rule is None or rule.attribute is None else f"{base}+{rule.attribute}"
+        if rule is None:
+            unknown[key] += 1
+        if rule is None or rule.target is None:
+            dropped[key] += 1
+        else:
+            mapped[key] += 1
+            labels[ent_id] = rule.target
+    return labels, {"mapped": dict(mapped), "dropped": dict(dropped),
+                    "unknown": dict(unknown), "multi_attribute_warnings": warnings}

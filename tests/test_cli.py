@@ -308,6 +308,8 @@ def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record
      "fixed_lists.ProgrammingLanguage", "expected a list of strings"),
     ('{"biblio_patterns": ["[0-9"]}', "biblio_patterns[0]", "invalid regex"),
     ('{"fixed_lists": {', None, "invalid JSON"),
+    ('{"fixed_lists": {"Toool": ["BWA"]}}', "fixed_lists.Toool",
+     "not a label of the workflow schema"),
 ])
 def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, reason):
     corpus_dir = tmp_path / "c"
@@ -323,4 +325,50 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
                  "--rules", str(rules_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{rules_path}: {key + ': ' if key else ''}" in err and reason in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, content, reason", [
+    ("--gazetteer", '{"entries": [', "invalid JSON"),
+    ("--gazetteer", "[]", "expected a JSON object with an 'entries' list"),
+    ("--gazetteer", '{"entries": [{"canonical": "BWA", "kind": "tool_name", '
+                    '"sources": []}]}', "record 0: entry must be an object"),
+    ("--table", '[{"source": ', "invalid JSON"),
+    ("--table", '{"source": "software"}', "expected a JSON array of rows"),
+    ("--table", '[{"target": "Tool"}]', "row 0: 'source' must be a string"),
+    ("--table", '[{"source": "software", "target": "Toool"}]',
+     "row 0: target Toool is not a label of the workflow schema"),
+    ("--table", '[{"source": "software", "target": "Tool", "qualifier": "Nope"}]',
+     "row 0: target Tool(Nope) is not a label"),
+    ("--results", '{"split_id": ', "invalid JSON"),
+    ("--results", "[]", "not a run result"),
+    ("--results", '{"split_id": 0, "seed_model": 1, "report": {"mode": "strict"}}',
+     "missing field 'per_label'"),
+    ("--config", '{"out": ', "invalid JSON"),
+    ("--config", "[]", "--config must contain a JSON object"),
+    ("gazetteer build --biotools", '[{"name": ', "payload is not valid JSON"),
+    ("gazetteer build --biotools", '{"name": "BWA"}', "payload must be a JSON array"),
+    ("gazetteer build --biotools", '[{"name": "BWA"}, {"label": "x"}]',
+     "record 1: record has no usable 'name' field"),
+])
+def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, reason):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    out = str(tmp_path / "o")
+    argv = {
+        "--gazetteer": ["tag", "--corpus", str(corpus_dir), "--gazetteer", str(path),
+                        "--out", out],
+        "--table": ["convert", "--corpus", str(corpus_dir), "--table", str(path),
+                    "--out", out],
+        "--results": ["report", "--results", str(path), "--out", out],
+        "--config": ["stats", "--corpus", str(corpus_dir), "--config", str(path),
+                     "--out", out],
+        "gazetteer build --biotools": ["gazetteer", "build", "--biotools", str(path),
+                                       "--out", out],
+    }[flag]
+    assert main(argv) == (2 if flag == "--config" else 1)
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and reason in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()

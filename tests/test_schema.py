@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from flowner.model import Corpus, Document, EntityLabel, Provenance
+from flowner.model import Corpus, Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import (BIOTOFLOW, CORE, ENVIRONMENT, SPECIFICS,
                             MappingRule, MappingTable, UnknownSourceLabel,
                             convert_corpus, default_softcite_table,
                             load_mapping_table)
 from flowner.standoff import parse_standoff, serialize_standoff
 from flowner.schema import SOFTCITE_QUALIFIERS
+from oracles import oracle_convert
 from util import doc_of, ent
 
 
@@ -97,24 +99,33 @@ def test_convert_basic_example():
     assert out.documents[0].provenance == Provenance.CONVERTED
 
 
-def test_convert_uses_attributes_from_parsing():
+# Attributes resolve the same whether the parser consumed one as the label
+# qualifier (SoftCite qualifiers) or left them all in the sidecar (None).
+_SOFTCITE_OR_NONE = pytest.mark.parametrize("qualifiers", [SOFTCITE_QUALIFIERS, None],
+                                             ids=["softcite", "none"])
+
+
+@_SOFTCITE_OR_NONE
+def test_convert_uses_attributes_from_parsing(qualifiers):
     text = "code on github.com here"
     ann = ("T1\tsoftware 8 18\tgithub.com\n"
            "A1\turl T1\n")
-    doc = parse_standoff(ann, text, "d1", qualifiers=SOFTCITE_QUALIFIERS)
+    doc = parse_standoff(ann, text, "d1", qualifiers=qualifiers)
     out, report = convert_corpus(Corpus("sc", (doc,)), default_softcite_table())
     assert out.documents[0].entities[0].label == EntityLabel("Biblio")
     assert dict(report.mapped) == {"software+url": 1}
 
 
-def test_convert_multi_attribute_entity_warns_and_uses_rule_order():
+@_SOFTCITE_OR_NONE
+def test_convert_multi_attribute_entity_warns_and_uses_rule_order(qualifiers):
     text = "code on github.com here"
     # two known attributes: 'environment' comes first in the table
     ann = ("T1\tsoftware 8 18\tgithub.com\n"
            "A1\turl T1\n"
            "A2\tenvironment T1\n")
-    doc = parse_standoff(ann, text, "d1", qualifiers=SOFTCITE_QUALIFIERS)
-    assert doc.entities[0].label.qualifier == "url"  # first in file order
+    doc = parse_standoff(ann, text, "d1", qualifiers=qualifiers)
+    # first in file order, when the parser consumes one
+    assert doc.entities[0].label.qualifier == ("url" if qualifiers else None)
     out, report = convert_corpus(Corpus("sc", (doc,)), default_softcite_table())
     assert report.multi_attribute_warnings == 1
     assert out.documents[0].entities[0].label == EntityLabel("Tool")
@@ -185,12 +196,58 @@ def test_mapping_table_json_roundtrip():
     assert load_mapping_table(rows) == table
 
 
-def test_converted_documents_serialize_without_stale_attributes():
+@_SOFTCITE_OR_NONE
+def test_converted_documents_serialize_without_stale_attributes(qualifiers):
     text = "code on github.com here"
     ann = "T1\tsoftware 8 18\tgithub.com\nA1\timplicit T1\n"
-    doc = parse_standoff(ann, text, "d1", qualifiers=SOFTCITE_QUALIFIERS)
+    doc = parse_standoff(ann, text, "d1", qualifiers=qualifiers)
     out, _ = convert_corpus(Corpus("sc", (doc,)), default_softcite_table())
     ann_out, _ = serialize_standoff(out.documents[0])
     # Tool(General) is re-emitted as its own qualifier; no softcite attrs remain
     assert "implicit" not in ann_out
     assert "A1\tGeneral T1" in ann_out
+
+
+_SOURCES = ("a", "b", "c")
+_ATTRIBUTES = ("x", "y", "z")
+_TARGETS = (None, EntityLabel("Tool"), EntityLabel("Tool", "General"), EntityLabel("Data"))
+
+
+@st.composite
+def _tables(draw) -> MappingTable:
+    """Random rule tables: each bare rule after all attributed rules of its source."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(_SOURCES), st.sampled_from(_ATTRIBUTES)),
+                         unique=True, max_size=7))
+    rules = [MappingRule(s, a, draw(st.sampled_from(_TARGETS))) for s, a in keys]
+    for source in draw(st.lists(st.sampled_from(_SOURCES), unique=True)):
+        last = max((i for i, r in enumerate(rules) if r.source == source), default=-1)
+        rules.insert(draw(st.integers(last + 1, len(rules))),
+                     MappingRule(source, None, draw(st.sampled_from(_TARGETS))))
+    return MappingTable(tuple(rules))
+
+
+@given(table=_tables(),
+       entities=st.lists(st.tuples(
+           st.sampled_from(_SOURCES + ("unmapped",)),
+           # duplicates and values no rule knows included
+           st.lists(st.sampled_from(_ATTRIBUTES + ("other",)), max_size=4),
+           st.booleans(),                                   # first value -> qualifier
+           st.lists(st.booleans(), min_size=4, max_size=4)  # binary or valued line
+       ), max_size=6))
+def test_conversion_equals_the_resolution_oracle(table, entities):
+    text = "e" * len(entities)
+    ents, sidecar, oracle_input = [], ["#1\tAnnotatorNotes T1\tnote"], []
+    for i, (base, values, to_qualifier, binary) in enumerate(entities):
+        ent_id = f"T{i + 1}"
+        qualifier = values[0] if to_qualifier and values else None
+        in_sidecar = values[1:] if qualifier is not None else values
+        for value, is_binary in zip(in_sidecar, binary):
+            sidecar.append(f"A{len(sidecar)}\t{value} {ent_id}" if is_binary
+                           else f"A{len(sidecar)}\ttype {ent_id} {value}")
+        ents.append(Entity(ent_id, EntityLabel(base, qualifier), (Span(i, i + 1),), "e"))
+        oracle_input.append((ent_id, base, qualifier, in_sidecar))
+    doc = Document("d1", text, tuple(ents), sidecar=tuple(sidecar))
+    out, report = convert_corpus(Corpus("c", (doc,)), table)
+    labels, tallies = oracle_convert(table, oracle_input)
+    assert {e.id: e.label for e in out.documents[0].entities} == labels
+    assert report.to_json_dict() == tallies
