@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from .model import Corpus, Document
-from .standoff import parse_standoff, serialize_standoff
+from .standoff import StandoffParseError, parse_standoff, serialize_standoff
 
 
 def atomic_write_text(path, content: str) -> None:
@@ -36,24 +36,40 @@ def atomic_write_json(path, data) -> None:
     atomic_write_text(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
 
 
+def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:
+    """The file read as UTF-8 text; a byte that is not UTF-8 raises
+    ``error(reason, str(path), line)``, line counting from 1."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # A text-mode read() decodes the whole file in one call, so the
+        # offending object is the file's bytes and ``exc.start`` an offset in it.
+        raw, at = exc.object, exc.start
+        raise error(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}",
+                    str(path), raw.count(b"\n", 0, at) + 1) from None
+
+
 def read_json(path, error: Callable[..., ValueError]):
-    """Parse a JSON file; invalid JSON raises ``error(reason, path=path)``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"invalid JSON: {exc.msg} at line {exc.lineno} "
-                        f"column {exc.colno}", path=path) from None
+    """Parse a JSON file; invalid JSON or UTF-8 raises ``error(reason, path=path)``."""
+    text = _read_text(path, lambda reason, _path, line: error(f"{reason} (line {line})",
+                                                              path=path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc.msg} at line {exc.lineno} "
+                    f"column {exc.colno}", path=path) from None
 
 
 def load_document(txt_path, ann_path=None,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                   ) -> Document:
+    """Parse one document; a file that is not UTF-8 raises ``StandoffParseError``
+    located by the file's path and line."""
     txt_path = Path(txt_path)
-    text = txt_path.read_text(encoding="utf-8")
+    text = _read_text(txt_path, StandoffParseError)
     ann = ""
     if ann_path is not None and Path(ann_path).exists():
-        ann = Path(ann_path).read_text(encoding="utf-8")
+        ann = _read_text(ann_path, StandoffParseError)
     return parse_standoff(ann, text, txt_path.stem, qualifiers=qualifiers)
 
 

@@ -9,6 +9,14 @@ against brute force.  Among maximum matchings, ties break
 deterministically: larger character overlap first, then smaller gold
 start offset, then smaller pred start offset.
 
+Matching a document takes time near-linear in its entity count plus its
+candidate pairs, not gold×pred.  Candidates come from an index: strict
+mode hash-joins gold and pred on (base label[, qualifier], fragments);
+relaxed mode sorts each label's entities by start and sweeps them, pairing
+only gold and pred whose extents overlap.  ``entities_compatible`` stays
+the arbiter of every candidate, so the matched pairs and their tie-breaks
+are exactly those of the all-pairs test.
+
 P and R are defined as 0 on empty denominators so micro aggregation is
 total; overall scores are micro-averages over the label filter when one
 is set.  Inter-annotator agreement is the same computation with the
@@ -21,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Corpus, Entity
 
@@ -94,6 +102,44 @@ def _augment(root: int, adj: dict[int, list[tuple[int, int, int]]],
     return False
 
 
+def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
+                     qualifier_sensitive: bool) -> Iterator[tuple[int, int]]:
+    """Index pairs (gi, pi) that may be compatible, each exactly once.
+
+    A superset of the compatible pairs: strict mode joins on (label,
+    fragments); relaxed mode sweeps each label's entities by start and
+    pairs those whose extents overlap.  Touching extents (one ends where
+    the other starts) share no character and are not paired.
+    """
+    def label_key(e: Entity):
+        return (e.label.base, e.label.qualifier) if qualifier_sensitive else e.label.base
+
+    if mode == MatchMode.STRICT:
+        index: dict[tuple, list[int]] = defaultdict(list)
+        for pi, p in enumerate(pred):
+            index[label_key(p), p.fragments].append(pi)
+        for gi, g in enumerate(gold):
+            for pi in index.get((label_key(g), g.fragments), ()):
+                yield gi, pi
+        return
+
+    events: dict[object, list[tuple[int, int, int, int]]] = defaultdict(list)
+    for side, entities in enumerate((gold, pred)):
+        for i, e in enumerate(entities):
+            events[label_key(e)].append((e.start, side, i, e.end))
+    for group in events.values():
+        group.sort()
+        # Per side, the (end, index) of entities started so far; pruned lazily
+        # of those ending at or before the current start.
+        active: tuple[list, list] = ([], [])
+        for start, side, i, end in group:
+            other = active[1 - side]
+            other[:] = [(e, j) for e, j in other if e > start]
+            for _e, j in other:
+                yield (i, j) if side == 0 else (j, i)
+            active[side].append((end, i))
+
+
 def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMode,
                    qualifier_sensitive: bool = False,
                    ) -> list[tuple[Entity, Entity]]:
@@ -103,15 +149,21 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     entity sets: inputs are canonically sorted first, candidate edges are
     greedily seeded in preference order (overlap desc, gold start, pred
     start) and then augmented to maximum cardinality.
+
+    Only candidate pairs are tested: a hash join on (label, fragments) in
+    strict mode, a per-label sweep over extents in relaxed mode.
+    ``entities_compatible`` still decides every candidate, and every
+    compatible pair is a candidate, so the edge set, its total order and
+    hence the pairs and tie-breaks are those of testing all gold×pred pairs.
     """
     gold_list = sorted(gold, key=Entity.sort_key)
     pred_list = sorted(pred, key=Entity.sort_key)
 
     edges: list[tuple[int, int, int, int, int]] = []
-    for gi, g in enumerate(gold_list):
-        for pi, p in enumerate(pred_list):
-            if entities_compatible(g, p, mode, qualifier_sensitive):
-                edges.append((-char_overlap(g, p), g.start, p.start, gi, pi))
+    for gi, pi in _candidate_pairs(gold_list, pred_list, mode, qualifier_sensitive):
+        g, p = gold_list[gi], pred_list[pi]
+        if entities_compatible(g, p, mode, qualifier_sensitive):
+            edges.append((-char_overlap(g, p), g.start, p.start, gi, pi))
     edges.sort()
 
     match_g: dict[int, int] = {}

@@ -58,14 +58,20 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def count_nested(doc: Document) -> int:
-    """Entities whose extent lies strictly inside another entity's extent."""
-    extents = [(e.start, e.end) for e in doc.entities]
+    """Entities whose extent lies strictly inside another entity's extent.
+
+    One sort and one sweep: with the distinct extents ordered by
+    ``(start, -end)``, an extent is nested iff an earlier one ends at or
+    after its end.  Entities that share one extent do not nest each other;
+    each of them counts when their shared extent is nested.
+    """
+    extents = Counter((e.start, e.end) for e in doc.entities)
     nested = 0
-    for i, (s, e) in enumerate(extents):
-        for j, (s2, e2) in enumerate(extents):
-            if i != j and s2 <= s and e <= e2 and (s2 < s or e < e2):
-                nested += 1
-                break
+    max_end = -1
+    for (_start, end), n in sorted(extents.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
+        if max_end >= end:
+            nested += n
+        max_end = max(max_end, end)
     return nested
 
 

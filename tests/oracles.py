@@ -4,17 +4,25 @@ Everything here is deliberately written from the definitions, not by
 calling into the package: compatibility via explicit character-position
 sets, maximum matching via exhaustive search over injective mappings,
 dictionary tagging via the regex alternation of every name that the
-tagger scanned with before ``tagger.Matcher`` replaced it, and SoftCite
+tagger scanned with before ``tagger.Matcher`` replaced it, SoftCite
 attribute resolution by the candidate sort that ``schema.convert_corpus``
-used before ``MappingTable.lookup`` took several attributes.  Keep it slow
-and obvious.
+used before ``MappingTable.lookup`` took several attributes, and nesting
+by comparing every pair of extents.  The one exception is
+``oracle_match_document``: it is ``evaluation.match_document`` as it was
+before candidate indexing, testing every gold×pred pair with the
+package's own compatibility, overlap and augmentation, so that it pins
+the exact pairs and tie-breaks, not only their count.  Keep it slow and
+obvious.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Optional
+
+from flowner.evaluation import _augment, char_overlap, entities_compatible
+from flowner.model import Entity
 
 if TYPE_CHECKING:
     from flowner.gazetteer import Gazetteer
@@ -62,6 +70,49 @@ def brute_force_max_pairs(gold, pred, mode_name: str) -> int:
 
     search(0, 0, 0)
     return best
+
+
+def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
+    """``evaluation.match_document`` with its all-pairs edge loop."""
+    gold_list = sorted(gold, key=Entity.sort_key)
+    pred_list = sorted(pred, key=Entity.sort_key)
+
+    edges: list[tuple[int, int, int, int, int]] = []
+    for gi, g in enumerate(gold_list):
+        for pi, p in enumerate(pred_list):
+            if entities_compatible(g, p, mode, qualifier_sensitive):
+                edges.append((-char_overlap(g, p), g.start, p.start, gi, pi))
+    edges.sort()
+
+    match_g: dict[int, int] = {}
+    match_p: dict[int, int] = {}
+    for _ov, _gs, _ps, gi, pi in edges:
+        if gi not in match_g and pi not in match_p:
+            match_g[gi] = pi
+            match_p[pi] = gi
+
+    adj: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for ov, _gs, ps, gi, pi in edges:
+        adj[gi].append((ov, ps, pi))
+    for gi in adj:
+        adj[gi].sort()
+    for gi in range(len(gold_list)):
+        if gi not in match_g and gi in adj:
+            _augment(gi, adj, match_g, match_p)
+
+    return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
+
+
+def oracle_count_nested(doc) -> int:
+    """Entities whose extent lies strictly inside another entity's extent."""
+    extents = [(e.start, e.end) for e in doc.entities]
+    nested = 0
+    for i, (s, e) in enumerate(extents):
+        for j, (s2, e2) in enumerate(extents):
+            if i != j and s2 <= s and e <= e2 and (s2 < s or e < e2):
+                nested += 1
+                break
+    return nested
 
 
 # The dictionary scan the tagger used before ``Matcher``: one lookahead

@@ -372,3 +372,55 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
     err = capsys.readouterr().err
     assert f"{path}: " in err and reason in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# Byte 0xff on the second line, at byte offset 18.
+_NOT_UTF8 = b"T1\tTool 13 16\tBWA\n\xff\n"
+_NOT_UTF8_REASON = "not UTF-8: byte 0xff at offset 18"
+
+
+def _corpus_with_undecodable(tmp_path, suffix):
+    """Corpus ``c`` of d1 (made undecodable in its ``suffix`` file) and d2,
+    whose annotation is out of range."""
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),
+                                  doc_of("d2", "short"))), corpus_dir)
+    (corpus_dir / "d2.ann").write_text("T1\tTool 0 99\tshort\n", encoding="utf-8")
+    bad = corpus_dir / f"d1{suffix}"
+    bad.write_bytes(_NOT_UTF8)
+    return corpus_dir, bad
+
+
+@pytest.mark.parametrize("suffix", [".ann", ".txt"])
+def test_undecodable_document_names_its_file_and_line(tmp_path, capsys, suffix):
+    corpus_dir, bad = _corpus_with_undecodable(tmp_path, suffix)
+    assert main(["stats", "--corpus", str(corpus_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: {_NOT_UTF8_REASON}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suffix", [".ann", ".txt"])
+def test_validate_lists_an_undecodable_document_and_checks_the_rest(tmp_path, capsys,
+                                                                     suffix):
+    corpus_dir, bad = _corpus_with_undecodable(tmp_path, suffix)
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    captured = capsys.readouterr()
+    assert f"StandoffParseError at {bad}:2: {_NOT_UTF8_REASON}" in captured.out
+    assert "OffsetOutOfRange at d2:1" in captured.out
+    assert "2 violation(s) in 2 document(s)" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("flag", ["--table", "--gazetteer"])
+def test_undecodable_json_input_names_its_file(tmp_path, capsys, flag):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    path = tmp_path / "input.json"
+    path.write_bytes(b'[\n"\xff"]')
+    out = str(tmp_path / "o")
+    command = "convert" if flag == "--table" else "tag"
+    assert main([command, "--corpus", str(corpus_dir), flag, str(path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8: byte 0xff at offset 3 (line 2)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

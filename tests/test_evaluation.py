@@ -2,12 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowner import evaluation
 from flowner.evaluation import (DocSetMismatch, MatchMode, entities_compatible,
-                                macro_average, match_document, score)
+                                macro_average, match_document, render_diff, score)
 from flowner.model import Corpus, Document, Entity, EntityLabel, Span
 from gen import random_corpus_pair, random_match_instance
-from oracles import brute_force_max_pairs, oracle_compatible
+from oracles import brute_force_max_pairs, oracle_compatible, oracle_match_document
 from util import doc_of, ent
 
 STRICT = MatchMode.STRICT
@@ -253,3 +255,73 @@ def test_diff_listing_contents():
     report = score(gold, pred, STRICT)
     assert [m.label for m in report.missed] == ["Data"]
     assert [s.label for s in report.spurious] == ["Version"]
+
+
+# Up to three fragments starting in the first 21 characters, two labels and
+# three qualifiers, so that nested, overlapping, touching (end == start),
+# discontinuous and duplicate-extent entities with equal or different labels
+# all come up.  Every entity ends before character 40.
+@st.composite
+def _entities(draw, prefix):
+    entities = []
+    for n in range(draw(st.integers(0, 9))):
+        cursor = draw(st.integers(0, 20))
+        fragments = []
+        for _ in range(draw(st.integers(1, 3))):
+            end = cursor + draw(st.integers(1, 4))
+            fragments.append(Span(cursor, end))
+            cursor = end + draw(st.integers(0, 3))
+        label = EntityLabel(draw(st.sampled_from(["Tool", "Data"])),
+                            draw(st.sampled_from([None, "A", "B"])))
+        entities.append(Entity(f"{prefix}{n + 1}", label, tuple(fragments), "x"))
+    return entities
+
+
+def _ids(pairs):
+    return [(g.id, p.id) for g, p in pairs]
+
+
+def _diff_line(tag, e):
+    return (e.start, e.end, e.label.base, e.id,
+            f"{tag}\td\t{e.label.base}\t{e.start} {e.end}\t{e.surface}")
+
+
+@settings(max_examples=400)
+@given(gold=_entities("T"), pred=_entities("P"),
+       mode=st.sampled_from([STRICT, RELAXED]), qualifier_sensitive=st.booleans())
+def test_match_pairs_equal_the_all_pairs_oracle(gold, pred, mode, qualifier_sensitive):
+    want = oracle_match_document(gold, pred, mode, qualifier_sensitive)
+    assert _ids(match_document(gold, pred, mode, qualifier_sensitive)) == _ids(want)
+
+    matched_gold = {g.id for g, _ in want}
+    matched_pred = {p.id for _, p in want}
+    lines = sorted([_diff_line("MISSED", g) for g in gold if g.id not in matched_gold]) + \
+        sorted([_diff_line("SPURIOUS", p) for p in pred if p.id not in matched_pred])
+    expected = "".join(line[-1] + "\n" for line in lines)
+    report = score(Corpus("g", (Document("d", "x" * 40, tuple(gold)),)),
+                   Corpus("p", (Document("d", "x" * 40, tuple(pred)),)),
+                   mode, qualifier_sensitive=qualifier_sensitive)
+    assert render_diff(report) == expected
+
+
+def test_compatibility_tests_grow_linearly_with_entity_count(monkeypatch):
+    n = 2_000
+    labels = ["Tool", "Data", "Method", "Parameter"]
+    gold = [Entity(f"T{i}", EntityLabel(labels[i % 4]), (Span(10 * i, 10 * i + 5),), "x")
+            for i in range(n)]
+    # Half the predictions are exact, half shifted by one character.
+    pred = [Entity(f"P{i}", EntityLabel(labels[i % 4]),
+                   (Span(10 * i + i % 2, 10 * i + 5 + i % 2),), "x") for i in range(n)]
+    calls = 0
+    real = evaluation.entities_compatible
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "entities_compatible", counting)
+    for mode, matched in ((STRICT, n // 2), (RELAXED, n)):
+        calls = 0
+        assert len(match_document(gold, pred, mode)) == matched
+        assert 0 < calls < 10 * n, mode

@@ -1,8 +1,11 @@
 import random
 
-from flowner.model import Corpus, Document
-from flowner.stats import corpus_stats, document_stats, tokenize
+from hypothesis import given, settings, strategies as st
+
+from flowner.model import Corpus, Document, Entity, EntityLabel, Span
+from flowner.stats import corpus_stats, count_nested, document_stats, tokenize
 from gen import random_document
+from oracles import oracle_count_nested
 from util import doc_of, ent, synthetic_table1_corpus, TABLE1_COUNTS
 
 
@@ -48,6 +51,30 @@ def test_nesting_counts_strict_containment_only():
     r = document_stats(doc)
     assert r.nested_entities == 1
     assert r.entities == 4
+
+
+# Extents on a short line, so that duplicate extents (also under different
+# labels), shared starts, shared ends and touching extents all come up.
+_EXTENTS = st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6)), max_size=14)
+
+
+@settings(max_examples=400)
+@given(extents=_EXTENTS, labels=st.lists(st.sampled_from(["Tool", "Data"]), min_size=14))
+def test_count_nested_equals_the_all_pairs_oracle(extents, labels):
+    entities = tuple(Entity(f"T{i}", EntityLabel(label), (Span(s, s + n),), "x")
+                     for i, ((s, n), label) in enumerate(zip(extents, labels)))
+    doc = Document("d", "x" * 20, entities)
+    assert count_nested(doc) == oracle_count_nested(doc)
+
+
+def test_nesting_counts_each_entity_of_a_nested_duplicate_extent():
+    text = "abc def ghi jkl"
+    doc = doc_of("d", text,
+                 ent("T1", "Biblio", 0, 11, text),
+                 ent("T2", "Tool", 4, 7, text),      # same extent as T3, inside T1
+                 ent("T3", "Data", 4, 7, text),
+                 ent("T4", "Method", 0, 7, text))    # shares T1's start, inside it
+    assert count_nested(doc) == 3
 
 
 def test_label_counts_sum_to_entity_count():
