@@ -51,27 +51,22 @@ def _labels_arg(value) -> list[str] | None:
 
 def _cmd_validate(args) -> int:
     _require(args, "corpus")
-    root = Path(args.corpus)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {root}")
+    paths = corpus_io.document_paths(args.corpus)
     bases = BIOTOFLOW.labels if args.schema == "biotoflow" else None
     # Lenient load: a file the parser rejects is a finding, not a crash.
     documents = []
     problems = 0
-    n_docs = 0
-    for txt_path in sorted(root.glob("*.txt")):
-        n_docs += 1
+    for txt_path, ann_path in paths:
         try:
-            documents.append(corpus_io.load_document(
-                txt_path, txt_path.with_suffix(".ann")))
+            documents.append(corpus_io.load_document(txt_path, ann_path))
         except StandoffParseError as exc:
             print(f"{type(exc).__name__} at {exc}")
             problems += 1
-    violations = validate_corpus(Corpus(root.name, tuple(documents)), bases)
+    violations = validate_corpus(Corpus(Path(args.corpus).name, tuple(documents)), bases)
     for v in violations:
         print(v)
     problems += len(violations)
-    print(f"{problems} violation(s) in {n_docs} document(s)")
+    print(f"{problems} violation(s) in {len(paths)} document(s)")
     return 1 if problems else 0
 
 
@@ -163,15 +158,14 @@ def _cmd_gazetteer_build(args) -> int:
     for kind in gazetteer.SOURCE_KINDS:
         path = getattr(args, kind, None)
         if path:
-            entries.extend(gazetteer.ingest(kind, Path(path).read_text(encoding="utf-8"),
-                                            path))
+            entries.extend(gazetteer.ingest(kind, _read_dump(path), path))
     if not entries:
         raise UsageError("no dump files given (--biotools/--bioconda/...)")
     common = None
     if args.common_words:
         common = frozenset(
             w.strip().casefold()
-            for w in Path(args.common_words).read_text(encoding="utf-8").splitlines()
+            for w in _read_dump(args.common_words).splitlines()
             if w.strip() and not w.startswith("#"))
     options = gazetteer.BuildOptions(
         min_length=args.min_length,
@@ -183,6 +177,12 @@ def _cmd_gazetteer_build(args) -> int:
     print(f"gazetteer: {len(gaz)} entries "
           f"({json.dumps(gaz.normalization['filtered'])} filtered)")
     return 0
+
+
+def _read_dump(path) -> str:
+    """A dump or word-list file; a byte that is not UTF-8 is a ``MalformedDump``."""
+    return corpus_io._read_text(path, lambda reason, _path, line: gazetteer.MalformedDump(
+        f"{reason} (line {line})", path=path))
 
 
 def _load_gazetteer(path) -> gazetteer.Gazetteer:

@@ -1,9 +1,11 @@
 """Filesystem plumbing: corpus directories, atomic writes, JSON helpers.
 
 A corpus directory holds paired ``<id>.txt`` / ``<id>.ann`` files; a .txt
-without a .ann is an unannotated document.  Every artifact this package
-writes goes through a temp-file-plus-rename so a crashed run never leaves
-a half-written file behind.
+without a .ann is an unannotated document.  Files are read and written
+byte-exact as UTF-8, with no newline translation, so offsets count the
+characters of a file as stored and a CRLF text reads back as written.
+Every artifact this package writes goes through a temp-file-plus-rename
+so a crashed run never leaves a half-written file behind.
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ from .standoff import StandoffParseError, parse_standoff, serialize_standoff
 
 
 def atomic_write_text(path, content: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write ``content`` as UTF-8 through a temp file renamed over ``path``,
+    creating missing parent directories."""
+    data = content.encode("utf-8")
+    directory, name = os.path.split(os.fspath(path))
+    directory = directory or "."
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -37,14 +46,15 @@ def atomic_write_json(path, data) -> None:
 
 
 def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:
-    """The file read as UTF-8 text; a byte that is not UTF-8 raises
-    ``error(reason, str(path), line)``, line counting from 1."""
+    """The file's bytes decoded as UTF-8, without newline translation; a
+    byte that is not UTF-8 raises ``error(reason, str(path), line)``, line
+    counting from 1."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # A text-mode read() decodes the whole file in one call, so the
-        # offending object is the file's bytes and ``exc.start`` an offset in it.
-        raw, at = exc.object, exc.start
+        at = exc.start
         raise error(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}",
                     str(path), raw.count(b"\n", 0, at) + 1) from None
 
@@ -60,35 +70,59 @@ def read_json(path, error: Callable[..., ValueError]):
                     f"column {exc.colno}", path=path) from None
 
 
+def _stem(path: str) -> str:
+    """``Path(path).stem``: the file name less its last suffix, where a
+    leading dot does not start a suffix (``.txt`` is its own stem)."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+def document_paths(path) -> list[tuple[str, str]]:
+    """The ``(txt, ann)`` path pairs of a corpus directory, by file name.
+
+    The documents are the entries whose names end in ``.txt``, dot-files
+    included, sorted as ``sorted(Path(path).glob("*.txt"))`` sorts them;
+    each pairs with the ``.ann`` that ``Path.with_suffix`` would name.
+    """
+    root = str(Path(path))
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"corpus directory not found: {root}")
+    txts = sorted(name for name in os.listdir(root) if name.endswith(".txt"))
+    return [(os.path.join(root, name), os.path.join(root, _stem(name) + ".ann"))
+            for name in txts]
+
+
 def load_document(txt_path, ann_path=None,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                   ) -> Document:
-    """Parse one document; a file that is not UTF-8 raises ``StandoffParseError``
+    """Parse one document; with no file at ``ann_path`` it has no
+    annotations.  A file that is not UTF-8 raises ``StandoffParseError``
     located by the file's path and line."""
-    txt_path = Path(txt_path)
     text = _read_text(txt_path, StandoffParseError)
     ann = ""
-    if ann_path is not None and Path(ann_path).exists():
-        ann = _read_text(ann_path, StandoffParseError)
-    return parse_standoff(ann, text, txt_path.stem, qualifiers=qualifiers)
+    if ann_path is not None:
+        try:
+            ann = _read_text(ann_path, StandoffParseError)
+        except FileNotFoundError:
+            pass
+    return parse_standoff(ann, text, _stem(os.fspath(txt_path)), qualifiers=qualifiers)
 
 
 def load_corpus_dir(path, qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                     ) -> Corpus:
     """Load every ``<id>.txt`` (with its ``<id>.ann``, if present)."""
-    root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {root}")
-    documents = [load_document(p, p.with_suffix(".ann"), qualifiers=qualifiers)
-                 for p in sorted(root.glob("*.txt"))]
-    return Corpus(name=root.name, documents=tuple(documents))
+    documents = [load_document(txt, ann, qualifiers=qualifiers)
+                 for txt, ann in document_paths(path)]
+    return Corpus(name=Path(path).name, documents=tuple(documents))
 
 
 def write_corpus_dir(corpus: Corpus, path) -> None:
     """Write ``<id>.txt`` / ``<id>.ann`` pairs, each atomically."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+    root = os.fspath(path)
+    os.makedirs(root, exist_ok=True)
     for doc in corpus.documents:
         ann, text = serialize_standoff(doc)
-        atomic_write_text(root / f"{doc.doc_id}.txt", text)
-        atomic_write_text(root / f"{doc.doc_id}.ann", ann)
+        base = os.path.join(root, doc.doc_id)
+        atomic_write_text(base + ".txt", text)
+        atomic_write_text(base + ".ann", ann)

@@ -51,7 +51,9 @@ class VocabEntry:
 
 
 def _line_names(payload: str) -> Iterable[tuple[int, str]]:
-    for idx, line in enumerate(payload.split("\n")):
+    # splitlines: a dump is read without newline translation, and its lines
+    # may end in CRLF or a lone CR.
+    for idx, line in enumerate(payload.splitlines()):
         name = line.strip()
         if name and not name.startswith("#"):
             yield idx, name

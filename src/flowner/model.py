@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 
@@ -79,15 +80,18 @@ class Entity:
     surface: str
 
     def __post_init__(self) -> None:
-        if not self.fragments:
+        frags = self.fragments
+        if type(frags) is not tuple:
+            frags = tuple(frags)
+            object.__setattr__(self, "fragments", frags)
+        if not frags:
             raise ValueError(f"entity {self.id} has no fragments")
-        frags = tuple(self.fragments)
-        object.__setattr__(self, "fragments", frags)
-        for prev, cur in zip(frags, frags[1:]):
-            if cur.start < prev.start:
-                raise ValueError(f"entity {self.id}: fragments not sorted by start")
-            if cur.start < prev.end:
-                raise ValueError(f"entity {self.id}: fragments overlap")
+        if len(frags) > 1:
+            for prev, cur in zip(frags, frags[1:]):
+                if cur.start < prev.start:
+                    raise ValueError(f"entity {self.id}: fragments not sorted by start")
+                if cur.start < prev.end:
+                    raise ValueError(f"entity {self.id}: fragments overlap")
 
     @property
     def start(self) -> int:
@@ -106,15 +110,44 @@ class Entity:
         return " ".join(text[f.start:f.end] for f in self.fragments)
 
     def sort_key(self) -> tuple:
-        return (self.start, self.end, self.label.base, self.label.qualifier or "",
+        label, fragments = self.label, self.fragments
+        return (fragments[0].start, fragments[-1].end, label.base, label.qualifier or "",
                 _id_key(self.id), self.surface)
 
 
+@lru_cache(maxsize=1 << 12)
 def _id_key(entity_id: str) -> tuple[int, str]:
-    """Numeric-aware ordering for ids like T2 < T10."""
-    if len(entity_id) > 1 and entity_id[0] == "T" and entity_id[1:].isdigit():
-        return (int(entity_id[1:]), "")
+    """Numeric-aware ordering for ids like T2 < T10 (cached: every document
+    reuses the same few ids, and parsing one dominates the sort key)."""
+    # isdecimal, not isdigit: int() rejects digits such as '²'.
+    digits = entity_id[1:]
+    if entity_id[:1] == "T" and digits.isdecimal():
+        return (int(digits), "")
     return (1 << 60, entity_id)
+
+
+def _canonical_order(entities) -> tuple[Entity, ...]:
+    """Entities sorted by :meth:`Entity.sort_key`, each distinct entity once.
+
+    Each key is computed once.  Equal entities have equal keys, so
+    duplicates are found among neighbours with the same key, by equality,
+    without hashing; entities with equal keys keep their input order.
+    """
+    entities = tuple(entities)
+    keys = [e.sort_key() for e in entities]
+    unique: list[Entity] = []
+    same_key: list[Entity] = []
+    prev = None
+    for i in sorted(range(len(entities)), key=keys.__getitem__):
+        ent, key = entities[i], keys[i]
+        if key != prev:
+            prev, same_key = key, [ent]
+        elif ent in same_key:
+            continue
+        else:
+            same_key.append(ent)
+        unique.append(ent)
+    return tuple(unique)
 
 
 @dataclass(frozen=True)
@@ -134,8 +167,7 @@ class Document:
     sidecar: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        unique = sorted(set(self.entities), key=Entity.sort_key)
-        object.__setattr__(self, "entities", tuple(unique))
+        object.__setattr__(self, "entities", _canonical_order(self.entities))
         object.__setattr__(self, "sidecar", tuple(self.sidecar))
 
     def entity_by_id(self, entity_id: str) -> Optional[Entity]:

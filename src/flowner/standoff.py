@@ -2,14 +2,17 @@
 
 Entity lines look like ``T1<TAB>Tool 8 11<TAB>BWA``; discontinuous
 entities carry several ``start end`` segments separated by ``;``.  All
-offsets count Unicode scalar values.  Non-entity lines (attributes,
-relations, notes, anything else) are kept verbatim as sidecar records so
-a document round-trips losslessly — with one exception: attribute lines
-that name a known qualifier of a known label are consumed into the
-entity's qualifier and re-emitted in canonical binary form
-(``A1<TAB>General T3``) on serialization.  That exception is what makes
-``parse(serialize(doc)) == doc`` hold for documents built in code, which
-have qualifiers but no annotation file behind them.
+offsets count Unicode scalar values of the text as stored: files are read
+byte-exact, with no newline translation, so a CRLF line end in a text
+counts as two characters.  Annotation lines may end in LF or CRLF.
+Non-entity lines (attributes, relations, notes, anything else) are kept
+verbatim as sidecar records so a document round-trips losslessly — with
+one exception: attribute lines that name a known qualifier of a known
+label are consumed into the entity's qualifier and re-emitted in
+canonical binary form (``A1<TAB>General T3``) on serialization.  That
+exception is what makes ``parse(serialize(doc)) == doc`` hold for
+documents built in code, which have qualifiers but no annotation file
+behind them.
 """
 
 from __future__ import annotations
@@ -46,8 +49,12 @@ class DuplicateId(StandoffParseError):
 
 
 _ENTITY_ID_RE = re.compile(r"^T\d+$")
+# The common entity line, one fragment with ASCII offsets; every other line
+# takes the general path, which owns the rest of the format.
+_SIMPLE_ENTITY_LINE = re.compile(r"(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)").fullmatch
 _ATTR_LINE_RE = re.compile(r"^(A\d+)\t(\S+)[ \t](\S+)(?:[ \t](\S+))?\s*$")
 _ATTR_ID_RE = re.compile(r"^A(\d+)\t")
+_LINE_BREAK_RE = re.compile(r"[\r\n]")
 
 
 def _norm_space(s: str) -> str:
@@ -58,6 +65,8 @@ def _split_lines(content: str) -> list[str]:
     lines = content.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    if "\r" not in content:
+        return lines
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
@@ -65,7 +74,8 @@ def _parse_fragments(span_text: str, doc_id: str, line_no: int) -> tuple[Span, .
     fragments = []
     for segment in span_text.split(";"):
         parts = segment.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # isdecimal, not isdigit: int() rejects digits such as '²'.
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise MalformedLine(f"bad span segment {segment!r}", doc_id, line_no)
         start, end = int(parts[0]), int(parts[1])
         if start >= end:
@@ -94,60 +104,75 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
         qualifiers = BIOTOFLOW.qualifiers
 
     text_len = len(doc_text)
-    protos: dict[str, tuple[int, str, tuple[Span, ...], str]] = {}
-    other_lines: list[tuple[int, str]] = []
+    protos: dict[str, tuple[str, tuple[Span, ...], str]] = {}
+    other_lines: list[str] = []
 
     for line_no, line in enumerate(_split_lines(ann_content), start=1):
-        head = line.split("\t", 1)[0]
-        if not _ENTITY_ID_RE.match(head):
-            other_lines.append((line_no, line))
-            continue
-        parts = line.split("\t", 2)
-        if len(parts) != 3:
-            raise MalformedLine("entity line needs id, label/spans and surface",
-                                doc_id, line_no)
-        ent_id, type_spans, recorded_surface = parts
-        if ent_id in protos:
-            raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
-        label_and_spans = type_spans.split(None, 1)
-        if len(label_and_spans) != 2:
-            raise MalformedLine(f"missing spans after label in {type_spans!r}",
-                                doc_id, line_no)
-        base, span_text = label_and_spans
-        fragments = _parse_fragments(span_text, doc_id, line_no)
-        if fragments[-1].end > text_len:
+        m = _SIMPLE_ENTITY_LINE(line)
+        if m is not None:
+            ent_id, base, start, end, recorded_surface = m.groups()
+            if ent_id in protos:
+                raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
+            start, end = int(start), int(end)
+            if start >= end:
+                raise MalformedLine(f"empty or reversed span {start} {end}", doc_id, line_no)
+            fragments = (Span(start, end),)
+        else:
+            head = line.split("\t", 1)[0]
+            if not _ENTITY_ID_RE.match(head):
+                other_lines.append(line)
+                continue
+            parts = line.split("\t", 2)
+            if len(parts) != 3:
+                raise MalformedLine("entity line needs id, label/spans and surface",
+                                    doc_id, line_no)
+            ent_id, type_spans, recorded_surface = parts
+            if ent_id in protos:
+                raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
+            label_and_spans = type_spans.split(None, 1)
+            if len(label_and_spans) != 2:
+                raise MalformedLine(f"missing spans after label in {type_spans!r}",
+                                    doc_id, line_no)
+            base, span_text = label_and_spans
+            fragments = _parse_fragments(span_text, doc_id, line_no)
+        end = fragments[-1].end
+        if end > text_len:
             raise OffsetOutOfRange(
-                f"fragment end {fragments[-1].end} exceeds text length {text_len}",
-                doc_id, line_no)
-        canonical = " ".join(doc_text[f.start:f.end] for f in fragments)
-        if _norm_space(recorded_surface) != _norm_space(canonical):
+                f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
+        canonical = (doc_text[fragments[0].start:end] if len(fragments) == 1
+                     else " ".join(doc_text[f.start:f.end] for f in fragments))
+        if recorded_surface != canonical and \
+                _norm_space(recorded_surface) != _norm_space(canonical):
             raise SurfaceMismatch(
                 f"recorded surface {recorded_surface!r} != text slice {canonical!r}",
                 doc_id, line_no)
-        protos[ent_id] = (line_no, base, fragments, canonical)
+        protos[ent_id] = (base, fragments, canonical)
 
     # Attribute pass: consume qualifier-bearing lines, keep the rest verbatim.
     attached: dict[str, str] = {}
     sidecar: list[str] = []
-    for _line_no, line in other_lines:
+    for line in other_lines:
         m = _ATTR_LINE_RE.match(line)
         if m:
             _attr_id, name, target, value = m.groups()
             qualifier = value if value is not None else name
             if target in protos:
-                base = protos[target][1]
+                base = protos[target][0]
                 if qualifier in qualifiers.get(base, frozenset()) and target not in attached:
                     attached[target] = qualifier
                     continue
         sidecar.append(line)
 
-    entities = tuple(
-        Entity(id=ent_id, label=EntityLabel(base, attached.get(ent_id)),
-               fragments=fragments, surface=surface)
-        for ent_id, (_ln, base, fragments, surface) in protos.items()
-    )
-    return Document(doc_id=doc_id, text=doc_text, entities=entities,
-                    provenance=provenance, sidecar=tuple(sidecar))
+    # Labels are immutable and most entities share a few: build each once.
+    labels: dict[tuple[str, Optional[str]], EntityLabel] = {}
+    entities = []
+    for ent_id, (base, fragments, surface) in protos.items():
+        key = (base, attached.get(ent_id))
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = EntityLabel(*key)
+        entities.append(Entity(ent_id, label, fragments, surface))
+    return Document(doc_id, doc_text, tuple(entities), provenance, tuple(sidecar))
 
 
 def serialize_standoff(doc: Document) -> tuple[str, str]:
@@ -161,7 +186,7 @@ def serialize_standoff(doc: Document) -> tuple[str, str]:
     lines = []
     for ent in doc.entities:
         span_text = ";".join(f"{f.start} {f.end}" for f in ent.fragments)
-        surface = re.sub(r"[\r\n]", " ", ent.surface)
+        surface = _LINE_BREAK_RE.sub(" ", ent.surface)
         lines.append(f"{ent.id}\t{ent.label.base} {span_text}\t{surface}")
 
     next_attr = 1 + max((int(m.group(1)) for line in doc.sidecar

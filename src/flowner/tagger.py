@@ -29,6 +29,7 @@ predictors.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from bisect import bisect_left, insort
@@ -37,12 +38,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence
 
-from .corpus_io import read_json
+from .corpus_io import _read_text, read_json
 from .gazetteer import Gazetteer
 from .model import (Corpus, Document, Entity, EntityLabel, Provenance, Span,
                     validate_document)
 from .schema import BIOTOFLOW
-from .standoff import parse_standoff
+from .standoff import StandoffParseError, parse_standoff
 
 
 class MalformedRules(ValueError):
@@ -305,7 +306,7 @@ class ExternalPredictions:
         from pathlib import Path
         ann_by_doc = {}
         for ann_path in sorted(Path(path).glob("*.ann")):
-            ann_by_doc[ann_path.stem] = ann_path.read_text(encoding="utf-8")
+            ann_by_doc[ann_path.stem] = _read_text(ann_path, StandoffParseError)
         return cls(ann_by_doc=ann_by_doc)
 
     @classmethod
@@ -313,7 +314,8 @@ class ExternalPredictions:
         """Read JSONL records {doc_id, label, start, end, surface[, qualifier]};
         start/end may be equal-length arrays for discontinuous entities."""
         per_doc: dict[str, list[Entity]] = {}
-        with open(path, encoding="utf-8") as fh:
+        # newline=None splits lines as a text-mode read of the file would.
+        with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

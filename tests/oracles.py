@@ -11,7 +11,9 @@ by comparing every pair of extents.  The one exception is
 ``oracle_match_document``: it is ``evaluation.match_document`` as it was
 before candidate indexing, testing every gold×pred pair with the
 package's own compatibility, overlap and augmentation, so that it pins
-the exact pairs and tie-breaks, not only their count.  Keep it slow and
+the exact pairs and tie-breaks, not only their count.  The standoff
+parser and the canonical entity order are kept as they were before the
+single-regex entity line and the precomputed sort keys.  Keep it slow and
 obvious.
 """
 
@@ -22,7 +24,9 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Optional
 
 from flowner.evaluation import _augment, char_overlap, entities_compatible
-from flowner.model import Entity
+from flowner.model import Document, Entity, EntityLabel, Provenance, Span
+from flowner.schema import BIOTOFLOW
+from flowner.standoff import DuplicateId, MalformedLine, OffsetOutOfRange, SurfaceMismatch
 
 if TYPE_CHECKING:
     from flowner.gazetteer import Gazetteer
@@ -219,3 +223,119 @@ def oracle_convert(table: MappingTable, entities) -> tuple[dict, dict]:
             labels[ent_id] = rule.target
     return labels, {"mapped": dict(mapped), "dropped": dict(dropped),
                     "unknown": dict(unknown), "multi_attribute_warnings": warnings}
+
+
+# The standoff parser before the single-regex entity line: every entity
+# line is split and checked field by field.  One change from the original:
+# span digits are tested with ``str.isdecimal``, the set ``int()`` accepts,
+# where ``str.isdigit`` let a digit such as '²' reach ``int()`` and escape
+# as a bare ValueError.
+_ORACLE_ENTITY_ID_RE = re.compile(r"^T\d+$")
+_ORACLE_ATTR_LINE_RE = re.compile(r"^(A\d+)\t(\S+)[ \t](\S+)(?:[ \t](\S+))?\s*$")
+
+
+def _oracle_norm_space(s: str) -> str:
+    return " ".join(s.split())
+
+
+def _oracle_split_lines(content: str) -> list[str]:
+    lines = content.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def _oracle_parse_fragments(span_text: str, doc_id: str, line_no: int) -> tuple[Span, ...]:
+    fragments = []
+    for segment in span_text.split(";"):
+        parts = segment.split()
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            raise MalformedLine(f"bad span segment {segment!r}", doc_id, line_no)
+        start, end = int(parts[0]), int(parts[1])
+        if start >= end:
+            raise MalformedLine(f"empty or reversed span {start} {end}", doc_id, line_no)
+        fragments.append(Span(start, end))
+    for prev, cur in zip(fragments, fragments[1:]):
+        if cur.start < prev.end:
+            raise MalformedLine("fragments out of order or overlapping", doc_id, line_no)
+    return tuple(fragments)
+
+
+def oracle_parse_standoff(ann_content: str, doc_text: str, doc_id: str,
+                          provenance: Provenance = Provenance.GOLD,
+                          qualifiers=None) -> Document:
+    if qualifiers is None:
+        qualifiers = BIOTOFLOW.qualifiers
+
+    text_len = len(doc_text)
+    protos: dict[str, tuple[int, str, tuple[Span, ...], str]] = {}
+    other_lines: list[tuple[int, str]] = []
+
+    for line_no, line in enumerate(_oracle_split_lines(ann_content), start=1):
+        head = line.split("\t", 1)[0]
+        if not _ORACLE_ENTITY_ID_RE.match(head):
+            other_lines.append((line_no, line))
+            continue
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise MalformedLine("entity line needs id, label/spans and surface",
+                                doc_id, line_no)
+        ent_id, type_spans, recorded_surface = parts
+        if ent_id in protos:
+            raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
+        label_and_spans = type_spans.split(None, 1)
+        if len(label_and_spans) != 2:
+            raise MalformedLine(f"missing spans after label in {type_spans!r}",
+                                doc_id, line_no)
+        base, span_text = label_and_spans
+        fragments = _oracle_parse_fragments(span_text, doc_id, line_no)
+        if fragments[-1].end > text_len:
+            raise OffsetOutOfRange(
+                f"fragment end {fragments[-1].end} exceeds text length {text_len}",
+                doc_id, line_no)
+        canonical = " ".join(doc_text[f.start:f.end] for f in fragments)
+        if _oracle_norm_space(recorded_surface) != _oracle_norm_space(canonical):
+            raise SurfaceMismatch(
+                f"recorded surface {recorded_surface!r} != text slice {canonical!r}",
+                doc_id, line_no)
+        protos[ent_id] = (line_no, base, fragments, canonical)
+
+    attached: dict[str, str] = {}
+    sidecar: list[str] = []
+    for _line_no, line in other_lines:
+        m = _ORACLE_ATTR_LINE_RE.match(line)
+        if m:
+            _attr_id, name, target, value = m.groups()
+            qualifier = value if value is not None else name
+            if target in protos:
+                base = protos[target][1]
+                if qualifier in qualifiers.get(base, frozenset()) and target not in attached:
+                    attached[target] = qualifier
+                    continue
+        sidecar.append(line)
+
+    entities = tuple(
+        Entity(id=ent_id, label=EntityLabel(base, attached.get(ent_id)),
+               fragments=fragments, surface=surface)
+        for ent_id, (_ln, base, fragments, surface) in protos.items()
+    )
+    return Document(doc_id=doc_id, text=doc_text, entities=entities,
+                    provenance=provenance, sidecar=tuple(sidecar))
+
+
+# The canonical entity order before precomputed keys: deduplicate through a
+# set, then sort by a key built per entity.  Entities with equal keys come
+# out in set order, which follows string hashes and so varies between runs.
+def oracle_id_key(entity_id: str) -> tuple[int, str]:
+    if len(entity_id) > 1 and entity_id[0] == "T" and entity_id[1:].isdecimal():
+        return (int(entity_id[1:]), "")
+    return (1 << 60, entity_id)
+
+
+def oracle_sort_key(e: Entity) -> tuple:
+    return (e.start, e.end, e.label.base, e.label.qualifier or "",
+            oracle_id_key(e.id), e.surface)
+
+
+def oracle_canonical_order(entities) -> tuple[Entity, ...]:
+    return tuple(sorted(set(entities), key=oracle_sort_key))

@@ -411,16 +411,79 @@ def test_validate_lists_an_undecodable_document_and_checks_the_rest(tmp_path, ca
     assert "Traceback" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("flag", ["--table", "--gazetteer"])
+@pytest.mark.parametrize("flag", ["--table", "--gazetteer", "gazetteer build --biotools",
+                                  "gazetteer build --common-words"])
 def test_undecodable_json_input_names_its_file(tmp_path, capsys, flag):
     corpus_dir = tmp_path / "c"
     write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
     path = tmp_path / "input.json"
     path.write_bytes(b'[\n"\xff"]')
+    dump = tmp_path / "bioweb.txt"
+    dump.write_text("BWA\n", encoding="utf-8")
     out = str(tmp_path / "o")
-    command = "convert" if flag == "--table" else "tag"
-    assert main([command, "--corpus", str(corpus_dir), flag, str(path), "--out", out]) == 1
+    argv = {
+        "--table": ["convert", "--corpus", str(corpus_dir), "--table", str(path)],
+        "--gazetteer": ["tag", "--corpus", str(corpus_dir), "--gazetteer", str(path)],
+        "gazetteer build --biotools": ["gazetteer", "build", "--biotools", str(path)],
+        "gazetteer build --common-words": ["gazetteer", "build", "--bioweb", str(dump),
+                                           "--common-words", str(path)],
+    }[flag]
+    assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert f"{path}: not UTF-8: byte 0xff at offset 3 (line 2)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["pd/d1.ann", "preds.jsonl"])
+def test_undecodable_prediction_file_names_its_file_and_line(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    (tmp_path / "pd").mkdir()
+    bad = tmp_path / name
+    bad.write_bytes(_NOT_UTF8)
+    preds = bad.parent if bad.suffix == ".ann" else bad
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: {_NOT_UTF8_REASON}" in err and "Traceback" not in err
+
+
+def _crlf_corpus(tmp_path):
+    """Corpus ``c`` with one document whose text and annotation end lines in CRLF."""
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "d2.txt").write_bytes(b"BWA\r\nx\r\n")
+    (corpus_dir / "d2.ann").write_bytes(b"T1\tTool 5 6\tx\r\n")
+    return corpus_dir
+
+
+def test_crlf_text_keeps_its_offsets(tmp_path, capsys):
+    corpus_dir = _crlf_corpus(tmp_path)
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    assert "0 violation(s) in 1 document(s)" in capsys.readouterr().out
+    (doc,) = load_corpus_dir(corpus_dir).documents
+    assert doc.text == "BWA\r\nx\r\n"
+    assert [(e.start, e.end, e.surface) for e in doc.entities] == [(5, 6, "x")]
+
+
+def test_span_digit_int_rejects_is_a_malformed_line(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "d1.txt").write_text("BWA", encoding="utf-8")
+    (corpus_dir / "d1.ann").write_text("T1\tTool 0 \u00b2\tBWA\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "MalformedLine at d1:1: bad span segment '0 \u00b2'" in out
+    assert "1 violation(s) in 1 document(s)" in out
+    assert main(["stats", "--corpus", str(corpus_dir)]) == 1
+    assert "error: d1:1: bad span segment '0 \u00b2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_a_directory_named_like_a_document_is_an_error(tmp_path, capsys, command):
+    corpus_dir = _crlf_corpus(tmp_path)
+    (corpus_dir / "dir.txt").mkdir()
+    assert main([command, "--corpus", str(corpus_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: [Errno 21] Is a directory: '{corpus_dir / 'dir.txt'}'" in err

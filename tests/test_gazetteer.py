@@ -28,6 +28,11 @@ def test_ingest_package_list():
         [("bwa", BINARY_NAME), ("samtools", BINARY_NAME)]
 
 
+@pytest.mark.parametrize("payload", ["bwa\r\nsamtools\r\n", "bwa\rsamtools\r"])
+def test_ingest_lines_may_end_in_crlf_or_cr(payload):
+    assert [e.canonical for e in ingest("bioconda", payload)] == ["bwa", "samtools"]
+
+
 def test_ingest_container_images():
     entries = ingest("biocontainers",
                      "quay.io/biocontainers/bwa:0.7.17--h84994c4_5\n"

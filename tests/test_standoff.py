@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import SOFTCITE_QUALIFIERS
 from flowner.standoff import (DuplicateId, MalformedLine, OffsetOutOfRange,
-                              SurfaceMismatch, parse_standoff,
+                              StandoffParseError, SurfaceMismatch, parse_standoff,
                               serialize_standoff)
 from gen import random_document
+from oracles import oracle_parse_standoff
 
 TEXT = "mapping reads with BWA against the genome"  # BWA at [19, 22)
 
@@ -59,6 +61,7 @@ def test_parse_offset_out_of_range():
     "T1\tTool 22 19\tBWA",         # reversed span
     "T1\tTool 5 9;7 12\tx y",      # overlapping fragments
     "T1\tTool19 22",               # no surface column
+    "T1\tTool 0 \u00b2\tBWA",        # a digit int() rejects
 ])
 def test_parse_malformed_entity_lines(bad):
     with pytest.raises(MalformedLine) as exc:
@@ -160,3 +163,56 @@ def test_roundtrip_random_documents():
         ann, text = serialize_standoff(doc)
         back = parse_standoff(ann, text, doc.doc_id, provenance=doc.provenance)
         assert back == doc, f"roundtrip mismatch for generated doc {i}"
+
+
+@st.composite
+def _ann_and_text(draw):
+    """A short text and .ann content for it: entity lines that are valid,
+    slightly off (spacing, surfaces, digits, ids) or token soup, plus
+    attribute and other lines, joined by LF or CRLF."""
+    text = draw(st.text(alphabet="ab c\t\r\n\u00e9", min_size=1, max_size=16))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["entity"] * 6 + ["attribute", "soup"]))
+        if kind == "attribute":
+            name = draw(st.sampled_from(["BioInfo", "General", "Lab", "Other"]))
+            target = draw(st.sampled_from(["T1", "T2", "T9"]))
+            lines.append(f"A{len(lines)}\t{name} {target}")
+            continue
+        if kind == "soup":
+            lines.append(draw(st.text(alphabet="T12 \t;\u00b2\u0663ab", max_size=14)))
+            continue
+        ent_id = draw(st.sampled_from(["T1", "T2", "T3", "T4", "T02", "T\u0663", "T", "R1"]))
+        label = draw(st.sampled_from(["Tool", "Data", "To;ol"]))
+        spans = []
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+            start = draw(st.integers(0, len(text) - 1))
+            spans.append((start, start + draw(st.sampled_from([1] * 8 + [2, 0, -1]))))
+        if draw(st.integers(0, 4)):
+            spans.sort()
+        sep = draw(st.sampled_from([" "] * 6 + ["  ", "\u00a0"]))
+        digits = draw(st.sampled_from([""] * 12 + ["0", "\u00b2", "\u0663"]))
+        span_text = ";".join(f"{s}{sep}{e}{digits}" for s, e in spans)
+        canonical = " ".join(text[s:e] for s, e in spans)
+        surface = draw(st.sampled_from([canonical] * 4 + [
+            canonical + "  ", canonical.replace(" ", "\t"), "x"]))
+        lines.append(f"{ent_id}\t{label}{sep}{span_text}\t{surface}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ann = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return ann, text
+
+
+def _outcome(parse, ann, text):
+    try:
+        return parse(ann, text, "d1")
+    except StandoffParseError as exc:
+        return type(exc), exc.line_no, str(exc)
+
+
+@settings(max_examples=200)
+@given(_ann_and_text())
+@example(("T1\tTool 0 \u00b2\tx\r\n", "x"))
+@example(("T1\tTool 0 1\tb\r\nT1\tData 0 1\tb\r\n", "b"))
+def test_parse_equals_the_field_by_field_oracle(ann_and_text):
+    ann, text = ann_and_text
+    assert _outcome(parse_standoff, ann, text) == _outcome(oracle_parse_standoff, ann, text)
