@@ -75,7 +75,7 @@ def _cmd_stats(args) -> int:
     corpus = corpus_io.load_corpus_dir(args.corpus)
     report = corpus_stats(corpus)
     payload = report.to_json_dict()
-    text = json.dumps(payload, ensure_ascii=False, indent=2)
+    text = corpus_io.dumps_json(payload)
     if args.out:
         corpus_io.atomic_write_text(args.out, text + "\n")
     print(text)
@@ -91,7 +91,7 @@ def _cmd_convert(args) -> int:
     corpus_io.write_corpus_dir(converted, args.out)
     if args.report:
         corpus_io.atomic_write_json(args.report, report.to_json_dict())
-    print(json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2))
+    print(corpus_io.dumps_json(report.to_json_dict()))
     return 0
 
 
@@ -163,10 +163,7 @@ def _cmd_gazetteer_build(args) -> int:
         raise UsageError("no dump files given (--biotools/--bioconda/...)")
     common = None
     if args.common_words:
-        common = frozenset(
-            w.strip().casefold()
-            for w in _read_dump(args.common_words).splitlines()
-            if w.strip() and not w.startswith("#"))
+        common = gazetteer.common_words(_read_dump(args.common_words))
     options = gazetteer.BuildOptions(
         min_length=args.min_length,
         drop_numeric=not args.keep_numeric,

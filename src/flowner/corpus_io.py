@@ -6,11 +6,18 @@ byte-exact as UTF-8, with no newline translation, so offsets count the
 characters of a file as stored and a CRLF text reads back as written.
 Every artifact this package writes goes through a temp-file-plus-rename
 so a crashed run never leaves a half-written file behind.
+
+JSON artifacts (and the JSON that ``stats`` and ``convert`` print) have one
+text form, written by :func:`dumps_json`: a 2-space indent, non-ASCII
+characters as unescaped UTF-8, keys in insertion order.  It is
+byte-identical to what ``json.dumps`` writes with ``ensure_ascii=False``
+and an indent of 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -42,7 +49,75 @@ def atomic_write_text(path, content: str) -> None:
 
 
 def atomic_write_json(path, data) -> None:
-    atomic_write_text(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
+    atomic_write_text(path, dumps_json(data) + "\n")
+
+
+_encode_str = json.encoder.encode_basestring   # the C escaper where it is built
+
+
+def dumps_json(data) -> str:
+    """What ``json.dumps(data, ensure_ascii=False)`` writes with an indent
+    of 2, without its per-token chunks: each container's rendered items
+    are joined once.
+
+    The stdlib's indented encoder runs in Python and yields a string per
+    token (about 440k for a 20k-name gazetteer) before joining them; here
+    the intermediates are one string per container item.
+    """
+    return _render(data, "\n")
+
+
+def _render(value, newline: str) -> str:
+    # The stdlib's order of checks, so that str, int and float subclasses
+    # (enums among them) are written as their base type.
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    # Each item list is freed once joined, so a container's text is held at
+    # most twice: joined, and wrapped in its brackets.
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = ("," + inner).join([_render(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([f"{_key_text(key)}: {_render(item, inner)}"
+                                   for key, item in value.items()])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as the stdlib writes it: a string as itself, a number,
+    bool or None as its JSON text in quotes."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_render(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:

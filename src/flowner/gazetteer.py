@@ -9,6 +9,12 @@ shipped common-English-word list all poison dictionary tagging and are
 removed (counts recorded, policy configurable).  Adapters read dump files
 from disk; fetching live registries is out of scope here so runs stay
 reproducible and offline.
+
+An entry's ``sources`` is an immutable frozenset that entries share: every
+entry ingested from one dump holds the same set, a merge keeps one object
+per distinct union, and loading a gazetteer file builds one set per
+distinct ``sources`` list.  A 20k-name gazetteer so holds a handful of sets,
+not one per name.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def _line_names(payload: str) -> Iterable[tuple[int, str]]:
             yield idx, name
 
 
-def _ingest_json_records(payload: str, source: str) -> list[VocabEntry]:
+def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
     try:
         records = json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -74,27 +80,26 @@ def _ingest_json_records(payload: str, source: str) -> list[VocabEntry]:
         if not isinstance(name, str) or not name.strip():
             raise MalformedDump("record has no usable 'name' field", idx)
         name = name.strip()
-        entries.append(VocabEntry(name, TOOL_NAME, frozenset({source})))
+        entries.append(VocabEntry(name, TOOL_NAME, sources))
         for binary in record.get("binaries", []):
             if not isinstance(binary, str) or not binary.strip():
                 raise MalformedDump("empty name in 'binaries'", idx)
             binary = binary.strip()
-            entries.append(VocabEntry(binary, BINARY_NAME, frozenset({source})))
+            entries.append(VocabEntry(binary, BINARY_NAME, sources))
     return entries
 
 
-def _ingest_lines(payload: str, source: str, kind: str) -> list[VocabEntry]:
-    return [VocabEntry(name, kind, frozenset({source}))
-            for _idx, name in _line_names(payload)]
+def _ingest_lines(payload: str, sources: frozenset[str], kind: str) -> list[VocabEntry]:
+    return [VocabEntry(name, kind, sources) for _idx, name in _line_names(payload)]
 
 
-def _ingest_images(payload: str, source: str) -> list[VocabEntry]:
+def _ingest_images(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
     entries = []
     for idx, image in _line_names(payload):
         name = image.rsplit("/", 1)[-1].split(":", 1)[0].split("@", 1)[0].strip()
         if not name:
             raise MalformedDump(f"cannot extract a name from image {image!r}", idx)
-        entries.append(VocabEntry(name, BINARY_NAME, frozenset({source})))
+        entries.append(VocabEntry(name, BINARY_NAME, sources))
     return entries
 
 
@@ -106,25 +111,33 @@ def ingest(source_kind: str, payload: str, path=None) -> list[VocabEntry]:
     bioconda: package index, one binary name per line;
     biocontainers: image listing, last path component minus tag;
     bioweb / custom: one tool name per line.
+
+    Every entry holds the same ``frozenset({source_kind})``.
     """
+    sources = frozenset({source_kind})
     try:
         if source_kind == "biotools":
-            return _ingest_json_records(payload, source_kind)
+            return _ingest_json_records(payload, sources)
         if source_kind == "bioconda":
-            return _ingest_lines(payload, source_kind, BINARY_NAME)
+            return _ingest_lines(payload, sources, BINARY_NAME)
         if source_kind == "biocontainers":
-            return _ingest_images(payload, source_kind)
+            return _ingest_images(payload, sources)
         if source_kind in ("bioweb", "custom"):
-            return _ingest_lines(payload, source_kind, TOOL_NAME)
+            return _ingest_lines(payload, sources, TOOL_NAME)
     except MalformedDump as exc:
         raise MalformedDump(exc.reason, exc.record_index, path) from None
     raise ValueError(f"unknown source kind {source_kind!r}, expected one of {SOURCE_KINDS}")
 
 
+def common_words(text: str) -> frozenset[str]:
+    """A common-word list, one word per line, case-folded; blank lines and
+    lines starting with ``#`` (after leading space) are skipped."""
+    return frozenset(word.casefold() for _idx, word in _line_names(text))
+
+
 def shipped_common_words() -> frozenset[str]:
-    text = resources.files("flowner.data").joinpath("common_words.txt").read_text("utf-8")
-    return frozenset(word.casefold()
-                     for _idx, word in _line_names(text))
+    return common_words(
+        resources.files("flowner.data").joinpath("common_words.txt").read_text("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -158,10 +171,12 @@ class Gazetteer:
     @classmethod
     def from_json_dict(cls, data: Mapping, path=None) -> "Gazetteer":
         """Read :meth:`to_json_dict` output; a :class:`MalformedDump` names
-        ``path`` and the index of the entry at fault."""
+        ``path`` and the index of the entry at fault.  Entries with equal
+        ``sources`` lists share one frozenset."""
         if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
             raise MalformedDump("expected a JSON object with an 'entries' list", path=path)
         entries = {}
+        shared: dict[tuple, frozenset[str]] = {}
         for idx, row in enumerate(data["entries"]):
             try:
                 key, canonical, kind, sources = (row["key"], row["canonical"], row["kind"],
@@ -169,8 +184,12 @@ class Gazetteer:
                 if not (len(row) == 4 and type(key) is type(canonical) is type(kind) is str
                         and type(sources) is list):
                     raise TypeError
-                "".join(sources)  # TypeError unless every source is a string
-                entries[key] = VocabEntry(canonical, kind, frozenset(sources))
+                listed = tuple(sources)
+                source_set = shared.get(listed)  # TypeError if a source is unhashable
+                if source_set is None:
+                    "".join(listed)  # TypeError unless every source is a string
+                    source_set = shared[listed] = frozenset(listed)
+                entries[key] = VocabEntry(canonical, kind, source_set)
             except (KeyError, TypeError, ValueError):
                 raise MalformedDump(_ENTRY_SHAPE, idx, path) from None
         return cls(entries=dict(sorted(entries.items())),
@@ -190,6 +209,7 @@ def build_gazetteer(entries: Sequence[VocabEntry],
         shipped_common_words() if opts.drop_common_words else frozenset())
 
     merged: dict[str, VocabEntry] = {}
+    interned: dict[frozenset[str], frozenset[str]] = {}
     for entry in entries:
         name = entry.canonical.strip()
         key = name.casefold()
@@ -198,7 +218,8 @@ def build_gazetteer(entries: Sequence[VocabEntry],
             merged[key] = VocabEntry(name, entry.kind, entry.sources)
         else:
             kind = TOOL_NAME if TOOL_NAME in (prior.kind, entry.kind) else BINARY_NAME
-            merged[key] = VocabEntry(prior.canonical, kind, prior.sources | entry.sources)
+            union = prior.sources | entry.sources
+            merged[key] = VocabEntry(prior.canonical, kind, interned.setdefault(union, union))
 
     kept: dict[str, VocabEntry] = {}
     filtered = {"too_short": 0, "numeric": 0, "common_word": 0}

@@ -287,27 +287,36 @@ class ExternalPredictions:
     """Model predictions read from standoff files or JSONL, keyed by doc_id."""
 
     def __init__(self, ann_by_doc: Optional[Mapping[str, str]] = None,
-                 entities_by_doc: Optional[Mapping[str, tuple[Entity, ...]]] = None):
+                 entities_by_doc: Optional[Mapping[str, tuple[Entity, ...]]] = None,
+                 ann_paths: Optional[Mapping[str, str]] = None):
+        """``ann_paths`` names the file each ``ann_by_doc`` text was read
+        from; a parse error is located by it, else by the doc_id."""
         self._ann_by_doc = dict(ann_by_doc or {})
         self._entities_by_doc = dict(entities_by_doc or {})
+        self._ann_paths = dict(ann_paths or {})
 
     def __call__(self, doc: Document) -> tuple[Entity, ...]:
         if doc.doc_id in self._entities_by_doc:
             return self._entities_by_doc[doc.doc_id]
         if doc.doc_id in self._ann_by_doc:
-            parsed = parse_standoff(self._ann_by_doc[doc.doc_id], doc.text, doc.doc_id)
-            return parsed.entities
+            location = self._ann_paths.get(doc.doc_id, doc.doc_id)
+            return parse_standoff(self._ann_by_doc[doc.doc_id], doc.text, location).entities
         raise MissingPrediction(doc.doc_id)
 
     @classmethod
     def from_dir(cls, path) -> "ExternalPredictions":
         """Read every ``<doc_id>.ann`` under a directory (parsed lazily,
-        against the text of the document being annotated)."""
+        against the text of the document being annotated); a path that is
+        not a directory raises ``FileNotFoundError``."""
         from pathlib import Path
-        ann_by_doc = {}
-        for ann_path in sorted(Path(path).glob("*.ann")):
+        root = Path(path)
+        if not root.is_dir():
+            raise FileNotFoundError(f"predictions directory not found: {root}")
+        ann_by_doc, ann_paths = {}, {}
+        for ann_path in sorted(root.glob("*.ann")):
             ann_by_doc[ann_path.stem] = _read_text(ann_path, StandoffParseError)
-        return cls(ann_by_doc=ann_by_doc)
+            ann_paths[ann_path.stem] = str(ann_path)
+        return cls(ann_by_doc=ann_by_doc, ann_paths=ann_paths)
 
     @classmethod
     def from_jsonl(cls, path) -> "ExternalPredictions":

@@ -13,12 +13,14 @@ before candidate indexing, testing every gold×pred pair with the
 package's own compatibility, overlap and augmentation, so that it pins
 the exact pairs and tie-breaks, not only their count.  The standoff
 parser and the canonical entity order are kept as they were before the
-single-regex entity line and the precomputed sort keys.  Keep it slow and
-obvious.
+single-regex entity line and the precomputed sort keys.  JSON text is
+the stdlib's indented encoder that ``corpus_io.dumps_json`` replaced.  Keep
+it slow and obvious.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Optional
@@ -339,3 +341,7 @@ def oracle_sort_key(e: Entity) -> tuple:
 
 def oracle_canonical_order(entities) -> tuple[Entity, ...]:
     return tuple(sorted(set(entities), key=oracle_sort_key))
+
+
+def oracle_dumps_json(data) -> str:
+    return json.dumps(data, ensure_ascii=False, indent=2)

@@ -5,9 +5,12 @@ import pytest
 
 from flowner.cli import main
 from flowner.corpus_io import load_corpus_dir, write_corpus_dir
+from flowner.gazetteer import Gazetteer, build_gazetteer, ingest
 from flowner.model import Corpus, Document, Provenance
+from flowner.standoff import SurfaceMismatch
 from flowner.tagger import (ExternalPredictions, MalformedPrediction, MalformedRules,
                             ruleset_from_file)
+from oracles import oracle_dumps_json
 from util import doc_of, ent
 
 
@@ -67,6 +70,8 @@ def test_stats_writes_json(gold_dir, tmp_path, capsys):
     data = json.loads(out.read_text("utf-8"))
     assert data["labels"] == {"ProgrammingLanguage": 1, "Tool": 1}
     assert data["documents"] == 2
+    text = oracle_dumps_json(data) + "\n"
+    assert out.read_text("utf-8") == capsys.readouterr().out == text
 
 
 def test_eval_with_focus(gold_dir, tmp_path, capsys):
@@ -141,7 +146,10 @@ def test_convert_pipeline(tmp_path, capsys):
     converted = load_corpus_dir(out)
     assert [e.label.base for e in converted.documents[0].entities] == \
         ["Tool", "Version"]
-    assert json.loads(report.read_text("utf-8"))["dropped"] == {"figure": 1}
+    data = json.loads(report.read_text("utf-8"))
+    assert data["dropped"] == {"figure": 1}
+    text = oracle_dumps_json(data) + "\n"
+    assert report.read_text("utf-8") == capsys.readouterr().out == text
 
 
 def test_gazetteer_build_export_tag_silver(tmp_path, capsys):
@@ -173,6 +181,64 @@ def test_gazetteer_build_export_tag_silver(tmp_path, capsys):
     assert main(["silver", "--corpus", str(corpus_dir),
                  "--gazetteer", str(gaz_path), "--out", str(silver_dir)]) == 0
     assert (silver_dir / "d1.ann").exists()
+
+
+def test_gazetteer_build_writes_the_stdlib_indented_json(tmp_path, capsys):
+    biotools = tmp_path / "biotools.json"
+    biotools.write_text(json.dumps([{"name": "Bowtie\u00a02", "binaries": ["bowtie2"]},
+                                    {"name": 'say "hi"\\'}, {"name": "Ångström-Σ"}]),
+                        encoding="utf-8")
+    bioconda = tmp_path / "bioconda.txt"
+    bioconda.write_text("bowtie2\nsamtools\n", encoding="utf-8")
+    out = tmp_path / "gaz.json"
+    assert main(["gazetteer", "build", "--biotools", str(biotools),
+                 "--bioconda", str(bioconda), "--out", str(out)]) == 0
+    gaz = build_gazetteer(ingest("biotools", biotools.read_text("utf-8")) +
+                          ingest("bioconda", bioconda.read_text("utf-8")))
+    assert out.read_text("utf-8") == oracle_dumps_json(gaz.to_json_dict()) + "\n"
+    assert "Ångström-Σ" in out.read_text("utf-8")
+
+
+def test_common_words_file_skips_indented_comment_lines(tmp_path, capsys):
+    biotools = tmp_path / "biotools.json"
+    biotools.write_text('[{"name": "# kept"}, {"name": "BWA"}, {"name": "STAR"}]',
+                        encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text("  # kept\nbwa\n", encoding="utf-8")
+    out = tmp_path / "gaz.json"
+    assert main(["gazetteer", "build", "--biotools", str(biotools),
+                 "--common-words", str(words), "--out", str(out)]) == 0
+    gaz = Gazetteer.from_json_dict(json.loads(out.read_text("utf-8")))
+    assert sorted(gaz.entries) == ["# kept", "star"]
+    assert gaz.normalization["filtered"]["common_word"] == 1
+
+
+@pytest.mark.parametrize("name", ["preds.json", "pred_dirr"])
+def test_silver_predictions_path_that_is_not_a_directory(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    missing = tmp_path / name
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(missing),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: predictions directory not found: {missing}" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_bad_prediction_ann_is_located_by_its_file(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "run BWA align now"),)), corpus_dir)
+    pred_dir = tmp_path / "pd"
+    pred_dir.mkdir()
+    (pred_dir / "d1.ann").write_text("T1\tTool 4 7\tBWA align\n", encoding="utf-8")
+    with pytest.raises(SurfaceMismatch):
+        ExternalPredictions.from_dir(pred_dir)(load_corpus_dir(corpus_dir).documents[0])
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(pred_dir),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: {pred_dir / 'd1.ann'}:1: recorded surface 'BWA align' != "
+            "text slice 'BWA'") in err
+    assert "Traceback" not in err
 
 
 def test_silver_with_external_predictions(tmp_path, capsys):

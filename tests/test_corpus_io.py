@@ -1,10 +1,16 @@
+import enum
+import math
 import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowner.corpus_io import (atomic_write_text, document_paths, load_corpus_dir,
-                               write_corpus_dir)
-from flowner.model import Corpus
+from flowner.corpus_io import (atomic_write_json, atomic_write_text, document_paths,
+                               dumps_json, load_corpus_dir, write_corpus_dir)
+from flowner.gazetteer import build_gazetteer, ingest
+from flowner.model import Corpus, Provenance
+from oracles import oracle_dumps_json
 from util import doc_of, ent
 
 
@@ -57,3 +63,60 @@ def test_atomic_write_leaves_no_temp_file_when_it_fails(tmp_path):
         atomic_write_text(tmp_path / "taken", "x")
     assert sorted(os.listdir(tmp_path)) == ["taken"]
     assert os.listdir(tmp_path / "taken") == []
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+class _Ratio(float, enum.Enum):
+    HALF = 0.5
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -(10 ** 40), 0]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+    st.text(), st.sampled_from([Provenance.SILVER, _Count.ONE, _Ratio.HALF]))
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+                  st.sampled_from([Provenance.GOLD, _Count.ONE, _Ratio.HALF]))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300)
+@given(_JSON_VALUES)
+def test_dumps_json_equals_the_stdlib_indented_encoder(value):
+    assert dumps_json(value) == oracle_dumps_json(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [1, {"a": frozenset()}], {(1, 2): 0},
+                                   {"a": {b"k": 1}}, object()])
+def test_dumps_json_rejects_what_the_stdlib_rejects(value):
+    with pytest.raises(TypeError) as want:
+        oracle_dumps_json(value)
+    with pytest.raises(TypeError) as got:
+        dumps_json(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_writing_a_gazetteer_peaks_below_three_times_its_size(tmp_path):
+    # The stdlib's indented encoder holds a string per token and peaks near
+    # 7x the output; one string per container item stays near 2.3x.
+    names = "".join(f"tool{i:05d}x\n" for i in range(5000))
+    gaz = build_gazetteer(ingest("custom", names) + ingest("bioconda", names[:30000]))
+    data = gaz.to_json_dict()
+    path = tmp_path / "gaz.json"
+    tracemalloc.start()
+    try:
+        atomic_write_json(path, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text("utf-8") == oracle_dumps_json(data) + "\n"
+    assert size > 500_000 and peak <= 3 * size

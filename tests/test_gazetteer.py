@@ -5,8 +5,8 @@ import pytest
 
 from flowner.gazetteer import (BINARY_NAME, TOOL_NAME, BuildOptions, Gazetteer,
                                MalformedDump, VocabEntry, build_gazetteer,
-                               export_vocab, ingest, shipped_common_words,
-                               vocab_lines)
+                               common_words, export_vocab, ingest,
+                               shipped_common_words, vocab_lines)
 
 
 def test_ingest_biotools_json():
@@ -143,6 +143,52 @@ def test_gazetteer_json_roundtrip():
     data = json.loads(json.dumps(gaz.to_json_dict()))
     back = Gazetteer.from_json_dict(data)
     assert back.entries == gaz.entries
+
+
+def test_source_sets_are_shared_per_dump_and_per_union():
+    biotools = ingest("biotools", '[{"name":"BWA","binaries":["bwa-mem"]},{"name":"STAR"}]')
+    bioconda = ingest("bioconda", "bwa\nstar\nhisat2\n")
+    assert len({id(e.sources) for e in biotools}) == 1
+    assert len({id(e.sources) for e in bioconda}) == 1
+    gaz = build_gazetteer(biotools + bioconda)
+    both = gaz.entries["bwa"].sources
+    assert both == frozenset({"biotools", "bioconda"})
+    assert gaz.entries["star"].sources is both
+    assert gaz.entries["hisat2"].sources is bioconda[0].sources
+
+
+def test_loaded_entries_with_equal_sources_share_one_set():
+    gaz = build_gazetteer(ingest("custom", "BWA\nSAMtools\nSTAR\n") +
+                          ingest("bioconda", "bwa\nstar\n"))
+    back = Gazetteer.from_json_dict(json.loads(json.dumps(gaz.to_json_dict())))
+    assert back.entries == gaz.entries
+    assert back.entries["bwa"].sources is back.entries["star"].sources
+    assert back.entries["samtools"].sources == frozenset({"custom"})
+
+
+@pytest.mark.parametrize("bad_sources", [["custom", 1], [["custom"]], [{"custom": 1}],
+                                         [None]])
+def test_a_bad_source_after_a_valid_list_names_its_entry(bad_sources):
+    row = {"key": "bwa", "canonical": "BWA", "kind": TOOL_NAME, "sources": ["custom"]}
+    data = {"entries": [row, {**row, "key": "star", "canonical": "STAR"},
+                        {**row, "key": "x1", "canonical": "X1", "sources": bad_sources}]}
+    with pytest.raises(MalformedDump) as exc:
+        Gazetteer.from_json_dict(data, "gaz.json")
+    assert exc.value.record_index == 2
+    assert str(exc.value).startswith("gaz.json: record 2: entry must be")
+
+
+@pytest.mark.parametrize("change", [{"canonical": "  "}, {"extra": 1}, {"kind": None}])
+def test_a_bad_entry_after_a_cached_sources_list_names_its_entry(change):
+    row = {"key": "bwa", "canonical": "BWA", "kind": TOOL_NAME, "sources": ["custom"]}
+    with pytest.raises(MalformedDump) as exc:
+        Gazetteer.from_json_dict({"entries": [row, {**row, "key": "star", **change}]})
+    assert exc.value.record_index == 1
+
+
+def test_common_words_skip_blank_and_indented_comment_lines():
+    assert common_words("The\n  # a comment\n\n  Using \r\n#x\n") == \
+        frozenset({"the", "using"})
 
 
 def _fixture_dump(rng, kind, n_records=100):
