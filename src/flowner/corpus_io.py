@@ -5,7 +5,9 @@ without a .ann is an unannotated document.  Files are read and written
 byte-exact as UTF-8, with no newline translation, so offsets count the
 characters of a file as stored and a CRLF text reads back as written.
 Every artifact this package writes goes through a temp-file-plus-rename
-so a crashed run never leaves a half-written file behind.
+so a crashed run never leaves a half-written file behind.  A written file
+gets the mode that ``open(path, "w")`` gives a new file, 0o666 less the
+umask, whether it is new or replaces an older one.
 
 JSON artifacts (and the JSON that ``stats`` and ``convert`` print) have one
 text form, written by :func:`dumps_json`: a 2-space indent, non-ASCII
@@ -16,15 +18,32 @@ and an indent of 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from .model import Corpus, Document
 from .standoff import StandoffParseError, parse_standoff, serialize_standoff
+
+
+_temp_ids = itertools.count()  # process-wide: temp names differ across all callers
+_TEMP_ATTEMPTS = 100  # every attempt tries a new name; only stale temp files collide
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _create_temp(directory: str, name: str) -> tuple[int, str]:
+    """Create a new ``.{name}.*.tmp`` beside the target, with the mode
+    ``open(path, "w")`` gives: 0o666 less the umask."""
+    for _attempt in range(_TEMP_ATTEMPTS):
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_temp_ids)}.tmp")
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary name for {name!r} in {directory}")
 
 
 def atomic_write_text(path, content: str) -> None:
@@ -34,10 +53,10 @@ def atomic_write_text(path, content: str) -> None:
     directory, name = os.path.split(os.fspath(path))
     directory = directory or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+        fd, tmp = _create_temp(directory, name)
     except FileNotFoundError:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+        fd, tmp = _create_temp(directory, name)
     try:
         with open(fd, "wb") as fh:
             fh.write(data)
@@ -68,8 +87,13 @@ def dumps_json(data) -> str:
 
 
 def _render(value, newline: str) -> str:
-    # The stdlib's order of checks, so that str, int and float subclasses
-    # (enums among them) are written as their base type.
+    # Exact dicts and lists first: no earlier check could match them.
+    if type(value) is dict:
+        return _dict_text(value, newline)
+    if type(value) is list:
+        return _list_text(value, newline)
+    # Then the stdlib's order of checks, so that str, int and float
+    # subclasses (enums among them) are written as their base type.
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -82,21 +106,40 @@ def _render(value, newline: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
-    # Each item list is freed once joined, so a container's text is held at
-    # most twice: joined, and wrapped in its brackets.
-    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = ("," + inner).join([_render(item, inner) for item in value])
-        return f"[{inner}{body}{newline}]"
+        return _list_text(value, newline)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ("," + inner).join([f"{_key_text(key)}: {_render(item, inner)}"
-                                   for key, item in value.items()])
-        return f"{{{inner}{body}{newline}}}"
+        return _dict_text(value, newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# Each item list is freed once joined, so a container's text is held at most
+# twice: joined, and wrapped in its brackets.  Exact ``str`` keys and items
+# are escaped in the loops, without a call to _render per string.
+
+def _list_text(value, newline: str) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    try:
+        # The escaper takes any str, subclasses included, and raises
+        # TypeError for anything else: then render item by item.
+        body = ("," + inner).join(map(_encode_str, value))
+    except TypeError:
+        body = ("," + inner).join([_encode_str(item) if type(item) is str
+                                   else _render(item, inner) for item in value])
+    return f"[{inner}{body}{newline}]"
+
+
+def _dict_text(value, newline: str) -> str:
+    if not value:
+        return "{}"
+    inner = newline + "  "
+    body = ("," + inner).join([
+        f"{_encode_str(key) if type(key) is str else _key_text(key)}: "
+        f"{_encode_str(item) if type(item) is str else _render(item, inner)}"
+        for key, item in value.items()])
+    return f"{{{inner}{body}{newline}}}"
 
 
 def _float_text(value: float) -> str:

@@ -10,11 +10,18 @@ removed (counts recorded, policy configurable).  Adapters read dump files
 from disk; fetching live registries is out of scope here so runs stay
 reproducible and offline.
 
+A :class:`VocabEntry` is an immutable tuple ``(canonical, kind, sources)``
+with read-only named fields, so it is cheap to build; it also compares
+equal to the plain tuple of its fields.  A name seen once keeps the very
+entry that :func:`ingest` returned; only a merge builds a new one.
+
 An entry's ``sources`` is an immutable frozenset that entries share: every
 entry ingested from one dump holds the same set, a merge keeps one object
 per distinct union, and loading a gazetteer file builds one set per
 distinct ``sources`` list.  A 20k-name gazetteer so holds a handful of sets,
-not one per name.
+not one per name, and :meth:`Gazetteer.to_json_dict` writes one sorted list
+per set.  A gazetteer file that repeats a key is an error, not a silent
+overwrite.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 SOURCE_KINDS = ("biotools", "bioconda", "biocontainers", "bioweb", "custom")
@@ -45,15 +54,32 @@ class MalformedDump(ValueError):
         self.record_index = record_index
 
 
-@dataclass(frozen=True)
-class VocabEntry:
-    canonical: str
-    kind: str
-    sources: frozenset[str]
+class VocabEntry(tuple):
+    """One name: the tuple ``(canonical, kind, sources)`` with read-only
+    named fields.  A blank ``canonical`` is a ``ValueError``."""
 
-    def __post_init__(self) -> None:
-        if not self.canonical.strip():
+    __slots__ = ()
+    __match_args__ = ("canonical", "kind", "sources")
+
+    def __new__(cls, canonical: str, kind: str, sources: frozenset[str]) -> "VocabEntry":
+        if not canonical.strip():
             raise ValueError("vocab entry name is empty")
+        return tuple.__new__(cls, (canonical, kind, sources))
+
+    canonical = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    sources = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:  # so that copy and pickle call __new__ right
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"VocabEntry(canonical={self[0]!r}, kind={self[1]!r}, "
+                f"sources={self[2]!r})")
+
+
+# An entry whose name is already known to be stripped and non-blank.
+_checked_entry = partial(tuple.__new__, VocabEntry)
 
 
 def _line_names(payload: str) -> Iterable[tuple[int, str]]:
@@ -79,18 +105,16 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
         name = record.get("name")
         if not isinstance(name, str) or not name.strip():
             raise MalformedDump("record has no usable 'name' field", idx)
-        name = name.strip()
-        entries.append(VocabEntry(name, TOOL_NAME, sources))
+        entries.append(_checked_entry((name.strip(), TOOL_NAME, sources)))
         for binary in record.get("binaries", []):
             if not isinstance(binary, str) or not binary.strip():
                 raise MalformedDump("empty name in 'binaries'", idx)
-            binary = binary.strip()
-            entries.append(VocabEntry(binary, BINARY_NAME, sources))
+            entries.append(_checked_entry((binary.strip(), BINARY_NAME, sources)))
     return entries
 
 
 def _ingest_lines(payload: str, sources: frozenset[str], kind: str) -> list[VocabEntry]:
-    return [VocabEntry(name, kind, sources) for _idx, name in _line_names(payload)]
+    return [_checked_entry((name, kind, sources)) for _idx, name in _line_names(payload)]
 
 
 def _ingest_images(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
@@ -99,7 +123,7 @@ def _ingest_images(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
         name = image.rsplit("/", 1)[-1].split(":", 1)[0].split("@", 1)[0].strip()
         if not name:
             raise MalformedDump(f"cannot extract a name from image {image!r}", idx)
-        entries.append(VocabEntry(name, BINARY_NAME, sources))
+        entries.append(_checked_entry((name, BINARY_NAME, sources)))
     return entries
 
 
@@ -159,41 +183,49 @@ class Gazetteer:
         return len(self.entries)
 
     def to_json_dict(self) -> dict:
-        return {
-            "normalization": dict(self.normalization),
-            "entries": [
-                {"key": key, "canonical": e.canonical, "kind": e.kind,
-                 "sources": sorted(e.sources)}
-                for key, e in self.entries.items()
-            ],
-        }
+        """The file form.  Entries with equal ``sources`` share one sorted
+        list, so the result is for writing, not for editing in place."""
+        listed: dict[frozenset[str], list[str]] = {}
+        rows = []
+        for key, (canonical, kind, sources) in self.entries.items():
+            sorted_sources = listed.get(sources)
+            if sorted_sources is None:
+                sorted_sources = listed[sources] = sorted(sources)
+            rows.append({"key": key, "canonical": canonical, "kind": kind,
+                         "sources": sorted_sources})
+        return {"normalization": dict(self.normalization), "entries": rows}
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path=None) -> "Gazetteer":
         """Read :meth:`to_json_dict` output; a :class:`MalformedDump` names
-        ``path`` and the index of the entry at fault.  Entries with equal
-        ``sources`` lists share one frozenset."""
+        ``path`` and the index of the entry at fault (a repeated key
+        among them).  Entries with equal ``sources`` lists share one
+        frozenset."""
         if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
             raise MalformedDump("expected a JSON object with an 'entries' list", path=path)
-        entries = {}
+        normalization = data.get("normalization", {})
+        if not isinstance(normalization, Mapping):
+            raise MalformedDump("'normalization' must be a JSON object", path=path)
+        entries: dict[str, VocabEntry] = {}
         shared: dict[tuple, frozenset[str]] = {}
         for idx, row in enumerate(data["entries"]):
             try:
                 key, canonical, kind, sources = (row["key"], row["canonical"], row["kind"],
                                                  row["sources"])
                 if not (len(row) == 4 and type(key) is type(canonical) is type(kind) is str
-                        and type(sources) is list):
+                        and type(sources) is list and canonical.strip()):
                     raise TypeError
                 listed = tuple(sources)
                 source_set = shared.get(listed)  # TypeError if a source is unhashable
                 if source_set is None:
                     "".join(listed)  # TypeError unless every source is a string
                     source_set = shared[listed] = frozenset(listed)
-                entries[key] = VocabEntry(canonical, kind, source_set)
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError):
                 raise MalformedDump(_ENTRY_SHAPE, idx, path) from None
-        return cls(entries=dict(sorted(entries.items())),
-                   normalization=data.get("normalization", {}))
+            if key in entries:
+                raise MalformedDump(f"duplicate key {key!r}", idx, path)
+            entries[key] = _checked_entry((canonical, kind, source_set))
+        return cls(entries=dict(sorted(entries.items())), normalization=normalization)
 
 
 def build_gazetteer(entries: Sequence[VocabEntry],
@@ -211,11 +243,14 @@ def build_gazetteer(entries: Sequence[VocabEntry],
     merged: dict[str, VocabEntry] = {}
     interned: dict[frozenset[str], frozenset[str]] = {}
     for entry in entries:
-        name = entry.canonical.strip()
+        canonical = entry.canonical
+        name = canonical.strip()
         key = name.casefold()
         prior = merged.get(key)
         if prior is None:
-            merged[key] = VocabEntry(name, entry.kind, entry.sources)
+            # ingest strips names, so a name seen once keeps its own entry
+            merged[key] = entry if name == canonical else VocabEntry(name, entry.kind,
+                                                                      entry.sources)
         else:
             kind = TOOL_NAME if TOOL_NAME in (prior.kind, entry.kind) else BINARY_NAME
             union = prior.sources | entry.sources

@@ -14,8 +14,11 @@ package's own compatibility, overlap and augmentation, so that it pins
 the exact pairs and tie-breaks, not only their count.  The standoff
 parser and the canonical entity order are kept as they were before the
 single-regex entity line and the precomputed sort keys.  JSON text is
-the stdlib's indented encoder that ``corpus_io.dumps_json`` replaced.  Keep
-it slow and obvious.
+the stdlib's indented encoder that ``corpus_io.dumps_json`` replaced.  The
+gazetteer build is ``gazetteer.build_gazetteer`` and ``to_json_dict`` as
+they were while entries were frozen dataclasses, rebuilt for every kept
+name and each given its own sorted ``sources`` list.  Keep it slow and
+obvious.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from flowner.evaluation import _augment, char_overlap, entities_compatible
+from flowner.gazetteer import BINARY_NAME, TOOL_NAME, BuildOptions, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
 from flowner.standoff import DuplicateId, MalformedLine, OffsetOutOfRange, SurfaceMismatch
 
 if TYPE_CHECKING:
-    from flowner.gazetteer import Gazetteer
+    from flowner.gazetteer import Gazetteer, VocabEntry
     from flowner.schema import MappingRule, MappingTable
     from flowner.tagger import RuleSet
 
@@ -345,3 +350,66 @@ def oracle_canonical_order(entities) -> tuple[Entity, ...]:
 
 def oracle_dumps_json(data) -> str:
     return json.dumps(data, ensure_ascii=False, indent=2)
+
+
+@dataclass(frozen=True)
+class OracleVocabEntry:
+    canonical: str
+    kind: str
+    sources: frozenset[str]
+
+    def __post_init__(self) -> None:
+        if not self.canonical.strip():
+            raise ValueError("vocab entry name is empty")
+
+
+_ORACLE_NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
+
+
+def oracle_build_gazetteer(entries: list[VocabEntry], options: Optional[BuildOptions] = None,
+                           ) -> tuple[dict[str, OracleVocabEntry], dict]:
+    """The kept ``{key: entry}`` table and the normalization record."""
+    opts = options or BuildOptions()
+    common = opts.common_words if opts.common_words is not None else (
+        shipped_common_words() if opts.drop_common_words else frozenset())
+    merged: dict[str, OracleVocabEntry] = {}
+    for entry in entries:
+        name = entry.canonical.strip()
+        key = name.casefold()
+        prior = merged.get(key)
+        if prior is None:
+            merged[key] = OracleVocabEntry(name, entry.kind, entry.sources)
+        else:
+            kind = TOOL_NAME if TOOL_NAME in (prior.kind, entry.kind) else BINARY_NAME
+            merged[key] = OracleVocabEntry(prior.canonical, kind,
+                                           prior.sources | entry.sources)
+    kept: dict[str, OracleVocabEntry] = {}
+    filtered = {"too_short": 0, "numeric": 0, "common_word": 0}
+    for key in sorted(merged):
+        if len(key) < opts.min_length:
+            filtered["too_short"] += 1
+        elif opts.drop_numeric and _ORACLE_NUMERIC_RE.match(key):
+            filtered["numeric"] += 1
+        elif opts.drop_common_words and key in common:
+            filtered["common_word"] += 1
+        else:
+            kept[key] = merged[key]
+    normalization = {
+        "min_length": opts.min_length,
+        "drop_numeric": opts.drop_numeric,
+        "drop_common_words": opts.drop_common_words,
+        "filtered": filtered,
+        "kept": len(kept),
+    }
+    return kept, normalization
+
+
+def oracle_gazetteer_json(kept: dict[str, OracleVocabEntry], normalization: dict) -> dict:
+    return {
+        "normalization": dict(normalization),
+        "entries": [
+            {"key": key, "canonical": e.canonical, "kind": e.kind,
+             "sources": sorted(e.sources)}
+            for key, e in kept.items()
+        ],
+    }

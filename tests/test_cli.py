@@ -399,6 +399,12 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
     ("--gazetteer", "[]", "expected a JSON object with an 'entries' list"),
     ("--gazetteer", '{"entries": [{"canonical": "BWA", "kind": "tool_name", '
                     '"sources": []}]}', "record 0: entry must be an object"),
+    ("--gazetteer", '{"entries": [{"key": "bwa", "canonical": "BWA", "kind": "tool_name", '
+                    '"sources": ["biotools"]}, {"key": "bwa", "canonical": "Samtools", '
+                    '"kind": "tool_name", "sources": ["biotools"]}]}',
+     "record 1: duplicate key 'bwa'"),
+    ("--gazetteer", '{"normalization": 5, "entries": []}',
+     "'normalization' must be a JSON object"),
     ("--table", '[{"source": ', "invalid JSON"),
     ("--table", '{"source": "software"}', "expected a JSON array of rows"),
     ("--table", '[{"target": "Tool"}]', "row 0: 'source' must be a string"),

@@ -1,11 +1,13 @@
 import enum
 import math
 import os
+import stat
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowner import corpus_io
 from flowner.corpus_io import (atomic_write_json, atomic_write_text, document_paths,
                                dumps_json, load_corpus_dir, write_corpus_dir)
 from flowner.gazetteer import build_gazetteer, ingest
@@ -63,6 +65,35 @@ def test_atomic_write_leaves_no_temp_file_when_it_fails(tmp_path):
         atomic_write_text(tmp_path / "taken", "x")
     assert sorted(os.listdir(tmp_path)) == ["taken"]
     assert os.listdir(tmp_path / "taken") == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=oct)
+def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    (tmp_path / "old.txt").write_text("x", encoding="utf-8")
+    os.chmod(tmp_path / "old.txt", 0o640)
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "new" / "a.txt", "x")
+        atomic_write_text(tmp_path / "old.txt", "y")
+        atomic_write_json(tmp_path / "b.json", {"a": 1})
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+    for path in ("new/a.txt", "old.txt", "b.json", "plain.txt"):
+        assert stat.S_IMODE((tmp_path / path).stat().st_mode) == mode, path
+    assert sorted(os.listdir(tmp_path)) == ["b.json", "new", "old.txt", "plain.txt"]
+
+
+def test_a_stale_temp_file_is_passed_over(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_io, "_temp_ids", iter([7, 8]))
+    stale = tmp_path / f".out.txt.{os.getpid()}.7.tmp"
+    stale.write_text("stale", encoding="utf-8")
+    atomic_write_text(tmp_path / "out.txt", "x")
+    assert (tmp_path / "out.txt").read_text("utf-8") == "x"
+    assert stale.read_text("utf-8") == "stale"
+    assert sorted(os.listdir(tmp_path)) == [stale.name, "out.txt"]
 
 
 class _Count(enum.IntEnum):

@@ -1,12 +1,17 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowner.gazetteer import (BINARY_NAME, TOOL_NAME, BuildOptions, Gazetteer,
-                               MalformedDump, VocabEntry, build_gazetteer,
+from flowner.corpus_io import dumps_json
+from flowner.gazetteer import (BINARY_NAME, SOURCE_KINDS, TOOL_NAME, BuildOptions,
+                               Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
                                common_words, export_vocab, ingest,
                                shipped_common_words, vocab_lines)
+from oracles import oracle_build_gazetteer, oracle_dumps_json, oracle_gazetteer_json
 
 
 def test_ingest_biotools_json():
@@ -220,3 +225,117 @@ def test_fixture_dumps_with_count_oracle():
     # no name here hits a filter, so the union is pure case-folded dedup
     assert len(gaz) == len(oracle_keys)
     assert sum(gaz.normalization["filtered"].values()) == 0
+
+
+def test_vocab_entry_is_an_immutable_value_with_named_fields():
+    sources = frozenset({"biotools"})
+    entry = VocabEntry("BWA", TOOL_NAME, sources)
+    assert (entry.canonical, entry.kind, entry.sources) == ("BWA", TOOL_NAME, sources)
+    assert VocabEntry(sources=sources, kind=TOOL_NAME, canonical="BWA") == entry
+    assert hash(VocabEntry("BWA", TOOL_NAME, frozenset({"biotools"}))) == hash(entry)
+    assert entry != VocabEntry("BWA", BINARY_NAME, sources)
+    # documented: an entry equals the plain tuple of its fields
+    assert entry == ("BWA", TOOL_NAME, sources)
+    assert repr(entry) == ("VocabEntry(canonical='BWA', kind='tool_name', "
+                           "sources=frozenset({'biotools'}))")
+    with pytest.raises(AttributeError):
+        entry.canonical = "SAMtools"
+    with pytest.raises(AttributeError):
+        entry.extra = 1
+    for blank in ("", "  ", "\t\n"):
+        with pytest.raises(ValueError, match="vocab entry name is empty"):
+            VocabEntry(blank, TOOL_NAME, sources)
+
+
+def test_vocab_entry_copies_and_pickles_as_itself():
+    entry = VocabEntry("BWA", TOOL_NAME, frozenset({"biotools"}))
+    for clone in (copy.copy(entry), copy.deepcopy(entry),
+                  pickle.loads(pickle.dumps(entry))):
+        assert type(clone) is VocabEntry and clone == entry
+    match entry:
+        case VocabEntry(canonical, kind, _sources):
+            assert (canonical, kind) == ("BWA", TOOL_NAME)
+
+
+def test_a_name_seen_once_keeps_its_ingested_entry():
+    custom = ingest("custom", "BWA\nSAMtools\n")
+    bioconda = ingest("bioconda", "bwa\n")
+    gaz = build_gazetteer(custom + bioconda)
+    assert gaz.entries["samtools"] is custom[1]
+    assert gaz.entries["bwa"] == VocabEntry("BWA", TOOL_NAME,
+                                            frozenset({"custom", "bioconda"}))
+    spaced = VocabEntry(" STAR ", BINARY_NAME, frozenset({"custom"}))
+    assert build_gazetteer([spaced]).entries["star"] == ("STAR", BINARY_NAME,
+                                                          spaced.sources)
+
+
+def test_to_json_dict_shares_one_sorted_list_per_source_set():
+    gaz = build_gazetteer(ingest("custom", "BWA\nSAMtools\nSTAR\nMACS\n") +
+                          ingest("bioconda", "bwa\nstar\n"))
+    rows = {row["key"]: row["sources"] for row in gaz.to_json_dict()["entries"]}
+    assert rows["bwa"] == ["bioconda", "custom"] and rows["bwa"] is rows["star"]
+    assert rows["samtools"] == ["custom"] and rows["samtools"] is rows["macs"]
+
+
+_ROW = {"key": "bwa", "canonical": "BWA", "kind": TOOL_NAME, "sources": ["biotools"]}
+
+
+def test_a_repeated_key_in_a_gazetteer_file_is_an_error():
+    data = {"entries": [_ROW, {**_ROW, "key": "star", "canonical": "STAR"},
+                        {**_ROW, "canonical": "Samtools"}]}
+    with pytest.raises(MalformedDump) as exc:
+        Gazetteer.from_json_dict(data, "gaz.json")
+    assert str(exc.value) == "gaz.json: record 2: duplicate key 'bwa'"
+    assert exc.value.record_index == 2
+
+
+@pytest.mark.parametrize("normalization", [5, None, [], "x"])
+def test_normalization_must_be_an_object(normalization):
+    with pytest.raises(MalformedDump) as exc:
+        Gazetteer.from_json_dict({"normalization": normalization, "entries": [_ROW]},
+                                 "gaz.json")
+    assert str(exc.value) == "gaz.json: 'normalization' must be a JSON object"
+    assert Gazetteer.from_json_dict({"entries": [_ROW]}).normalization == {}
+
+
+# Names that collide under case folding, carry surrounding space, fall to a
+# filter or are not ASCII.  No name holds "/", ":" or "@" (image listings
+# split on them), starts with "#" or holds a line break.
+_NAMES = st.sampled_from(["BWA", "bwa", "Bwa", " bwa ", "SAMtools", "samtools\t",
+                          "STAR", "star", "R", "42", "2.5", "using", "the", "C++",
+                          "Burrows Wheeler", "Straße", "STRASSE", "ß", "İzmir",
+                          "ǅemal", "Ωmega", "ωMEGA", "tool-1", "x"])
+_DUMPS = st.lists(st.tuples(st.sampled_from(SOURCE_KINDS), st.lists(_NAMES, max_size=8),
+                            st.lists(_NAMES, max_size=3)), max_size=5)
+
+
+def _dump_payload(kind, names, binaries):
+    if kind == "biotools":
+        records = [{"name": name} for name in names]
+        if records:
+            records[0]["binaries"] = binaries
+        return json.dumps(records)
+    if kind == "biocontainers":
+        return "".join(f"quay.io/biocontainers/{name.strip()}:1.0\n" for name in names)
+    return "".join(name + "\r\n" for name in names)
+
+
+@settings(max_examples=200)
+@given(_DUMPS, st.lists(st.tuples(_NAMES, st.sampled_from([TOOL_NAME, BINARY_NAME]),
+                                  st.sampled_from(SOURCE_KINDS)), max_size=4),
+       st.integers(1, 3), st.booleans(), st.booleans())
+def test_build_equals_the_oracle(dumps, loose, min_length, drop_numeric, drop_common):
+    entries = [entry for kind, names, binaries in dumps
+               for entry in ingest(kind, _dump_payload(kind, names, binaries))]
+    # entries made by hand keep their surrounding space until the build
+    entries += [VocabEntry(name, kind, frozenset({source})) for name, kind, source in loose]
+    options = BuildOptions(min_length=min_length, drop_numeric=drop_numeric,
+                           drop_common_words=drop_common)
+    gaz = build_gazetteer(entries, options)
+    kept, normalization = oracle_build_gazetteer(entries, options)
+    assert [(key, *entry) for key, entry in gaz.entries.items()] == \
+        [(key, e.canonical, e.kind, e.sources) for key, e in kept.items()]
+    assert gaz.normalization == normalization
+    text = dumps_json(gaz.to_json_dict())
+    assert text == oracle_dumps_json(oracle_gazetteer_json(kept, normalization))
+    assert Gazetteer.from_json_dict(json.loads(text)) == gaz
