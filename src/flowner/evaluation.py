@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .model import Corpus, Entity
+from .model import Corpus, Entity, _extents_increase
 
 
 class MatchMode(str, Enum):
@@ -140,13 +140,21 @@ def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: Match
             active[side].append((end, i))
 
 
+def _key_order(entities: Iterable[Entity]) -> Sequence[Entity]:
+    """The entities sorted by :meth:`Entity.sort_key`, duplicates kept; when
+    their extents strictly increase they already are, and no key is built."""
+    entities = tuple(entities)
+    return entities if _extents_increase(entities) else sorted(entities, key=Entity.sort_key)
+
+
 def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMode,
                    qualifier_sensitive: bool = False,
                    ) -> list[tuple[Entity, Entity]]:
     """Maximum-cardinality one-to-one matching for one document.
 
     Returns (gold, pred) pairs.  The result is a pure function of the
-    entity sets: inputs are canonically sorted first, candidate edges are
+    entity sets: inputs are canonically sorted first (no key is built for
+    entities whose extents strictly increase), candidate edges are
     greedily seeded in preference order (overlap desc, gold start, pred
     start) and then augmented to maximum cardinality.
 
@@ -156,8 +164,7 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     compatible pair is a candidate, so the edge set, its total order and
     hence the pairs and tie-breaks are those of testing all gold×pred pairs.
     """
-    gold_list = sorted(gold, key=Entity.sort_key)
-    pred_list = sorted(pred, key=Entity.sort_key)
+    gold_list, pred_list = _key_order(gold), _key_order(pred)
 
     edges: list[tuple[int, int, int, int, int]] = []
     for gi, pi in _candidate_pairs(gold_list, pred_list, mode, qualifier_sensitive):

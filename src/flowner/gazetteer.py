@@ -106,7 +106,10 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
         if not isinstance(name, str) or not name.strip():
             raise MalformedDump("record has no usable 'name' field", idx)
         entries.append(_checked_entry((name.strip(), TOOL_NAME, sources)))
-        for binary in record.get("binaries", []):
+        binaries = record.get("binaries", [])
+        if not isinstance(binaries, list):
+            raise MalformedDump("'binaries' must be a list of names", idx)
+        for binary in binaries:
             if not isinstance(binary, str) or not binary.strip():
                 raise MalformedDump("empty name in 'binaries'", idx)
             entries.append(_checked_entry((binary.strip(), BINARY_NAME, sources)))
@@ -131,7 +134,7 @@ def ingest(source_kind: str, payload: str, path=None) -> list[VocabEntry]:
     """Extract vocab entries from one dump; a :class:`MalformedDump` names
     ``path`` and the record.
 
-    biotools: JSON records, ``name`` (tool) plus optional ``binaries``;
+    biotools: JSON records, ``name`` (tool) plus an optional ``binaries`` list;
     bioconda: package index, one binary name per line;
     biocontainers: image listing, last path component minus tag;
     bioweb / custom: one tool name per line.

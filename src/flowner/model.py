@@ -10,14 +10,30 @@ that need the document text (offsets in range, surface/text agreement, id
 uniqueness) are checked by :func:`validate_corpus`, which reports them as
 data rather than raising, so a corpus with broken annotations can still be
 loaded and inspected.
+
+:class:`Span`, :class:`EntityLabel` and :class:`Entity` are tuples with
+read-only named fields, so building, hashing, comparing and ordering them
+runs in C; a corpus holds one of each per annotation.  They hash as the
+frozen dataclasses they replace did (the hash of the tuple of their
+fields), so set and dict orders are unchanged.  Two behaviours differ
+from those dataclasses: a record compares equal to the plain tuple of its
+fields (``Span(0, 3) == (0, 3)``), and entities and labels order as
+tuples where the dataclasses could not be ordered at all.  ``len(span)``
+is its length in characters, ``end - start``.
+
+A :class:`Document` keeps its entities in canonical order
+(:meth:`Entity.sort_key`); entities whose extents already strictly
+increase, as :mod:`flowner.standoff` writes them, are kept without
+computing a key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import Optional, Sequence
 
 
 class Provenance(str, Enum):
@@ -28,44 +44,66 @@ class Provenance(str, Enum):
     CONVERTED = "converted"
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open character interval ``[start, end)`` into a document text."""
+class Span(tuple):
+    """Half-open character interval ``[start, end)`` into a document text:
+    the tuple ``(start, end)`` with read-only named fields."""
 
-    start: int
-    end: int
+    __slots__ = ()
+    __match_args__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"span start must be >= 0, got {self.start}")
-        if self.start >= self.end:
-            raise ValueError(f"span must be non-empty: [{self.start}, {self.end})")
+    def __new__(cls, start: int, end: int) -> "Span":
+        if start < 0:
+            raise ValueError(f"span start must be >= 0, got {start}")
+        if start >= end:
+            raise ValueError(f"span must be non-empty: [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
 
     def __len__(self) -> int:
-        return self.end - self.start
+        return self[1] - self[0]
+
+    def __getnewargs__(self) -> tuple:  # so that copy and pickle call __new__ right
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"Span(start={self[0]!r}, end={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class EntityLabel:
-    """Schema label: a base name plus an optional qualifier.
+class EntityLabel(tuple):
+    """Schema label: the tuple ``(base, qualifier)`` with read-only named
+    fields; the qualifier is optional.
 
     The base is not restricted here; source corpora in foreign schemas
     (e.g. ``software``) pass through the same model before conversion.
     Registration checks live in :mod:`flowner.schema`.
     """
 
-    base: str
-    qualifier: Optional[str] = None
+    __slots__ = ()
+    __match_args__ = ("base", "qualifier")
+
+    def __new__(cls, base: str, qualifier: Optional[str] = None) -> "EntityLabel":
+        return tuple.__new__(cls, (base, qualifier))
+
+    base = property(itemgetter(0))
+    qualifier = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"EntityLabel(base={self[0]!r}, qualifier={self[1]!r})"
 
     def __str__(self) -> str:
-        if self.qualifier:
-            return f"{self.base}({self.qualifier})"
-        return self.base
+        if self[1]:
+            return f"{self[0]}({self[1]})"
+        return self[0]
 
 
-@dataclass(frozen=True)
-class Entity:
-    """One annotation: an id, a label and one or more text fragments.
+class Entity(tuple):
+    """One annotation: the tuple ``(id, label, fragments, surface)`` with
+    read-only named fields.
 
     ``fragments`` must be sorted by start and pairwise non-overlapping;
     ``surface`` must equal the document-text slices of the fragments
@@ -74,32 +112,43 @@ class Entity:
     Entities from *distinct* annotations may nest or overlap freely.
     """
 
-    id: str
-    label: EntityLabel
-    fragments: tuple[Span, ...]
-    surface: str
+    __slots__ = ()
+    __match_args__ = ("id", "label", "fragments", "surface")
 
-    def __post_init__(self) -> None:
-        frags = self.fragments
-        if type(frags) is not tuple:
-            frags = tuple(frags)
-            object.__setattr__(self, "fragments", frags)
-        if not frags:
-            raise ValueError(f"entity {self.id} has no fragments")
-        if len(frags) > 1:
-            for prev, cur in zip(frags, frags[1:]):
+    def __new__(cls, id: str, label: EntityLabel, fragments: tuple[Span, ...],
+                surface: str) -> "Entity":
+        if type(fragments) is not tuple:
+            fragments = tuple(fragments)
+        if not fragments:
+            raise ValueError(f"entity {id} has no fragments")
+        if len(fragments) > 1:
+            for prev, cur in zip(fragments, fragments[1:]):
                 if cur.start < prev.start:
-                    raise ValueError(f"entity {self.id}: fragments not sorted by start")
+                    raise ValueError(f"entity {id}: fragments not sorted by start")
                 if cur.start < prev.end:
-                    raise ValueError(f"entity {self.id}: fragments overlap")
+                    raise ValueError(f"entity {id}: fragments overlap")
+        return tuple.__new__(cls, (id, label, fragments, surface))
 
+    id = property(itemgetter(0))
+    label = property(itemgetter(1))
+    fragments = property(itemgetter(2))
+    surface = property(itemgetter(3))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1], self[2], self[3])
+
+    def __repr__(self) -> str:
+        return (f"Entity(id={self[0]!r}, label={self[1]!r}, fragments={self[2]!r}, "
+                f"surface={self[3]!r})")
+
+    # Indexed rather than by field name: these run once per entity and pair.
     @property
     def start(self) -> int:
-        return self.fragments[0].start
+        return self[2][0][0]
 
     @property
     def end(self) -> int:
-        return self.fragments[-1].end
+        return self[2][-1][1]
 
     def extent(self) -> Span:
         """Smallest single span covering every fragment."""
@@ -110,9 +159,16 @@ class Entity:
         return " ".join(text[f.start:f.end] for f in self.fragments)
 
     def sort_key(self) -> tuple:
-        label, fragments = self.label, self.fragments
-        return (fragments[0].start, fragments[-1].end, label.base, label.qualifier or "",
-                _id_key(self.id), self.surface)
+        label, fragments = self[1], self[2]
+        return (fragments[0][0], fragments[-1][1], label[0], label[1] or "",
+                _id_key(self[0]), self[3])
+
+
+# Records whose fields are already known to be valid, built without checks:
+# each takes the tuple of its fields.
+_checked_span = partial(tuple.__new__, Span)
+_checked_label = partial(tuple.__new__, EntityLabel)
+_checked_entity = partial(tuple.__new__, Entity)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -126,14 +182,36 @@ def _id_key(entity_id: str) -> tuple[int, str]:
     return (1 << 60, entity_id)
 
 
+def _extents_increase(entities: Sequence[Entity]) -> bool:
+    """Whether the entities' ``(start, end)`` extents strictly increase.
+
+    Sort keys begin with the extent, so such entities are already in
+    canonical order and pairwise distinct.  :func:`serialize_standoff
+    <flowner.standoff.serialize_standoff>` writes entities in this order
+    whenever no two of them share an extent.
+    """
+    prev = (-1, -1)
+    for e in entities:
+        fragments = e[2]
+        extent = (fragments[0][0], fragments[-1][1])
+        if extent <= prev:
+            return False
+        prev = extent
+    return True
+
+
 def _canonical_order(entities) -> tuple[Entity, ...]:
     """Entities sorted by :meth:`Entity.sort_key`, each distinct entity once.
 
-    Each key is computed once.  Equal entities have equal keys, so
-    duplicates are found among neighbours with the same key, by equality,
-    without hashing; entities with equal keys keep their input order.
+    Entities whose extents strictly increase are returned as they are,
+    without a key.  Otherwise each key is computed once.  Equal entities
+    have equal keys, so duplicates are found among neighbours with the
+    same key, by equality, without hashing; entities with equal keys keep
+    their input order.
     """
     entities = tuple(entities)
+    if _extents_increase(entities):
+        return entities
     keys = [e.sort_key() for e in entities]
     unique: list[Entity] = []
     same_key: list[Entity] = []

@@ -13,6 +13,13 @@ canonical binary form (``A1<TAB>General T3``) on serialization.  That
 exception is what makes ``parse(serialize(doc)) == doc`` hold for
 documents built in code, which have qualifiers but no annotation file
 behind them.
+
+The parser builds each entity once, in its line loop, without repeating
+the checks of the model's constructors that the loop has already made;
+an entity that an attribute line qualifies is built a second time.  The
+serializer writes entities in canonical order, so a written file parses
+without computing sort keys whenever no two of its entities share an
+extent.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from __future__ import annotations
 import re
 from typing import Mapping, Optional
 
-from .model import Document, Entity, EntityLabel, Provenance, Span
+from .model import (Document, Entity, EntityLabel, Provenance, Span, _checked_entity,
+                    _checked_label, _checked_span)
 
 
 class StandoffParseError(ValueError):
@@ -80,9 +88,9 @@ def _parse_fragments(span_text: str, doc_id: str, line_no: int) -> tuple[Span, .
         start, end = int(parts[0]), int(parts[1])
         if start >= end:
             raise MalformedLine(f"empty or reversed span {start} {end}", doc_id, line_no)
-        fragments.append(Span(start, end))
+        fragments.append(_checked_span((start, end)))
     for prev, cur in zip(fragments, fragments[1:]):
-        if cur.start < prev.end:
+        if cur[0] < prev[1]:
             raise MalformedLine("fragments out of order or overlapping", doc_id, line_no)
     return tuple(fragments)
 
@@ -98,25 +106,34 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
     it set the entity's qualifier, first line in file order winning.
     Every malformed entity line raises a typed error carrying the line
     number — there is no partial silent result.
+
+    Each entity is built once, in the line loop, after the loop has checked
+    its offsets and fragment order; only an entity that an attribute line
+    qualifies is built again.  Entities share one label per label value.
     """
     if qualifiers is None:
         from .schema import BIOTOFLOW
         qualifiers = BIOTOFLOW.qualifiers
 
     text_len = len(doc_text)
-    protos: dict[str, tuple[str, tuple[Span, ...], str]] = {}
+    entities: dict[str, Entity] = {}
+    labels: dict[str, EntityLabel] = {}
     other_lines: list[str] = []
 
     for line_no, line in enumerate(_split_lines(ann_content), start=1):
         m = _SIMPLE_ENTITY_LINE(line)
         if m is not None:
             ent_id, base, start, end, recorded_surface = m.groups()
-            if ent_id in protos:
+            if ent_id in entities:
                 raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
             start, end = int(start), int(end)
             if start >= end:
                 raise MalformedLine(f"empty or reversed span {start} {end}", doc_id, line_no)
-            fragments = (Span(start, end),)
+            if end > text_len:
+                raise OffsetOutOfRange(
+                    f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
+            fragments = (_checked_span((start, end)),)
+            canonical = doc_text[start:end]
         else:
             head = line.split("\t", 1)[0]
             if not _ENTITY_ID_RE.match(head):
@@ -127,7 +144,7 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
                 raise MalformedLine("entity line needs id, label/spans and surface",
                                     doc_id, line_no)
             ent_id, type_spans, recorded_surface = parts
-            if ent_id in protos:
+            if ent_id in entities:
                 raise DuplicateId(f"entity id {ent_id} already used", doc_id, line_no)
             label_and_spans = type_spans.split(None, 1)
             if len(label_and_spans) != 2:
@@ -135,44 +152,41 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
                                     doc_id, line_no)
             base, span_text = label_and_spans
             fragments = _parse_fragments(span_text, doc_id, line_no)
-        end = fragments[-1].end
-        if end > text_len:
-            raise OffsetOutOfRange(
-                f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
-        canonical = (doc_text[fragments[0].start:end] if len(fragments) == 1
-                     else " ".join(doc_text[f.start:f.end] for f in fragments))
+            end = fragments[-1][1]
+            if end > text_len:
+                raise OffsetOutOfRange(
+                    f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
+            canonical = " ".join(doc_text[f[0]:f[1]] for f in fragments)
         if recorded_surface != canonical and \
                 _norm_space(recorded_surface) != _norm_space(canonical):
             raise SurfaceMismatch(
                 f"recorded surface {recorded_surface!r} != text slice {canonical!r}",
                 doc_id, line_no)
-        protos[ent_id] = (base, fragments, canonical)
+        label = labels.get(base)
+        if label is None:
+            label = labels[base] = _checked_label((base, None))
+        entities[ent_id] = _checked_entity((ent_id, label, fragments, canonical))
 
     # Attribute pass: consume qualifier-bearing lines, keep the rest verbatim.
-    attached: dict[str, str] = {}
+    qualified: dict[tuple[str, str], EntityLabel] = {}
     sidecar: list[str] = []
     for line in other_lines:
         m = _ATTR_LINE_RE.match(line)
         if m:
             _attr_id, name, target, value = m.groups()
             qualifier = value if value is not None else name
-            if target in protos:
-                base = protos[target][0]
-                if qualifier in qualifiers.get(base, frozenset()) and target not in attached:
-                    attached[target] = qualifier
-                    continue
+            ent = entities.get(target)
+            if ent is not None and ent[1][1] is None and \
+                    qualifier in qualifiers.get(ent[1][0], frozenset()):
+                key = (ent[1][0], qualifier)
+                label = qualified.get(key)
+                if label is None:
+                    label = qualified[key] = _checked_label(key)
+                entities[target] = _checked_entity((ent[0], label, ent[2], ent[3]))
+                continue
         sidecar.append(line)
 
-    # Labels are immutable and most entities share a few: build each once.
-    labels: dict[tuple[str, Optional[str]], EntityLabel] = {}
-    entities = []
-    for ent_id, (base, fragments, surface) in protos.items():
-        key = (base, attached.get(ent_id))
-        label = labels.get(key)
-        if label is None:
-            label = labels[key] = EntityLabel(*key)
-        entities.append(Entity(ent_id, label, fragments, surface))
-    return Document(doc_id, doc_text, tuple(entities), provenance, tuple(sidecar))
+    return Document(doc_id, doc_text, tuple(entities.values()), provenance, tuple(sidecar))
 
 
 def serialize_standoff(doc: Document) -> tuple[str, str]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .model import Corpus, Document
 
 TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
+_find_tokens = TOKEN_RE.findall
+_alnum_run = re.compile(r"[^\W_]+").fullmatch
 
 
 def tokenize(text: str) -> list[tuple[int, int]]:
@@ -76,24 +78,29 @@ def count_nested(doc: Document) -> int:
 
 
 def document_stats(doc: Document) -> StatsReport:
-    report = StatsReport(documents=1)
-    for ent in doc.entities:
-        report.labels[ent.label.base] += 1
-    report.entities = len(doc.entities)
-    report.nested_entities = count_nested(doc)
+    """Counts for one document.
 
-    token_spans = tokenize(doc.text)
-    report.tokens = len(token_spans)
+    A token is annotated if it overlaps a fragment.  The tokens found in
+    each merged fragment interval are counted without listing every token
+    of the text: tokenizing just the interval yields each token that
+    overlaps it once, clipped to it.  Only an alphanumeric run crossing the
+    gap between two intervals is found in both, so one is taken off for
+    each such gap.
+    """
+    text = doc.text
+    report = StatsReport(documents=1, entities=len(doc.entities),
+                         nested_entities=count_nested(doc),
+                         tokens=len(_find_tokens(text)))
+    report.labels.update(e.label.base for e in doc.entities)
     covered = _merge_intervals([(f.start, f.end)
                                 for e in doc.entities for f in e.fragments])
-    # Two sorted sweeps: a token is annotated if it overlaps any covered interval.
-    k = 0
     annotated = 0
-    for t_start, t_end in token_spans:
-        while k < len(covered) and covered[k][1] <= t_start:
-            k += 1
-        if k < len(covered) and covered[k][0] < t_end:
-            annotated += 1
+    for start, end in covered:
+        annotated += len(_find_tokens(text, start, end))
+    n = len(text)
+    for (_s, gap_start), (gap_end, _e) in zip(covered, covered[1:]):
+        if gap_end < n and _alnum_run(text, gap_start - 1, gap_end + 1):
+            annotated -= 1
     report.annotated_tokens = annotated
     return report
 

@@ -17,8 +17,11 @@ single-regex entity line and the precomputed sort keys.  JSON text is
 the stdlib's indented encoder that ``corpus_io.dumps_json`` replaced.  The
 gazetteer build is ``gazetteer.build_gazetteer`` and ``to_json_dict`` as
 they were while entries were frozen dataclasses, rebuilt for every kept
-name and each given its own sorted ``sources`` list.  Keep it slow and
-obvious.
+name and each given its own sorted ``sources`` list.  Document statistics
+are ``stats.document_stats`` as it was with a sweep over every token, and
+the tagger's fold is its per-character definition.  ``OracleSpan``,
+``OracleEntityLabel`` and ``OracleEntity`` are the model's records as they
+were while they were frozen dataclasses.  Keep it slow and obvious.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from flowner.gazetteer import BINARY_NAME, TOOL_NAME, BuildOptions, shipped_comm
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
 from flowner.standoff import DuplicateId, MalformedLine, OffsetOutOfRange, SurfaceMismatch
+from flowner.stats import StatsReport, _merge_intervals, count_nested, tokenize
 
 if TYPE_CHECKING:
     from flowner.gazetteer import Gazetteer, VocabEntry
@@ -124,6 +128,36 @@ def oracle_count_nested(doc) -> int:
                 nested += 1
                 break
     return nested
+
+
+def oracle_document_stats(doc: Document) -> StatsReport:
+    """``stats.document_stats`` as it was with a loop over every token."""
+    report = StatsReport(documents=1)
+    for ent in doc.entities:
+        report.labels[ent.label.base] += 1
+    report.entities = len(doc.entities)
+    report.nested_entities = count_nested(doc)
+
+    token_spans = tokenize(doc.text)
+    report.tokens = len(token_spans)
+    covered = _merge_intervals([(f.start, f.end)
+                                for e in doc.entities for f in e.fragments])
+    # Two sorted sweeps: a token is annotated if it overlaps any covered interval.
+    k = 0
+    annotated = 0
+    for t_start, t_end in token_spans:
+        while k < len(covered) and covered[k][1] <= t_start:
+            k += 1
+        if k < len(covered) and covered[k][0] < t_end:
+            annotated += 1
+    report.annotated_tokens = annotated
+    return report
+
+
+def oracle_fold(s: str) -> str:
+    """The tagger's fold, one character at a time."""
+    return "".join(next((f for f in (c.casefold(), c.lower()) if len(f) == 1), c)
+                   for c in s)
 
 
 # The dictionary scan the tagger used before ``Matcher``: one lookahead
@@ -413,3 +447,33 @@ def oracle_gazetteer_json(kept: dict[str, OracleVocabEntry], normalization: dict
             for key, e in kept.items()
         ],
     }
+
+
+# The model's records as they were while they were frozen dataclasses.
+@dataclass(frozen=True, order=True)
+class OracleSpan:
+    start: int
+    end: int
+
+    def __post_init__(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"span start must be >= 0, got {self.start}")
+        if self.start >= self.end:
+            raise ValueError(f"span must be non-empty: [{self.start}, {self.end})")
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+
+@dataclass(frozen=True)
+class OracleEntityLabel:
+    base: str
+    qualifier: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class OracleEntity:
+    id: str
+    label: OracleEntityLabel
+    fragments: tuple[OracleSpan, ...]
+    surface: str

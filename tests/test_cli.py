@@ -422,6 +422,10 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
     ("gazetteer build --biotools", '{"name": "BWA"}', "payload must be a JSON array"),
     ("gazetteer build --biotools", '[{"name": "BWA"}, {"label": "x"}]',
      "record 1: record has no usable 'name' field"),
+    ("gazetteer build --biotools", '[{"name": "BWA", "binaries": "samtools"}]',
+     "record 0: 'binaries' must be a list of names"),
+    ("gazetteer build --biotools", '[{"name": "BWA"}, {"name": "STAR", "binaries": 5}]',
+     "record 1: 'binaries' must be a list of names"),
 ])
 def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, reason):
     corpus_dir = tmp_path / "c"

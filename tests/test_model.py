@@ -1,33 +1,39 @@
+import copy
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Span,
                            validate_corpus, validate_document)
 from gen import random_document
-from oracles import oracle_canonical_order, oracle_sort_key
+from oracles import (OracleEntity, OracleEntityLabel, OracleSpan, oracle_canonical_order,
+                     oracle_sort_key)
 from util import doc_of, ent
 
 
 def test_span_rejects_empty_and_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"span must be non-empty: \[3, 3\)"):
         Span(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"span must be non-empty: \[5, 2\)"):
         Span(5, 2)
-    with pytest.raises(ValueError):
-        Span(-1, 2)
+    with pytest.raises(ValueError, match="span start must be >= 0, got -1"):
+        Span(start=-1, end=2)
 
 
 def test_entity_fragments_must_be_sorted_and_disjoint():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entity T1: fragments not sorted by start"):
         Entity("T1", EntityLabel("Data"), (Span(5, 8), Span(0, 3)), "x y")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entity T1: fragments overlap"):
         Entity("T1", EntityLabel("Data"), (Span(0, 4), Span(3, 8)), "x y")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entity T1 has no fragments"):
         Entity("T1", EntityLabel("Data"), (), "")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entity T1 has no fragments"):
         Entity("T1", EntityLabel("Data"), iter(()), "")
+    e = Entity(id="T1", label=EntityLabel(base="Data"), surface="a b",
+               fragments=iter([Span(0, 1), Span(2, 3)]))
+    assert type(e.fragments) is tuple and e.label.qualifier is None
 
 
 def test_entity_adjacent_fragments_allowed():
@@ -66,6 +72,9 @@ _tied_entities = st.lists(st.builds(
 
 @settings(max_examples=150)
 @given(_tied_entities)
+# Strictly increasing extents: kept as given, without sort keys.
+@example([Entity("T2", EntityLabel("Tool"), (Span(0, 1), Span(2, 3)), "a"),
+          Entity("T1", EntityLabel("Data"), (Span(1, 2),), "b")])
 def test_document_order_equals_the_set_and_sort_oracle(entities):
     got = Document("d", "abc", tuple(entities)).entities
     want = oracle_canonical_order(entities)
@@ -80,6 +89,86 @@ def test_document_order_equals_the_set_and_sort_oracle(entities):
             assert first_seen[a] < first_seen[b]
     if len({oracle_sort_key(e) for e in want}) == len(want):
         assert got == want
+
+
+def _disjoint(steps):
+    """Sorted, pairwise disjoint (start, end) pairs from (gap, length) steps."""
+    spans, cursor = [], 0
+    for gap, length in steps:
+        spans.append((cursor + gap, cursor + gap + length))
+        cursor += gap + length
+    return tuple(spans)
+
+
+# Few distinct values, so that equal records and equal spans are common.
+_entity_fields = st.tuples(
+    st.sampled_from(["T1", "T2"]),
+    st.tuples(st.sampled_from(["Tool", "Data"]), st.sampled_from([None, "", "Lab"])),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)), min_size=1, max_size=2)
+    .map(_disjoint),
+    st.sampled_from(["a", "b"]))
+
+
+def _records(fields):
+    """The entity built both as a record and as the frozen dataclass oracle."""
+    ent_id, (base, qualifier), spans, surface = fields
+    return (Entity(ent_id, EntityLabel(base, qualifier),
+                   tuple(Span(s, e) for s, e in spans), surface),
+            OracleEntity(ent_id, OracleEntityLabel(base, qualifier),
+                         tuple(OracleSpan(s, e) for s, e in spans), surface))
+
+
+@settings(max_examples=300)
+@given(_entity_fields, _entity_fields)
+def test_records_hash_and_compare_as_the_frozen_dataclasses(a, b):
+    (new_a, old_a), (new_b, old_b) = _records(a), _records(b)
+    assert hash(new_a) == hash(old_a) and hash(new_a.label) == hash(old_a.label)
+    assert (new_a == new_b) == (old_a == old_b)
+    assert (new_a.label == new_b.label) == (old_a.label == old_b.label)
+    for span_a, span_b, old_span_a, old_span_b in zip(
+            new_a.fragments, new_b.fragments, old_a.fragments, old_b.fragments):
+        assert hash(span_a) == hash(old_span_a)
+        assert len(span_a) == len(old_span_a) == span_a.end - span_a.start
+        for op in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(span_a, op)(span_b) == getattr(old_span_a, op)(old_span_b)
+    assert repr(new_a) == repr(old_a).replace("Oracle", "")
+
+
+def test_records_are_immutable_values():
+    e = Entity("T1", EntityLabel("Tool", "Lab"), (Span(0, 3), Span(4, 6)), "abc de")
+    assert repr(e) == ("Entity(id='T1', label=EntityLabel(base='Tool', qualifier='Lab'), "
+                       "fragments=(Span(start=0, end=3), Span(start=4, end=6)), "
+                       "surface='abc de')")
+    assert str(e.label) == "Tool(Lab)" and str(EntityLabel("Tool")) == "Tool"
+    for value in (e, e.label, e.fragments[0]):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+            assert repr(clone) == repr(value)
+    for value, field in ((e, "surface"), (e.label, "base"), (e.fragments[0], "start")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, "x")
+        with pytest.raises(AttributeError):
+            value.other = 1
+    match e:
+        case Entity(ent_id, EntityLabel(base, qualifier), (Span(start, _), *_), surface=s):
+            assert (ent_id, base, qualifier, start, s) == ("T1", "Tool", "Lab", 0, "abc de")
+        case _:
+            pytest.fail("no match")
+    match e.fragments[1]:
+        case Span(start=4, end=end):
+            assert end == 6
+        case _:
+            pytest.fail("no match")
+    assert len(Span(4, 10)) == 6 and e.extent() == Span(0, 6)
+
+
+def test_records_equal_the_plain_tuples_of_their_fields():
+    # The documented difference from the dataclasses: a record is a tuple.
+    label = EntityLabel("Tool")
+    assert Span(0, 3) == (0, 3) and label == ("Tool", None)
+    assert Entity("T1", label, (Span(0, 3),), "abc") == ("T1", ("Tool", None), ((0, 3),), "abc")
+    assert EntityLabel("Data") < EntityLabel("Tool", "Lab")
 
 
 def test_validate_ok_corpus_is_empty():

@@ -1,11 +1,11 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowner.model import Corpus, Document, Entity, EntityLabel, Span
 from flowner.stats import corpus_stats, count_nested, document_stats, tokenize
 from gen import random_document
-from oracles import oracle_count_nested
+from oracles import oracle_count_nested, oracle_document_stats
 from util import doc_of, ent, synthetic_table1_corpus, TABLE1_COUNTS
 
 
@@ -107,3 +107,35 @@ def test_json_shape():
     data = report.to_json_dict()
     assert set(data) == {"documents", "labels", "entities", "tokens",
                          "annotated_tokens", "nesting_fraction"}
+
+
+# Letters, digits (also non-ASCII ones), underscores, punctuation and space,
+# so that fragments split words, touch, and end on every kind of character.
+_STATS_TEXT = st.text(st.sampled_from("ab9_-. \n\u00e9\u03c3\u0663\u00b2\u00df"), max_size=30)
+_FRAGMENTS = st.lists(st.lists(st.tuples(st.integers(0, 32), st.integers(1, 5)),
+                               min_size=1, max_size=3), max_size=6)
+
+
+def _stats_doc(text, fragment_lists):
+    entities = []
+    for i, frags in enumerate(fragment_lists):
+        spans, prev_end = [], 0
+        for start, length in sorted(frags):
+            start = max(start, prev_end)    # sorted, disjoint, maybe touching
+            spans.append(Span(start, start + length))
+            prev_end = start + length
+        entities.append(Entity(f"T{i}", EntityLabel("Tool"), tuple(spans), "x"))
+    return Document("d", text, tuple(entities))
+
+
+@settings(max_examples=400)
+@given(_STATS_TEXT, _FRAGMENTS)
+@example("abcdef", [[(1, 1)], [(3, 2)]])                # one word, split in three places
+@example("ab cd", [[(0, 1), (1, 1)], [(3, 1)]])          # touching fragments
+@example("a_b\u00e9\u0663 \u00b2", [[(0, 1)], [(2, 1)], [(4, 1)], [(6, 1)]])
+@example("abc", [[(1, 1)], [(5, 2)]])                   # past the end of the text
+def test_document_stats_equals_the_per_token_oracle(text, fragment_lists):
+    doc = _stats_doc(text, fragment_lists)
+    got, want = document_stats(doc), oracle_document_stats(doc)
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()

@@ -11,9 +11,9 @@ from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
                             FusionSource, Matcher, MissingPrediction, RuleSet,
-                            TaggerPredictor, _fold, default_ruleset, fuse,
+                            TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
-from oracles import _dict_candidates, _dictionary
+from oracles import _dict_candidates, _dictionary, oracle_fold
 from util import doc_of, ent
 
 
@@ -164,6 +164,29 @@ def test_matcher_candidates_equal_the_regex_oracle(names, fixed, pieces):
     gaz, rules = _gaz_of(names), RuleSet(fixed_lists=fixed)
     assert sorted(Matcher(gaz, rules).candidates(text)) == \
         sorted(_dict_candidates(text, _dictionary(gaz, rules)))
+
+
+# Characters whose casefold expands (sharp s, capital sharp s, n preceded by
+# an apostrophe, dotted capital I, the fi ligature), placed on and beside the
+# edges of the blocks that _fold folds one at a time.
+_EXPANDING = "\u00df\u1e9e\u0149\u0130\ufb01"
+_BLOCK_EDGES = sorted({max(0, k * _FOLD_BLOCK + d) for k in range(4) for d in (-2, -1, 0, 1)})
+
+
+@settings(max_examples=200)
+@given(length=st.integers(0, 3 * _FOLD_BLOCK + 2),
+       placed=st.lists(st.tuples(st.sampled_from(_BLOCK_EDGES),
+                                 st.sampled_from(_EXPANDING + "\u03a3K")), max_size=6),
+       filler=st.sampled_from(["aB ", "\u00c9t\u00e9", "\u212a-\u017f"]))
+@example(length=2 * _FOLD_BLOCK, placed=[(_FOLD_BLOCK - 1, "\u00df"), (_FOLD_BLOCK, "\u0130")],
+         filler="aB ")
+def test_fold_equals_the_per_character_definition(length, placed, filler):
+    chars = list((filler * (length // len(filler) + 1))[:length])
+    for index, char in placed:
+        if index < length:
+            chars[index] = char
+    text = "".join(chars)
+    assert _fold(text) == oracle_fold(text)
 
 
 @pytest.mark.parametrize("names, text, oracle, matched", [
