@@ -19,7 +19,10 @@ fields), so set and dict orders are unchanged.  Two behaviours differ
 from those dataclasses: a record compares equal to the plain tuple of its
 fields (``Span(0, 3) == (0, 3)``), and entities and labels order as
 tuples where the dataclasses could not be ordered at all.  ``len(span)``
-is its length in characters, ``end - start``.
+is its length in characters, ``end - start``, not its two items: take a
+span apart as ``(span.start, span.end)`` or ``start, end = span``, since
+``tuple()``, ``list()`` and ``*span`` size their result by ``len`` (a
+slot per character) and ``reversed()`` reads it as the item count.
 
 A :class:`Document` keeps its entities in canonical order
 (:meth:`Entity.sort_key`); entities whose extents already strictly
@@ -46,7 +49,11 @@ class Provenance(str, Enum):
 
 class Span(tuple):
     """Half-open character interval ``[start, end)`` into a document text:
-    the tuple ``(start, end)`` with read-only named fields."""
+    the tuple ``(start, end)`` with read-only named fields.
+
+    ``len()`` is ``end - start``, not 2; see the module docstring for how
+    to take a span apart.
+    """
 
     __slots__ = ()
     __match_args__ = ("start", "end")

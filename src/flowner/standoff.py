@@ -129,9 +129,6 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
             start, end = int(start), int(end)
             if start >= end:
                 raise MalformedLine(f"empty or reversed span {start} {end}", doc_id, line_no)
-            if end > text_len:
-                raise OffsetOutOfRange(
-                    f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
             fragments = (_checked_span((start, end)),)
             canonical = doc_text[start:end]
         else:
@@ -153,10 +150,10 @@ def parse_standoff(ann_content: str, doc_text: str, doc_id: str,
             base, span_text = label_and_spans
             fragments = _parse_fragments(span_text, doc_id, line_no)
             end = fragments[-1][1]
-            if end > text_len:
-                raise OffsetOutOfRange(
-                    f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
             canonical = " ".join(doc_text[f[0]:f[1]] for f in fragments)
+        if end > text_len:
+            raise OffsetOutOfRange(
+                f"fragment end {end} exceeds text length {text_len}", doc_id, line_no)
         if recorded_surface != canonical and \
                 _norm_space(recorded_surface) != _norm_space(canonical):
             raise SurfaceMismatch(

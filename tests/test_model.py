@@ -163,6 +163,15 @@ def test_records_are_immutable_values():
     assert len(Span(4, 10)) == 6 and e.extent() == Span(0, 6)
 
 
+def test_a_long_span_converts_to_its_two_fields():
+    # len() is the span's length, so conversions that size by it still
+    # yield exactly the two fields.
+    span = Span(0, 10**6)
+    assert tuple(span) == (0, 10**6) and list(span) == [0, 10**6] and [*span] == [0, 10**6]
+    start, end = span
+    assert (start, end) == (span.start, span.end) == (0, 10**6)
+
+
 def test_records_equal_the_plain_tuples_of_their_fields():
     # The documented difference from the dataclasses: a record is a tuple.
     label = EntityLabel("Tool")
