@@ -42,11 +42,26 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _labels_arg(value) -> list[str] | None:
+    """A ``--focus`` value: comma-separated labels, or a list of labels from
+    ``--config``.  A value that names no label is a usage error."""
     if value is None:
         return None
-    if isinstance(value, list):
-        return value
-    return [v for v in (s.strip() for s in value.split(",")) if v]
+    parts = value.split(",") if isinstance(value, str) else value
+    if not (isinstance(parts, list) and all(isinstance(part, str) for part in parts)):
+        raise UsageError(f"--focus takes comma-separated labels, got {value!r}")
+    labels = [label for label in (part.strip() for part in parts) if label]
+    if not labels:
+        raise UsageError(f"--focus names no label: {value!r}")
+    return labels
+
+
+def _ratios_arg(value) -> tuple[float, float]:
+    try:
+        train_frac, dev_frac = (float(part) for part in str(value).split(","))
+    except ValueError:
+        raise UsageError(f"--ratios takes two comma-separated fractions, "
+                         f"got {value!r}") from None
+    return train_frac, dev_frac
 
 
 def _cmd_validate(args) -> int:
@@ -97,13 +112,10 @@ def _cmd_convert(args) -> int:
 
 def _cmd_split(args) -> int:
     _require(args, "corpus", "out")
+    if not isinstance(args.n, int) or args.n < 1:
+        raise UsageError(f"--n takes a number of splits of at least 1, got {args.n!r}")
+    ratios = _ratios_arg(args.ratios) if args.ratios else experiment.DEFAULT_RATIOS
     corpus = corpus_io.load_corpus_dir(args.corpus)
-    ratios = experiment.DEFAULT_RATIOS
-    if args.ratios:
-        parts = [float(x) for x in str(args.ratios).split(",")]
-        if len(parts) != 2:
-            raise UsageError("--ratios takes two comma-separated fractions")
-        ratios = (parts[0], parts[1])
     manifests = experiment.make_splits(corpus, args.n, args.seed, ratios)
     out = Path(args.out)
     for m in manifests:
@@ -123,9 +135,9 @@ def _print_report(report, macro: bool, diff: bool) -> None:
 
 def _cmd_eval(args) -> int:
     _require(args, "gold", "pred")
+    focus = _labels_arg(args.focus)
     gold = corpus_io.load_corpus_dir(args.gold)
     pred = corpus_io.load_corpus_dir(args.pred)
-    focus = _labels_arg(args.focus)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
     payload = {}
@@ -142,10 +154,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_iaa(args) -> int:
     _require(args, "annotator_a", "annotator_b")
+    focus = _labels_arg(args.focus)
     a = corpus_io.load_corpus_dir(args.annotator_a)
     b = corpus_io.load_corpus_dir(args.annotator_b)
     mode = evaluation.MatchMode(args.mode)
-    report = evaluation.score(a, b, mode, _labels_arg(args.focus))
+    report = evaluation.score(a, b, mode, focus)
     _print_report(report, args.macro, args.diff)
     if args.json:
         corpus_io.atomic_write_json(args.json, report.to_json_dict())
@@ -170,7 +183,7 @@ def _cmd_gazetteer_build(args) -> int:
         drop_common_words=not args.keep_common,
         common_words=common)
     gaz = gazetteer.build_gazetteer(entries, options)
-    corpus_io.atomic_write_json(args.out, gaz.to_json_dict())
+    corpus_io.atomic_write_text(args.out, gaz.to_json_text())
     print(f"gazetteer: {len(gaz)} entries "
           f"({json.dumps(gaz.normalization['filtered'])} filtered)")
     return 0
@@ -256,13 +269,13 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_report(args) -> int:
     _require(args, "results")
+    focus = _labels_arg(args.focus)
     paths: list[Path] = []
     for raw in args.results:
         p = Path(raw)
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
     results = [experiment.run_result_from_file(p) for p in paths]
-    table = experiment.aggregate(results, _labels_arg(args.focus),
-                                 per_split=args.per_split)
+    table = experiment.aggregate(results, focus, per_split=args.per_split)
     rendered = experiment.render_table(table, layout=args.layout)
     if args.out:
         corpus_io.atomic_write_text(args.out, rendered)

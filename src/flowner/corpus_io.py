@@ -13,7 +13,10 @@ JSON artifacts (and the JSON that ``stats`` and ``convert`` print) have one
 text form, written by :func:`dumps_json`: a 2-space indent, non-ASCII
 characters as unescaped UTF-8, keys in insertion order.  It is
 byte-identical to what ``json.dumps`` writes with ``ensure_ascii=False``
-and an indent of 2.
+and an indent of 2.  The one artifact not written by :func:`dumps_json`
+itself is the gazetteer file: ``Gazetteer.to_json_text`` fills a fixed
+row template per entry with this module's escaper and renderer, and its
+text is byte-identical to :func:`dumps_json` of ``Gazetteer.to_json_dict``.
 """
 
 from __future__ import annotations

@@ -118,6 +118,8 @@ def split_sizes(n: int, ratios: Sequence[float] = DEFAULT_RATIOS) -> tuple[int, 
 
 def make_split_ids(doc_ids: Sequence[str], n_splits: int, base_seed: int,
                    ratios: Sequence[float] = DEFAULT_RATIOS) -> list[SplitManifest]:
+    if n_splits < 1:
+        raise ValueError(f"need at least 1 split, got {n_splits}")
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("doc_ids are not unique")
     n = len(doc_ids)

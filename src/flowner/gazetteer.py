@@ -22,6 +22,11 @@ distinct ``sources`` list.  A 20k-name gazetteer so holds a handful of sets,
 not one per name, and :meth:`Gazetteer.to_json_dict` writes one sorted list
 per set.  A gazetteer file that repeats a key is an error, not a silent
 overwrite.
+
+The file is written from :meth:`Gazetteer.to_json_text`, byte-identical to
+``dumps_json(gaz.to_json_dict())`` plus a newline: one row template per
+entry, one rendering per distinct ``sources`` set and a single join, without
+the row dicts that :meth:`Gazetteer.to_json_dict` builds for readers.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import corpus_io
+
 SOURCE_KINDS = ("biotools", "bioconda", "biocontainers", "bioweb", "custom")
 TOOL_NAME = "tool_name"
 BINARY_NAME = "binary_name"
@@ -41,6 +48,11 @@ BINARY_NAME = "binary_name"
 _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 _ENTRY_SHAPE = ("entry must be an object of exactly a string key, a non-empty string "
                 "canonical, a string kind and a list of string sources")
+# One entry of the file as dumps_json indents it, and the text around them.
+_ROW = ('    {\n      "key": %s,\n      "canonical": %s,\n      "kind": %s,\n'
+        '      "sources": %s\n    }')
+_HEAD = '{\n  "normalization": %s,\n  "entries": ['
+_TAIL = "\n  ]\n}\n"
 
 
 class MalformedDump(ValueError):
@@ -186,8 +198,10 @@ class Gazetteer:
         return len(self.entries)
 
     def to_json_dict(self) -> dict:
-        """The file form.  Entries with equal ``sources`` share one sorted
-        list, so the result is for writing, not for editing in place."""
+        """The file's data, as :meth:`from_json_dict` reads it; the file
+        itself is written from :meth:`to_json_text`.  Entries with equal
+        ``sources`` share one sorted list, so the result is for reading,
+        not for editing in place."""
         listed: dict[frozenset[str], list[str]] = {}
         rows = []
         for key, (canonical, kind, sources) in self.entries.items():
@@ -197,6 +211,28 @@ class Gazetteer:
             rows.append({"key": key, "canonical": canonical, "kind": kind,
                          "sources": sorted_sources})
         return {"normalization": dict(self.normalization), "entries": rows}
+
+    def to_json_text(self) -> str:
+        """The file's text: ``dumps_json(self.to_json_dict()) + "\\n"``,
+        built straight from the entries.
+
+        Each entry is one ``%``-format of a fixed row template, each
+        distinct ``sources`` set is sorted and rendered once, and the rows
+        are joined once, with the head on the first and the tail on the
+        last, so the text is not copied again.  Keys, names and kinds must
+        be strings.
+        """
+        render, encode = corpus_io._render, corpus_io._encode_str
+        distinct = {sources for _name, _kind, sources in self.entries.values()}
+        shown = {sources: render(sorted(sources), "\n      ") for sources in distinct}
+        rows = [_ROW % (encode(key), encode(canonical), encode(kind), shown[sources])
+                for key, (canonical, kind, sources) in self.entries.items()]
+        head = _HEAD % render(dict(self.normalization), "\n  ")
+        if not rows:
+            return head + "]\n}\n"
+        rows[0] = head + "\n" + rows[0]
+        rows[-1] += _TAIL
+        return ",\n".join(rows)
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path=None) -> "Gazetteer":
@@ -299,6 +335,5 @@ def vocab_lines(gaz: Gazetteer, split_multiword: bool = False) -> list[str]:
 
 def export_vocab(gaz: Gazetteer, path, split_multiword: bool = False) -> None:
     """Write the vocabulary file: one name per line, UTF-8, LF terminators."""
-    from .corpus_io import atomic_write_text
     content = "".join(line + "\n" for line in vocab_lines(gaz, split_multiword))
-    atomic_write_text(path, content)
+    corpus_io.atomic_write_text(path, content)

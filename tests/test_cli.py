@@ -131,6 +131,22 @@ def test_split_writes_manifests(gold_dir, tmp_path, capsys):
     assert [f.read_bytes() for f in sorted(out.glob("split_*.json"))] == before
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--n", "0"], "--n"), (["--n", "-3"], "--n"), (["--ratios", "a,b"], "--ratios"),
+    (["--ratios", "0.8"], "--ratios"), (["--ratios", "0.8,0.3,0.1"], "--ratios"),
+])
+def test_split_with_no_splits_or_bad_ratios_is_a_usage_error(tmp_path, capsys, flags,
+                                                              named):
+    corpus = tmp_path / "c"
+    write_corpus_dir(Corpus("c", tuple(doc_of(f"d{i}", "some text") for i in range(8))),
+                     corpus)
+    out = tmp_path / "splits"
+    assert main(["split", "--corpus", str(corpus), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {named} ") and captured.out == ""
+    assert not out.exists()
+
+
 def test_convert_pipeline(tmp_path, capsys):
     text = "We used BWA v2 fig"
     src = tmp_path / "softcite"
@@ -292,6 +308,63 @@ def test_report_cli(tmp_path, capsys):
     assert main(["report", "--results", str(results), "--layout", "csv"]) == 0
     out = capsys.readouterr().out
     assert "Tool,70.0 ±10.0,70.0 ±10.0,70.0 ±10.0" in out
+
+
+def _write_run_results(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    report = {"mode": "strict",
+              "per_label": {"Tool": {"tp": 1, "fp": 0, "fn": 0, "p": 1, "r": 1, "f1": 1}},
+              "overall": {"tp": 1, "fp": 0, "fn": 0, "p": 1, "r": 1, "f1": 1},
+              "label_filter": None}
+    (results / "run0.json").write_text(json.dumps(
+        {"split_id": 0, "seed_model": 1, "report": report}), encoding="utf-8")
+    return results
+
+
+@pytest.mark.parametrize("focus", [",", " , ,", ""])
+@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
+def test_a_focus_that_names_no_label_is_a_usage_error(gold_dir, tmp_path, capsys,
+                                                      command, focus):
+    out = tmp_path / "out.json"
+    argv = {"eval": ["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+                     "--mode", "strict", "--json", str(out)],
+            "iaa": ["iaa", "--annotator-a", str(gold_dir), "--annotator-b",
+                    str(gold_dir), "--json", str(out)],
+            "report": ["report", "--results", str(_write_run_results(tmp_path)),
+                       "--out", str(out)]}[command]
+    assert main(argv + ["--focus", focus]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --focus names no label: {focus!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("focus, err", [
+    (",", "--focus names no label: ','"), ([], "--focus names no label: []"),
+    ([" "], "--focus names no label: [' ']"),
+    (["Tool", 5], "--focus takes comma-separated labels, got ['Tool', 5]"),
+    (5, "--focus takes comma-separated labels, got 5"),
+])
+def test_a_focus_from_the_config_that_names_no_label_is_a_usage_error(
+        gold_dir, tmp_path, capsys, focus, err):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"focus": focus}), encoding="utf-8")
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+                 "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {err}\n" and captured.out == ""
+
+
+def test_a_focus_list_from_the_config_is_stripped(gold_dir, tmp_path, capsys):
+    pred = _write_pred_dir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"focus": [" Tool", ""]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred), "--mode", "strict",
+                 "--config", str(config), "--json", str(out)]) == 0
+    data = json.loads(out.read_text("utf-8"))
+    assert data["label_filter"] == ["Tool"] and data["overall"]["tp"] == 1
+    assert data["overall"]["fn"] == 0
 
 
 def test_config_file_supplies_defaults(gold_dir, tmp_path, capsys):

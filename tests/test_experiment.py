@@ -79,6 +79,12 @@ def test_corpus_too_small():
         make_split_ids(_ids(3), 1, 0)
 
 
+@pytest.mark.parametrize("n_splits", [0, -3])
+def test_fewer_than_one_split_is_an_error(n_splits):
+    with pytest.raises(ValueError, match=f"need at least 1 split, got {n_splits}"):
+        make_split_ids(_ids(10), n_splits, 0)
+
+
 def test_manifest_json_roundtrip():
     (m,) = make_split_ids(_ids(10), 1, 3)
     data = json.loads(json.dumps(m.to_json_dict()))

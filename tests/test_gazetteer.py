@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowner.corpus_io import dumps_json
 from flowner.gazetteer import (BINARY_NAME, SOURCE_KINDS, TOOL_NAME, BuildOptions,
                                Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
                                common_words, export_vocab, ingest,
@@ -336,6 +335,39 @@ def test_build_equals_the_oracle(dumps, loose, min_length, drop_numeric, drop_co
     assert [(key, *entry) for key, entry in gaz.entries.items()] == \
         [(key, e.canonical, e.kind, e.sources) for key, e in kept.items()]
     assert gaz.normalization == normalization
-    text = dumps_json(gaz.to_json_dict())
-    assert text == oracle_dumps_json(oracle_gazetteer_json(kept, normalization))
+    text = gaz.to_json_text()
+    assert text == oracle_dumps_json(oracle_gazetteer_json(kept, normalization)) + "\n"
     assert Gazetteer.from_json_dict(json.loads(text)) == gaz
+
+
+# Strings that JSON escapes, "%" that the row template must not read, and
+# non-ASCII and non-BMP characters.
+_STRINGS = st.one_of(st.sampled_from(['"', "\\", "%", "%s", "%%(key)s", "\x00", "\x1f",
+                                      "\x7f", "\u2028", "é", "Straße", "𝔅", "\U0010ffff"]),
+                     st.text(max_size=5))
+_SOURCE_SETS = st.frozensets(_STRINGS, max_size=3)
+_NORMALIZATIONS = st.dictionaries(_STRINGS, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_STRINGS, inner,
+                                                                max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_STRINGS, _STRINGS.filter(str.strip), _STRINGS,
+                          st.one_of(st.integers(0, 1), _SOURCE_SETS)), max_size=6),
+       st.tuples(_SOURCE_SETS, _SOURCE_SETS), _NORMALIZATIONS)
+def test_to_json_text_equals_the_stdlib_indented_encoder(rows, shared, normalization):
+    # An integer picks one of two source sets that its entries share; a
+    # drawn set is the entry's own, though it may equal another.
+    entries = {key: VocabEntry(canonical, kind,
+                               shared[sources] if type(sources) is int else sources)
+               for key, canonical, kind, sources in rows}
+    gaz = Gazetteer(entries, normalization)
+    assert gaz.to_json_text() == oracle_dumps_json(gaz.to_json_dict()) + "\n"
+
+
+def test_an_empty_gazetteer_writes_an_empty_entry_list():
+    text = Gazetteer({}, {}).to_json_text()
+    assert text == '{\n  "normalization": {},\n  "entries": []\n}\n'
+    assert text == oracle_dumps_json({"normalization": {}, "entries": []}) + "\n"
