@@ -10,7 +10,9 @@ subcommand writes byte-identical outputs.
 A JSON file passed via ``--config PATH`` or ``--config=PATH`` supplies
 defaults for any long flag (keys are flag destinations, e.g.
 ``{"focus": "Tool,Biblio"}``); flags given on the command line win, and a
-key that no subcommand accepts is a usage error.
+key that no subcommand accepts is a usage error.  A value gets the check
+its flag gets on the command line: one of the flag's choices, ``true`` or
+``false`` for a switch, an integer for a numeric flag.
 """
 
 from __future__ import annotations
@@ -53,6 +55,21 @@ def _labels_arg(value) -> list[str] | None:
     if not labels:
         raise UsageError(f"--focus names no label: {value!r}")
     return labels
+
+
+def _check_focus(focus: list[str], known: set[str]) -> None:
+    """Each ``--focus`` label must be a schema label or one of ``known``,
+    the labels of the inputs; any other is a usage error that names it."""
+    unknown = [label for label in dict.fromkeys(focus)
+               if label not in BIOTOFLOW.labels and label not in known]
+    if unknown:
+        raise UsageError(f"--focus names unknown label(s): "
+                         f"{', '.join(map(repr, unknown))}")
+
+
+def _base_labels(*corpora: Corpus) -> set[str]:
+    return {e.label.base for corpus in corpora for doc in corpus.documents
+            for e in doc.entities}
 
 
 def _ratios_arg(value) -> tuple[float, float]:
@@ -112,7 +129,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_split(args) -> int:
     _require(args, "corpus", "out")
-    if not isinstance(args.n, int) or args.n < 1:
+    if args.n < 1:
         raise UsageError(f"--n takes a number of splits of at least 1, got {args.n!r}")
     ratios = _ratios_arg(args.ratios) if args.ratios else experiment.DEFAULT_RATIOS
     corpus = corpus_io.load_corpus_dir(args.corpus)
@@ -138,6 +155,8 @@ def _cmd_eval(args) -> int:
     focus = _labels_arg(args.focus)
     gold = corpus_io.load_corpus_dir(args.gold)
     pred = corpus_io.load_corpus_dir(args.pred)
+    if focus:
+        _check_focus(focus, _base_labels(gold, pred))
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
     payload = {}
@@ -157,6 +176,8 @@ def _cmd_iaa(args) -> int:
     focus = _labels_arg(args.focus)
     a = corpus_io.load_corpus_dir(args.annotator_a)
     b = corpus_io.load_corpus_dir(args.annotator_b)
+    if focus:
+        _check_focus(focus, _base_labels(a, b))
     mode = evaluation.MatchMode(args.mode)
     report = evaluation.score(a, b, mode, focus)
     _print_report(report, args.macro, args.diff)
@@ -275,6 +296,8 @@ def _cmd_report(args) -> int:
         p = Path(raw)
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
     results = [experiment.run_result_from_file(p) for p in paths]
+    if focus:
+        _check_focus(focus, {base for r in results for base in r.report.per_label})
     table = experiment.aggregate(results, focus, per_split=args.per_split)
     rendered = experiment.render_table(table, layout=args.layout)
     if args.out:
@@ -392,7 +415,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, registry
 
 
-def _apply_config(path, registry: dict[str, argparse.ArgumentParser]) -> None:
+def _config_value_error(action: argparse.Action, value) -> str | None:
+    """Why a config value fails the check its flag gets on the command line,
+    or None.  A string for a typed flag is left to argparse, which converts
+    string defaults with the flag's ``type``."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if type(value) is bool else "takes true or false"
+    if action.choices is not None:
+        return None if value in action.choices else (
+            f"takes one of {', '.join(action.choices)}")
+    if action.type is int:
+        return None if isinstance(value, str) or (
+            type(value) is not bool and isinstance(value, int)) else "takes an integer"
+    return None
+
+
+def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> None:
+    """Set the config file's values as flag defaults, each checked against
+    the flag of the subcommand that runs ``func``."""
     config = corpus_io.read_json(path, lambda reason, path: UsageError(f"{path}: {reason}"))
     if not isinstance(config, dict):
         raise UsageError(f"{path}: --config must contain a JSON object")
@@ -401,6 +441,13 @@ def _apply_config(path, registry: dict[str, argparse.ArgumentParser]) -> None:
     unknown = sorted(config.keys() - valid)
     if unknown:
         raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    running = next(sub for sub in registry.values() if sub.get_default("func") is func)
+    for action in running._actions:
+        if action.dest in config:
+            reason = _config_value_error(action, config[action.dest])
+            if reason is not None:
+                raise UsageError(f"config key {action.dest!r} in {path} {reason}, "
+                                 f"got {config[action.dest]!r}")
     for sub in registry.values():
         dests = {a.dest for a in sub._actions}
         sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
@@ -413,7 +460,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             # Re-parse so the config defaults sit below the explicit flags.
-            _apply_config(args.config, registry)
+            _apply_config(args.config, registry, args.func)
             args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

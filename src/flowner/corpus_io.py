@@ -10,20 +10,17 @@ gets the mode that ``open(path, "w")`` gives a new file, 0o666 less the
 umask, whether it is new or replaces an older one.
 
 JSON artifacts (and the JSON that ``stats`` and ``convert`` print) have one
-text form, written by :func:`dumps_json`: a 2-space indent, non-ASCII
-characters as unescaped UTF-8, keys in insertion order.  It is
-byte-identical to what ``json.dumps`` writes with ``ensure_ascii=False``
-and an indent of 2.  The one artifact not written by :func:`dumps_json`
-itself is the gazetteer file: ``Gazetteer.to_json_text`` fills a fixed
-row template per entry with this module's escaper and renderer, and its
-text is byte-identical to :func:`dumps_json` of ``Gazetteer.to_json_dict``.
+text form, :func:`dumps_json`: ``json.dumps`` with an indent of 2 and
+non-ASCII characters as unescaped UTF-8, keys in insertion order.  The
+gazetteer file is the one artifact built from a row template instead, for
+speed at tens of thousands of names; ``Gazetteer.to_json_text`` writes it,
+byte-identical to :func:`dumps_json` of ``Gazetteer.to_json_dict``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from pathlib import Path
 from typing import Callable, Mapping, Optional
@@ -74,96 +71,10 @@ def atomic_write_json(path, data) -> None:
     atomic_write_text(path, dumps_json(data) + "\n")
 
 
-_encode_str = json.encoder.encode_basestring   # the C escaper where it is built
-
-
 def dumps_json(data) -> str:
-    """What ``json.dumps(data, ensure_ascii=False)`` writes with an indent
-    of 2, without its per-token chunks: each container's rendered items
-    are joined once.
-
-    The stdlib's indented encoder runs in Python and yields a string per
-    token (about 440k for a 20k-name gazetteer) before joining them; here
-    the intermediates are one string per container item.
-    """
-    return _render(data, "\n")
-
-
-def _render(value, newline: str) -> str:
-    # Exact dicts and lists first: no earlier check could match them.
-    if type(value) is dict:
-        return _dict_text(value, newline)
-    if type(value) is list:
-        return _list_text(value, newline)
-    # Then the stdlib's order of checks, so that str, int and float
-    # subclasses (enums among them) are written as their base type.
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple)):
-        return _list_text(value, newline)
-    if isinstance(value, dict):
-        return _dict_text(value, newline)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# Each item list is freed once joined, so a container's text is held at most
-# twice: joined, and wrapped in its brackets.  Exact ``str`` keys and items
-# are escaped in the loops, without a call to _render per string.
-
-def _list_text(value, newline: str) -> str:
-    if not value:
-        return "[]"
-    inner = newline + "  "
-    try:
-        # The escaper takes any str, subclasses included, and raises
-        # TypeError for anything else: then render item by item.
-        body = ("," + inner).join(map(_encode_str, value))
-    except TypeError:
-        body = ("," + inner).join([_encode_str(item) if type(item) is str
-                                   else _render(item, inner) for item in value])
-    return f"[{inner}{body}{newline}]"
-
-
-def _dict_text(value, newline: str) -> str:
-    if not value:
-        return "{}"
-    inner = newline + "  "
-    body = ("," + inner).join([
-        f"{_encode_str(key) if type(key) is str else _key_text(key)}: "
-        f"{_encode_str(item) if type(item) is str else _render(item, inner)}"
-        for key, item in value.items()])
-    return f"{{{inner}{body}{newline}}}"
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    """A dict key as the stdlib writes it: a string as itself, a number,
-    bool or None as its JSON text in quotes."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{_render(key, "")}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+    """The one text form of a JSON artifact: a 2-space indent, non-ASCII
+    characters unescaped."""
+    return json.dumps(data, ensure_ascii=False, indent=2)
 
 
 def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:

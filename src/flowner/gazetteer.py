@@ -25,8 +25,11 @@ overwrite.
 
 The file is written from :meth:`Gazetteer.to_json_text`, byte-identical to
 ``dumps_json(gaz.to_json_dict())`` plus a newline: one row template per
-entry, one rendering per distinct ``sources`` set and a single join, without
-the row dicts that :meth:`Gazetteer.to_json_dict` builds for readers.
+entry, filled with the stdlib's string escaper, one ``dumps_json`` per
+distinct ``sources`` set and a single join, without the row dicts that
+:meth:`Gazetteer.to_json_dict` builds for readers.  It is the one JSON file
+not written by ``dumps_json`` itself, for speed at tens of thousands of
+names.
 """
 
 from __future__ import annotations
@@ -216,18 +219,23 @@ class Gazetteer:
         """The file's text: ``dumps_json(self.to_json_dict()) + "\\n"``,
         built straight from the entries.
 
-        Each entry is one ``%``-format of a fixed row template, each
-        distinct ``sources`` set is sorted and rendered once, and the rows
-        are joined once, with the head on the first and the tail on the
-        last, so the text is not copied again.  Keys, names and kinds must
-        be strings.
+        Each entry is one ``%``-format of a fixed row template, its
+        strings escaped by ``json.encoder.encode_basestring``.  Each
+        distinct ``sources`` set is sorted and written once by
+        ``dumps_json``, as is ``normalization``, then re-indented to its
+        depth.  The rows are joined once, with the head on the first and
+        the tail on the last, so the text is not copied again.  Keys,
+        names and kinds must be strings.
         """
-        render, encode = corpus_io._render, corpus_io._encode_str
+        encode, dumps = json.encoder.encode_basestring, corpus_io.dumps_json
         distinct = {sources for _name, _kind, sources in self.entries.values()}
-        shown = {sources: render(sorted(sources), "\n      ") for sources in distinct}
+        # dumps_json escapes every line break inside a string, so each one
+        # in its text is indentation, moved here to the nesting depth.
+        shown = {sources: dumps(sorted(sources)).replace("\n", "\n      ")
+                 for sources in distinct}
         rows = [_ROW % (encode(key), encode(canonical), encode(kind), shown[sources])
                 for key, (canonical, kind, sources) in self.entries.items()]
-        head = _HEAD % render(dict(self.normalization), "\n  ")
+        head = _HEAD % dumps(dict(self.normalization)).replace("\n", "\n  ")
         if not rows:
             return head + "]\n}\n"
         rows[0] = head + "\n" + rows[0]

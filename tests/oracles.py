@@ -14,12 +14,14 @@ package's own compatibility, overlap and augmentation, so that it pins
 the exact pairs and tie-breaks, not only their count.  The standoff
 parser and the canonical entity order are kept as they were before the
 single-regex entity line and the precomputed sort keys.  JSON text is
-the stdlib's indented encoder that ``corpus_io.dumps_json`` replaced.  The
-gazetteer build is ``gazetteer.build_gazetteer`` and ``to_json_dict`` as
-they were while entries were frozen dataclasses, rebuilt for every kept
-name and each given its own sorted ``sources`` list.  Document statistics
-are ``stats.document_stats`` as it was with a sweep over every token, and
-the tagger's fold is its per-character definition.  ``OracleSpan``,
+the stdlib's indented encoder, called here rather than through the
+package: it is the reference that ``Gazetteer.to_json_text`` and its row
+template are checked against.  The gazetteer build is
+``gazetteer.build_gazetteer`` and ``to_json_dict`` as they were while
+entries were frozen dataclasses, rebuilt for every kept name and each
+given its own sorted ``sources`` list.  Document statistics are
+``stats.document_stats`` as it was with a sweep over every token, and the
+tagger's fold is its per-character definition.  ``OracleSpan``,
 ``OracleEntityLabel`` and ``OracleEntity`` are the model's records as they
 were while they were frozen dataclasses.  Keep it slow and obvious.
 """

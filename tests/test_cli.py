@@ -85,7 +85,9 @@ def test_eval_with_focus(gold_dir, tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "Overall-focused" in printed
-    data = json.loads(out.read_text("utf-8"))
+    text = out.read_text("utf-8")
+    data = json.loads(text)
+    assert text == oracle_dumps_json(data) + "\n"
     assert data["mode"] == "relaxed"
     assert data["overall"]["tp"] == 1
     assert data["overall"]["fn"] == 1
@@ -108,9 +110,13 @@ def test_eval_doc_mismatch_exits_one(gold_dir, tmp_path, capsys):
 
 
 def test_iaa_symmetric_output(gold_dir, tmp_path, capsys):
+    out = tmp_path / "iaa.json"
     assert main(["iaa", "--annotator-a", str(gold_dir),
-                 "--annotator-b", str(gold_dir), "--mode", "relaxed"]) == 0
+                 "--annotator-b", str(gold_dir), "--mode", "relaxed",
+                 "--json", str(out)]) == 0
     assert "100.0" in capsys.readouterr().out
+    text = out.read_text("utf-8")
+    assert text == oracle_dumps_json(json.loads(text)) + "\n"
 
 
 def test_split_writes_manifests(gold_dir, tmp_path, capsys):
@@ -125,6 +131,9 @@ def test_split_writes_manifests(gold_dir, tmp_path, capsys):
     assert len(files) == 5
     first = json.loads(files[0].read_text("utf-8"))
     assert set(first) == {"split_id", "seed", "train", "dev", "test", "ratios"}
+    for f in files:
+        text = f.read_text("utf-8")
+        assert text == oracle_dumps_json(json.loads(text)) + "\n"
     before = [f.read_bytes() for f in files]
     assert main(["split", "--corpus", str(big), "--n", "5", "--seed", "17",
                  "--out", str(out)]) == 0
@@ -322,18 +331,21 @@ def _write_run_results(tmp_path):
     return results
 
 
-@pytest.mark.parametrize("focus", [",", " , ,", ""])
-@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
-def test_a_focus_that_names_no_label_is_a_usage_error(gold_dir, tmp_path, capsys,
-                                                      command, focus):
-    out = tmp_path / "out.json"
-    argv = {"eval": ["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+def _focus_argv(command, gold_dir, tmp_path, out):
+    return {"eval": ["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
                      "--mode", "strict", "--json", str(out)],
             "iaa": ["iaa", "--annotator-a", str(gold_dir), "--annotator-b",
                     str(gold_dir), "--json", str(out)],
             "report": ["report", "--results", str(_write_run_results(tmp_path)),
                        "--out", str(out)]}[command]
-    assert main(argv + ["--focus", focus]) == 2
+
+
+@pytest.mark.parametrize("focus", [",", " , ,", ""])
+@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
+def test_a_focus_that_names_no_label_is_a_usage_error(gold_dir, tmp_path, capsys,
+                                                      command, focus):
+    out = tmp_path / "out.json"
+    assert main(_focus_argv(command, gold_dir, tmp_path, out) + ["--focus", focus]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"usage error: --focus names no label: {focus!r}\n"
     assert captured.out == "" and not out.exists()
@@ -362,9 +374,99 @@ def test_a_focus_list_from_the_config_is_stripped(gold_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred), "--mode", "strict",
                  "--config", str(config), "--json", str(out)]) == 0
-    data = json.loads(out.read_text("utf-8"))
+    text = out.read_text("utf-8")
+    data = json.loads(text)
+    assert text == oracle_dumps_json(data) + "\n"
     assert data["label_filter"] == ["Tool"] and data["overall"]["tp"] == 1
     assert data["overall"]["fn"] == 0
+
+
+@pytest.mark.parametrize("focus, named", [
+    ("Toool", "'Toool'"), ("Tool,Toool,Bibio,Toool", "'Toool', 'Bibio'"),
+    ("tool", "'tool'")])
+@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
+def test_a_focus_label_found_nowhere_is_a_usage_error(gold_dir, tmp_path, capsys,
+                                                      command, focus, named):
+    out = tmp_path / "out.json"
+    assert main(_focus_argv(command, gold_dir, tmp_path, out) + ["--focus", focus]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --focus names unknown label(s): {named}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_focus_label_found_nowhere_in_the_config_is_a_usage_error(gold_dir, tmp_path,
+                                                                    capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"focus": ["Tool", "Toool"]}), encoding="utf-8")
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+                 "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --focus names unknown label(s): 'Toool'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
+def test_a_focus_on_a_schema_label_without_entities_is_scored(gold_dir, tmp_path, capsys,
+                                                              command):
+    out = tmp_path / "out.json"
+    assert main(_focus_argv(command, gold_dir, tmp_path, out)
+                + ["--focus", "Hardware,Tool"]) == 0
+    assert "Overall-focused" in capsys.readouterr().out and out.exists()
+
+
+def test_a_focus_label_from_a_corpus_or_result_outside_the_schema_is_known(tmp_path,
+                                                                          capsys):
+    text = "cite the software here"
+    corpus = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", text, ent("T1", "software", 9, 17, text)),)),
+                     corpus)
+    out = tmp_path / "run.json"
+    assert main(["eval", "--gold", str(corpus), "--pred", str(corpus), "--mode", "strict",
+                 "--focus", "software", "--json", str(out)]) == 0
+    assert main(["iaa", "--annotator-a", str(corpus), "--annotator-b", str(corpus),
+                 "--focus", "software"]) == 0
+    out.write_text(json.dumps({"split_id": 0, "seed_model": 1,
+                               "report": json.loads(out.read_text("utf-8"))}),
+                   encoding="utf-8")
+    assert main(["report", "--results", str(out), "--focus", "software"]) == 0
+    assert "Overall-focused" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["eval"], {"mode": "bogus"},
+     "config key 'mode' in {} takes one of strict, relaxed, both, got 'bogus'"),
+    (["iaa"], {"mode": "both"},
+     "config key 'mode' in {} takes one of strict, relaxed, got 'both'"),
+    (["report"], {"layout": "html"},
+     "config key 'layout' in {} takes one of text, markdown, csv, got 'html'"),
+    (["validate"], {"schema": None},
+     "config key 'schema' in {} takes one of biotoflow, none, got None"),
+    (["gazetteer", "build"], {"keep_numeric": "false"},
+     "config key 'keep_numeric' in {} takes true or false, got 'false'"),
+    (["eval"], {"macro": 1}, "config key 'macro' in {} takes true or false, got 1"),
+    (["split"], {"n": True}, "config key 'n' in {} takes an integer, got True"),
+    (["split"], {"seed": 4.0}, "config key 'seed' in {} takes an integer, got 4.0"),
+    (["gazetteer", "build"], {"min_length": [2]},
+     "config key 'min_length' in {} takes an integer, got [2]"),
+])
+def test_a_config_value_gets_the_check_of_its_flag(tmp_path, capsys, argv, config, err):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(argv + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {err.format(path)}\n" and captured.out == ""
+
+
+def test_a_config_value_is_checked_against_the_subcommand_that_runs(gold_dir, tmp_path,
+                                                                    capsys):
+    # "both" is a mode of eval but not of iaa, and "n" is split's.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "both", "macro": False, "n": "x"}),
+                      encoding="utf-8")
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+                 "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "== strict ==" in out and "== relaxed ==" in out and "Macro" not in out
 
 
 def test_config_file_supplies_defaults(gold_dir, tmp_path, capsys):

@@ -340,10 +340,12 @@ def test_build_equals_the_oracle(dumps, loose, min_length, drop_numeric, drop_co
     assert Gazetteer.from_json_dict(json.loads(text)) == gaz
 
 
-# Strings that JSON escapes, "%" that the row template must not read, and
-# non-ASCII and non-BMP characters.
+# Strings that JSON escapes, line breaks that re-indenting must not touch,
+# "%" that the row template must not read, and non-ASCII and non-BMP
+# characters.
 _STRINGS = st.one_of(st.sampled_from(['"', "\\", "%", "%s", "%%(key)s", "\x00", "\x1f",
-                                      "\x7f", "\u2028", "é", "Straße", "𝔅", "\U0010ffff"]),
+                                      "\x7f", "\u2028", "é", "Straße", "𝔅", "\U0010ffff",
+                                      "\n", "\r\n", "a\n  b"]),
                      st.text(max_size=5))
 _SOURCE_SETS = st.frozensets(_STRINGS, max_size=3)
 _NORMALIZATIONS = st.dictionaries(_STRINGS, st.recursive(
