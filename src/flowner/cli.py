@@ -12,7 +12,9 @@ defaults for any long flag (keys are flag destinations, e.g.
 ``{"focus": "Tool,Biblio"}``); flags given on the command line win, and a
 key that no subcommand accepts is a usage error.  A value gets the check
 its flag gets on the command line: one of the flag's choices, ``true`` or
-``false`` for a switch, an integer for a numeric flag.
+``false`` for a switch, an integer for a numeric flag, a list of strings
+for a repeatable flag (``--source``, ``--results``) and a string for any
+other (``--focus`` also takes a list of labels).
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ import sys
 from pathlib import Path
 
 from . import corpus_io, evaluation, experiment, gazetteer, schema, tagger
-from .model import Corpus, Provenance, validate_corpus
+from .model import Corpus, InputError, Provenance, validate_corpus
 from .schema import BIOTOFLOW
 from .standoff import StandoffParseError
 from .stats import corpus_stats
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(InputError):
+    """A command line or ``--config`` file that cannot be used (exit code 2);
+    a config fault is located by the file."""
 
 
 # Every typed data error of the package is a ValueError or KeyError subclass.
@@ -188,13 +191,14 @@ def _cmd_iaa(args) -> int:
 
 def _cmd_gazetteer_build(args) -> int:
     _require(args, "out")
-    entries = []
-    for kind in gazetteer.SOURCE_KINDS:
-        path = getattr(args, kind, None)
-        if path:
-            entries.extend(gazetteer.ingest(kind, _read_dump(path), path))
-    if not entries:
+    dumps = {kind: getattr(args, kind) for kind in gazetteer.SOURCE_KINDS
+             if getattr(args, kind, None)}
+    if not dumps:
         raise UsageError("no dump files given (--biotools/--bioconda/...)")
+    entries = [entry for kind, path in dumps.items()
+               for entry in gazetteer.ingest(kind, _read_dump(path), path)]
+    if not entries:
+        raise gazetteer.MalformedDump("no names found", ", ".join(dumps.values()))
     common = None
     if args.common_words:
         common = gazetteer.common_words(_read_dump(args.common_words))
@@ -212,8 +216,7 @@ def _cmd_gazetteer_build(args) -> int:
 
 def _read_dump(path) -> str:
     """A dump or word-list file; a byte that is not UTF-8 is a ``MalformedDump``."""
-    return corpus_io._read_text(path, lambda reason, _path, line: gazetteer.MalformedDump(
-        f"{reason} (line {line})", path=path))
+    return corpus_io._read_text(path, gazetteer.MalformedDump)
 
 
 def _load_gazetteer(path) -> gazetteer.Gazetteer:
@@ -417,25 +420,34 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _config_value_error(action: argparse.Action, value) -> str | None:
     """Why a config value fails the check its flag gets on the command line,
-    or None.  A string for a typed flag is left to argparse, which converts
-    string defaults with the flag's ``type``."""
+    or None.  An integer flag also takes a string that ``int`` reads, as
+    argparse converts string defaults with the flag's ``type``; ``--focus``
+    values are checked by :func:`_labels_arg`."""
     if isinstance(action, argparse._StoreTrueAction):
         return None if type(value) is bool else "takes true or false"
     if action.choices is not None:
         return None if value in action.choices else (
             f"takes one of {', '.join(action.choices)}")
     if action.type is int:
-        return None if isinstance(value, str) or (
-            type(value) is not bool and isinstance(value, int)) else "takes an integer"
+        try:
+            number = int(value) if isinstance(value, str) else value
+        except ValueError:
+            number = None
+        return None if type(number) is int else "takes an integer"
+    if isinstance(action, argparse._AppendAction) or action.nargs == "+":
+        return None if isinstance(value, list) and all(
+            isinstance(v, str) for v in value) else "takes a list of strings"
+    if action.type is None and action.nargs is None and action.dest != "focus":
+        return None if isinstance(value, str) else "takes a string"
     return None
 
 
 def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> None:
     """Set the config file's values as flag defaults, each checked against
     the flag of the subcommand that runs ``func``."""
-    config = corpus_io.read_json(path, lambda reason, path: UsageError(f"{path}: {reason}"))
+    config = corpus_io.read_json(path, UsageError)
     if not isinstance(config, dict):
-        raise UsageError(f"{path}: --config must contain a JSON object")
+        raise UsageError("--config must contain a JSON object", path)
     valid = {a.dest for sub in registry.values() for a in sub._actions
              if a.option_strings} - {"help", "config"}
     unknown = sorted(config.keys() - valid)

@@ -23,9 +23,9 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
-from .model import Corpus, Document
+from .model import Corpus, Document, InputError
 from .standoff import StandoffParseError, parse_standoff, serialize_standoff
 
 
@@ -77,10 +77,10 @@ def dumps_json(data) -> str:
     return json.dumps(data, ensure_ascii=False, indent=2)
 
 
-def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:
+def _read_text(path, error: type[InputError]) -> str:
     """The file's bytes decoded as UTF-8, without newline translation; a
-    byte that is not UTF-8 raises ``error(reason, str(path), line)``, line
-    counting from 1."""
+    byte that is not UTF-8 raises ``error(reason, path, line)``, the line
+    counting from 1, so the message reads ``path:line: not UTF-8: ...``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -88,18 +88,18 @@ def _read_text(path, error: Callable[[str, str, int], Exception]) -> str:
     except UnicodeDecodeError as exc:
         at = exc.start
         raise error(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}",
-                    str(path), raw.count(b"\n", 0, at) + 1) from None
+                    path, raw.count(b"\n", 0, at) + 1) from None
 
 
-def read_json(path, error: Callable[..., ValueError]):
-    """Parse a JSON file; invalid JSON or UTF-8 raises ``error(reason, path=path)``."""
-    text = _read_text(path, lambda reason, _path, line: error(f"{reason} (line {line})",
-                                                              path=path))
+def read_json(path, error: type[InputError]):
+    """Parse a JSON file; a byte that is not UTF-8 raises ``error`` as
+    :func:`_read_text` does, and invalid JSON raises ``error(reason, path)``."""
+    text = _read_text(path, error)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON: {exc.msg} at line {exc.lineno} "
-                    f"column {exc.colno}", path=path) from None
+                    f"column {exc.colno}", path) from None
 
 
 def _stem(path: str) -> str:
@@ -129,8 +129,9 @@ def load_document(txt_path, ann_path=None,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                   ) -> Document:
     """Parse one document; with no file at ``ann_path`` it has no
-    annotations.  A file that is not UTF-8 raises ``StandoffParseError``
-    located by the file's path and line."""
+    annotations.  A ``StandoffParseError`` is located by the path and line
+    of the file at fault: a byte that is not UTF-8 in either file, or a
+    bad line of the ``.ann``.  The document's doc_id is the file stem."""
     text = _read_text(txt_path, StandoffParseError)
     ann = ""
     if ann_path is not None:
@@ -138,7 +139,10 @@ def load_document(txt_path, ann_path=None,
             ann = _read_text(ann_path, StandoffParseError)
         except FileNotFoundError:
             pass
-    return parse_standoff(ann, text, _stem(os.fspath(txt_path)), qualifiers=qualifiers)
+    try:
+        return parse_standoff(ann, text, _stem(os.fspath(txt_path)), qualifiers=qualifiers)
+    except StandoffParseError as exc:
+        raise type(exc)(exc.reason, ann_path, exc.where) from None
 
 
 def load_corpus_dir(path, qualifiers: Optional[Mapping[str, frozenset[str]]] = None,

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
 from .evaluation import LabelScore, MatchMode, MatchReport, _micro
-from .model import Corpus
+from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,11 +41,9 @@ class MixedModes(ValueError):
     pass
 
 
-class MalformedResult(ValueError):
-    """A run-result file that cannot be read, located by path."""
-
-    def __init__(self, reason: str, path=None):
-        super().__init__(": ".join(str(p) for p in (path, reason) if p is not None))
+class MalformedResult(InputError):
+    """A run-result file that cannot be read, located by path (and by line,
+    for a byte that is not UTF-8)."""
 
 
 def _splitmix64(x: int) -> int:

@@ -43,6 +43,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import corpus_io
+from .model import InputError
 
 SOURCE_KINDS = ("biotools", "bioconda", "biocontainers", "bioweb", "custom")
 TOOL_NAME = "tool_name"
@@ -58,15 +59,10 @@ _HEAD = '{\n  "normalization": %s,\n  "entries": ['
 _TAIL = "\n  ]\n}\n"
 
 
-class MalformedDump(ValueError):
-    """A dump or gazetteer file that cannot be used, located by file and
-    record (a dump record or a gazetteer entry; None for the whole file)."""
-
-    def __init__(self, reason: str, record_index: Optional[int] = None, path=None):
-        record = None if record_index is None else f"record {record_index}"
-        super().__init__(": ".join(str(p) for p in (path, record, reason) if p is not None))
-        self.reason = reason
-        self.record_index = record_index
+class MalformedDump(InputError):
+    """A dump, word-list or gazetteer file that cannot be used, located by
+    file and ``"record N"`` (a dump record or gazetteer entry, from 0), by
+    file and line (a byte that is not UTF-8), or by the file alone."""
 
 
 class VocabEntry(tuple):
@@ -116,17 +112,17 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
     entries = []
     for idx, record in enumerate(records):
         if not isinstance(record, dict):
-            raise MalformedDump("record is not an object", idx)
+            raise MalformedDump("record is not an object", where=f"record {idx}")
         name = record.get("name")
         if not isinstance(name, str) or not name.strip():
-            raise MalformedDump("record has no usable 'name' field", idx)
+            raise MalformedDump("record has no usable 'name' field", where=f"record {idx}")
         entries.append(_checked_entry((name.strip(), TOOL_NAME, sources)))
         binaries = record.get("binaries", [])
         if not isinstance(binaries, list):
-            raise MalformedDump("'binaries' must be a list of names", idx)
+            raise MalformedDump("'binaries' must be a list of names", where=f"record {idx}")
         for binary in binaries:
             if not isinstance(binary, str) or not binary.strip():
-                raise MalformedDump("empty name in 'binaries'", idx)
+                raise MalformedDump("empty name in 'binaries'", where=f"record {idx}")
             entries.append(_checked_entry((binary.strip(), BINARY_NAME, sources)))
     return entries
 
@@ -140,7 +136,8 @@ def _ingest_images(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
     for idx, image in _line_names(payload):
         name = image.rsplit("/", 1)[-1].split(":", 1)[0].split("@", 1)[0].strip()
         if not name:
-            raise MalformedDump(f"cannot extract a name from image {image!r}", idx)
+            raise MalformedDump(f"cannot extract a name from image {image!r}",
+                                where=f"record {idx}")
         entries.append(_checked_entry((name, BINARY_NAME, sources)))
     return entries
 
@@ -167,7 +164,7 @@ def ingest(source_kind: str, payload: str, path=None) -> list[VocabEntry]:
         if source_kind in ("bioweb", "custom"):
             return _ingest_lines(payload, sources, TOOL_NAME)
     except MalformedDump as exc:
-        raise MalformedDump(exc.reason, exc.record_index, path) from None
+        raise MalformedDump(exc.reason, path, exc.where) from None
     raise ValueError(f"unknown source kind {source_kind!r}, expected one of {SOURCE_KINDS}")
 
 
@@ -249,10 +246,10 @@ class Gazetteer:
         among them).  Entries with equal ``sources`` lists share one
         frozenset."""
         if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
-            raise MalformedDump("expected a JSON object with an 'entries' list", path=path)
+            raise MalformedDump("expected a JSON object with an 'entries' list", path)
         normalization = data.get("normalization", {})
         if not isinstance(normalization, Mapping):
-            raise MalformedDump("'normalization' must be a JSON object", path=path)
+            raise MalformedDump("'normalization' must be a JSON object", path)
         entries: dict[str, VocabEntry] = {}
         shared: dict[tuple, frozenset[str]] = {}
         for idx, row in enumerate(data["entries"]):
@@ -268,9 +265,9 @@ class Gazetteer:
                     "".join(listed)  # TypeError unless every source is a string
                     source_set = shared[listed] = frozenset(listed)
             except (KeyError, TypeError):
-                raise MalformedDump(_ENTRY_SHAPE, idx, path) from None
+                raise MalformedDump(_ENTRY_SHAPE, path, f"record {idx}") from None
             if key in entries:
-                raise MalformedDump(f"duplicate key {key!r}", idx, path)
+                raise MalformedDump(f"duplicate key {key!r}", path, f"record {idx}")
             entries[key] = _checked_entry((canonical, kind, source_set))
         return cls(entries=dict(sorted(entries.items())), normalization=normalization)
 

@@ -39,6 +39,25 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 
+class InputError(ValueError):
+    """An input that cannot be used, located by ``path`` (a file, or the
+    doc_id of parsed text) and ``where`` in it: an int is a 1-based line,
+    shown as ``path:line: reason``; any other value (a key, ``"record 3"``)
+    as ``path: where: reason``.  A part that is None is left out."""
+
+    def __init__(self, reason: str, path=None, where=None):
+        super().__init__(reason, path, where)
+        self.reason = reason
+        self.path = path
+        self.where = where
+
+    def __str__(self) -> str:
+        parts = (self.path, self.where, self.reason)
+        if type(self.where) is int:
+            parts = (f"{self.path}:{self.where}", self.reason)
+        return ": ".join(str(p) for p in parts if p is not None)
+
+
 class Provenance(str, Enum):
     """Where a document's annotations came from."""
 

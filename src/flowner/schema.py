@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .model import Corpus, Document, Entity, EntityLabel, Provenance
+from .model import Corpus, Document, Entity, EntityLabel, InputError, Provenance
 from .standoff import attribute_values
 
 CORE = "core"
@@ -79,13 +79,10 @@ class UnknownSourceLabel(ValueError):
     """Raised in strict conversion when a source label has no rule at all."""
 
 
-class MalformedTable(ValueError):
-    """A mapping table that cannot be used, located by table file and row."""
-
-    def __init__(self, reason: str, row: Optional[int] = None, path=None):
-        row_name = None if row is None else f"row {row}"
-        super().__init__(": ".join(str(p) for p in (path, row_name, reason) if p is not None))
-        self.reason = reason
+class MalformedTable(InputError):
+    """A mapping table that cannot be used, located by table file and row
+    (``"row N"``, counting from 0), by file and line (a byte that is not
+    UTF-8), or by the file alone."""
 
 
 @dataclass(frozen=True)
@@ -232,17 +229,17 @@ def load_mapping_table(rows: Sequence[Mapping], path=None) -> MappingTable:
     """Build a table from JSON rows {source, attribute, target, qualifier};
     every fault raises :class:`MalformedTable` naming ``path`` and the row."""
     if not isinstance(rows, (list, tuple)):
-        raise MalformedTable("expected a JSON array of rows", path=path)
+        raise MalformedTable("expected a JSON array of rows", path)
     rules = []
     for i, row in enumerate(rows):
         try:
             rules.append(_rule_of(row))
         except MalformedTable as exc:
-            raise MalformedTable(exc.reason, i, path) from None
+            raise MalformedTable(exc.reason, path, f"row {i}") from None
     try:
         return MappingTable(tuple(rules))
     except ValueError as exc:
-        raise MalformedTable(str(exc), path=path) from None
+        raise MalformedTable(str(exc), path) from None
 
 
 def mapping_table_from_file(path) -> MappingTable:

@@ -27,17 +27,13 @@ from __future__ import annotations
 import re
 from typing import Mapping, Optional
 
-from .model import (Document, Entity, EntityLabel, Provenance, Span, _checked_entity,
-                    _checked_label, _checked_span)
+from .model import (Document, Entity, EntityLabel, InputError, Provenance, Span,
+                    _checked_entity, _checked_label, _checked_span)
 
 
-class StandoffParseError(ValueError):
-    """Parse failure, located by document and 1-based line number."""
-
-    def __init__(self, message: str, doc_id: str, line_no: int):
-        super().__init__(f"{doc_id}:{line_no}: {message}")
-        self.doc_id = doc_id
-        self.line_no = line_no
+class StandoffParseError(InputError):
+    """Parse failure, located by the ``.ann`` or ``.txt`` path (the doc_id
+    when parsed from a string) and the 1-based line number."""
 
 
 class MalformedLine(StandoffParseError):

@@ -40,25 +40,20 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .corpus_io import _read_text, read_json
 from .gazetteer import Gazetteer
-from .model import (Corpus, Document, Entity, EntityLabel, Provenance, Span,
-                    validate_document)
+from .model import (Corpus, Document, Entity, EntityLabel, InputError, Provenance,
+                    Span, validate_document)
 from .schema import BIOTOFLOW
 from .standoff import StandoffParseError, parse_standoff
 
 
-class MalformedRules(ValueError):
+class MalformedRules(InputError):
     """A rule set that cannot be used, located by rules file and key."""
-
-    def __init__(self, reason: str, key: Optional[str] = None, path=None):
-        super().__init__(": ".join(str(p) for p in (path, key, reason) if p is not None))
-        self.reason = reason
-        self.key = key
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
     if isinstance(value, str) or not isinstance(value, (list, tuple)) or \
             not all(isinstance(v, str) for v in value):
-        raise MalformedRules("expected a list of strings", key)
+        raise MalformedRules("expected a list of strings", where=key)
     return tuple(value)
 
 
@@ -80,16 +75,16 @@ class RuleSet:
     def __post_init__(self) -> None:
         fixed_lists = {} if self.fixed_lists is None else self.fixed_lists
         if not isinstance(fixed_lists, Mapping):
-            raise MalformedRules("expected an object of lists", "fixed_lists")
+            raise MalformedRules("expected an object of lists", where="fixed_lists")
         object.__setattr__(self, "fixed_lists", {
             base: _strings(surfaces, f"fixed_lists.{base}")
             for base, surfaces in fixed_lists.items()})
         for base, surfaces in self.fixed_lists.items():
             if base not in BIOTOFLOW.labels:
                 raise MalformedRules("not a label of the workflow schema",
-                                     f"fixed_lists.{base}")
+                                     where=f"fixed_lists.{base}")
             if not all(surfaces):
-                raise MalformedRules("empty surface", f"fixed_lists.{base}")
+                raise MalformedRules("empty surface", where=f"fixed_lists.{base}")
         for key in ("version_patterns", "biblio_patterns"):
             patterns = _strings(getattr(self, key), key)
             object.__setattr__(self, key, patterns)
@@ -98,7 +93,7 @@ class RuleSet:
                     re.compile(pattern)
                 except re.error as exc:
                     raise MalformedRules(f"invalid regex {pattern!r}: {exc}",
-                                         f"{key}[{i}]") from None
+                                         where=f"{key}[{i}]") from None
 
 
 _RULES_KEYS = ("version_patterns", "biblio_patterns", "fixed_lists")
@@ -112,12 +107,12 @@ def ruleset_from_json(data: Mapping, path) -> RuleSet:
         unknown = sorted(data.keys() - set(_RULES_KEYS))
         if unknown:
             raise MalformedRules(f"unknown key (expected one of {', '.join(_RULES_KEYS)})",
-                                 unknown[0])
+                                 where=unknown[0])
         return RuleSet(version_patterns=data.get("version_patterns", ()),
                        biblio_patterns=data.get("biblio_patterns", ()),
                        fixed_lists=data.get("fixed_lists", {}))
     except MalformedRules as exc:
-        raise MalformedRules(exc.reason, exc.key, path) from None
+        raise MalformedRules(exc.reason, path, exc.where) from None
 
 
 def ruleset_from_file(path) -> RuleSet:
@@ -269,16 +264,12 @@ def tag(doc_text: str, matcher: Matcher) -> tuple[Entity, ...]:
     )
 
 
-class MissingPrediction(KeyError):
-    """An external predictor has no output for a requested doc_id."""
+class MissingPrediction(InputError, KeyError):
+    """No external prediction for a requested doc_id, located by the predictions path."""
 
 
-class MalformedPrediction(ValueError):
+class MalformedPrediction(InputError):
     """A JSONL prediction record that cannot be read, located by file and line."""
-
-    def __init__(self, message: str, path, line_no: int):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
 
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
@@ -295,17 +286,45 @@ class TaggerPredictor:
         return tag(doc.text, self.matcher)
 
 
+def _jsonl_fault(rec) -> Optional[str]:
+    """Why a parsed JSONL line is not a prediction record, or None."""
+    if not isinstance(rec, dict):
+        return "record is not a JSON object"
+    missing = [k for k in _JSONL_REQUIRED if k not in rec]
+    if missing:
+        return f"missing field(s) {', '.join(missing)}"
+    unknown = sorted(rec.keys() - _JSONL_FIELDS)
+    if unknown:
+        return f"unknown field(s) {', '.join(unknown)}"
+    for key in ("doc_id", "label", "surface"):
+        if type(rec[key]) is not str:
+            return f"{key!r} must be a string, got {rec[key]!r}"
+    if rec.get("qualifier") is not None and type(rec["qualifier"]) is not str:
+        return f"'qualifier' must be a string or null, got {rec['qualifier']!r}"
+    starts, ends = (rec[k] if type(rec[k]) is list else [rec[k]] for k in ("start", "end"))
+    for key, offsets in (("start", starts), ("end", ends)):
+        # type(), not isinstance: a JSON true is not an offset.
+        if not all(type(offset) is int for offset in offsets):
+            return f"{key!r} must be an integer or a list of integers, got {rec[key]!r}"
+    if len(starts) != len(ends):
+        return "start/end arrays differ in length"
+    return None
+
+
 class ExternalPredictions:
     """Model predictions read from standoff files or JSONL, keyed by doc_id."""
 
     def __init__(self, ann_by_doc: Optional[Mapping[str, str]] = None,
                  entities_by_doc: Optional[Mapping[str, tuple[Entity, ...]]] = None,
-                 ann_paths: Optional[Mapping[str, str]] = None):
+                 ann_paths: Optional[Mapping[str, str]] = None, path=None):
         """``ann_paths`` names the file each ``ann_by_doc`` text was read
-        from; a parse error is located by it, else by the doc_id."""
+        from; a parse error is located by it, else by the doc_id.  ``path``
+        names the directory or file the predictions came from; a
+        :class:`MissingPrediction` is located by it."""
         self._ann_by_doc = dict(ann_by_doc or {})
         self._entities_by_doc = dict(entities_by_doc or {})
         self._ann_paths = dict(ann_paths or {})
+        self._path = path
 
     def __call__(self, doc: Document) -> tuple[Entity, ...]:
         if doc.doc_id in self._entities_by_doc:
@@ -313,7 +332,7 @@ class ExternalPredictions:
         if doc.doc_id in self._ann_by_doc:
             location = self._ann_paths.get(doc.doc_id, doc.doc_id)
             return parse_standoff(self._ann_by_doc[doc.doc_id], doc.text, location).entities
-        raise MissingPrediction(doc.doc_id)
+        raise MissingPrediction(f"no prediction found for doc_id {doc.doc_id!r}", self._path)
 
     @classmethod
     def from_dir(cls, path) -> "ExternalPredictions":
@@ -328,12 +347,15 @@ class ExternalPredictions:
         for ann_path in sorted(root.glob("*.ann")):
             ann_by_doc[ann_path.stem] = _read_text(ann_path, StandoffParseError)
             ann_paths[ann_path.stem] = str(ann_path)
-        return cls(ann_by_doc=ann_by_doc, ann_paths=ann_paths)
+        return cls(ann_by_doc=ann_by_doc, ann_paths=ann_paths, path=path)
 
     @classmethod
     def from_jsonl(cls, path) -> "ExternalPredictions":
         """Read JSONL records {doc_id, label, start, end, surface[, qualifier]};
-        start/end may be equal-length arrays for discontinuous entities."""
+        start/end may be equal-length arrays for discontinuous entities.
+        doc_id, label and surface are strings, qualifier a string or null,
+        and an offset an integer (not a boolean).  Every fault is a
+        :class:`MalformedPrediction` naming ``path`` and the line."""
         per_doc: dict[str, list[Entity]] = {}
         # newline=None splits lines as a text-mode read of the file would.
         with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
@@ -346,21 +368,11 @@ class ExternalPredictions:
                 except json.JSONDecodeError as exc:
                     raise MalformedPrediction(f"invalid JSON: {exc.msg} at column {exc.colno}",
                                               path, line_no) from None
-                if not isinstance(rec, dict):
-                    raise MalformedPrediction("record is not a JSON object", path, line_no)
-                missing = [k for k in _JSONL_REQUIRED if k not in rec]
-                if missing:
-                    raise MalformedPrediction(f"missing field(s) {', '.join(missing)}",
-                                              path, line_no)
-                unknown = sorted(rec.keys() - _JSONL_FIELDS)
-                if unknown:
-                    raise MalformedPrediction(f"unknown field(s) {', '.join(unknown)}",
-                                              path, line_no)
-                starts = rec["start"] if isinstance(rec["start"], list) else [rec["start"]]
-                ends = rec["end"] if isinstance(rec["end"], list) else [rec["end"]]
-                if len(starts) != len(ends):
-                    raise MalformedPrediction("start/end arrays differ in length",
-                                              path, line_no)
+                fault = _jsonl_fault(rec)
+                if fault is not None:
+                    raise MalformedPrediction(fault, path, line_no)
+                starts, ends = (rec[k] if type(rec[k]) is list else [rec[k]]
+                                for k in ("start", "end"))
                 try:
                     ents = per_doc.setdefault(rec["doc_id"], [])
                     ents.append(Entity(
@@ -368,9 +380,9 @@ class ExternalPredictions:
                         label=EntityLabel(rec["label"], rec.get("qualifier")),
                         fragments=tuple(Span(s, e) for s, e in zip(starts, ends)),
                         surface=rec["surface"]))
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise MalformedPrediction(str(exc), path, line_no) from None
-        return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()})
+        return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()}, path=path)
 
 
 def silver_annotate(corpus: Corpus,

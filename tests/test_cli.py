@@ -224,6 +224,20 @@ def test_gazetteer_build_writes_the_stdlib_indented_json(tmp_path, capsys):
     assert "Ångström-Σ" in out.read_text("utf-8")
 
 
+def test_dumps_without_names_are_an_error_naming_them(tmp_path, capsys):
+    biotools = tmp_path / "biotools.json"
+    biotools.write_text("[]", encoding="utf-8")
+    bioweb = tmp_path / "bioweb.txt"
+    bioweb.write_text("# only a comment\n", encoding="utf-8")
+    out = tmp_path / "gaz.json"
+    assert main(["gazetteer", "build", "--biotools", str(biotools),
+                 "--bioweb", str(bioweb), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {biotools}, {bioweb}: no names found\n"
+    assert not out.exists()
+    assert main(["gazetteer", "build", "--out", str(out)]) == 2
+    assert "no dump files given" in capsys.readouterr().err
+
+
 def test_common_words_file_skips_indented_comment_lines(tmp_path, capsys):
     biotools = tmp_path / "biotools.json"
     biotools.write_text('[{"name": "# kept"}, {"name": "BWA"}, {"name": "STAR"}]',
@@ -448,6 +462,15 @@ def test_a_focus_label_from_a_corpus_or_result_outside_the_schema_is_known(tmp_p
     (["split"], {"seed": 4.0}, "config key 'seed' in {} takes an integer, got 4.0"),
     (["gazetteer", "build"], {"min_length": [2]},
      "config key 'min_length' in {} takes an integer, got [2]"),
+    (["stats"], {"out": 5}, "config key 'out' in {} takes a string, got 5"),
+    (["stats"], {"corpus": ["g"]}, "config key 'corpus' in {} takes a string, got ['g']"),
+    (["fuse"], {"source": "g:gold"},
+     "config key 'source' in {} takes a list of strings, got 'g:gold'"),
+    (["fuse"], {"source": ["g", 5]},
+     "config key 'source' in {} takes a list of strings, got ['g', 5]"),
+    (["report"], {"results": "runs"},
+     "config key 'results' in {} takes a list of strings, got 'runs'"),
+    (["split"], {"n": "x"}, "config key 'n' in {} takes an integer, got 'x'"),
 ])
 def test_a_config_value_gets_the_check_of_its_flag(tmp_path, capsys, argv, config, err):
     path = tmp_path / "cfg.json"
@@ -527,6 +550,22 @@ def test_fuse_unknown_role_exits_two(tmp_path, capsys):
     ('["d1", "Tool", 13, 16, "BWA"]', "not a JSON object"),
     ('{"doc_id": "d1", "label": "Tool", "start": 16, "end": 13, "surface": "BWA"}',
      "span must be non-empty"),
+    ('{"doc_id": "d1", "label": "Tool", "start": true, "end": 3, "surface": "ali"}',
+     "'start' must be an integer or a list of integers, got True"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 0.5, "end": 3, "surface": "ali"}',
+     "'start' must be an integer or a list of integers, got 0.5"),
+    ('{"doc_id": "d1", "label": "Tool", "start": [0], "end": [false], "surface": "a"}',
+     "'end' must be an integer or a list of integers, got [False]"),
+    ('{"doc_id": "d1", "label": "Tool", "start": [0, 4], "end": 3, "surface": "ali"}',
+     "start/end arrays differ in length"),
+    ('{"doc_id": 7, "label": "Tool", "start": 0, "end": 3, "surface": "ali"}',
+     "'doc_id' must be a string, got 7"),
+    ('{"doc_id": "d1", "label": 5, "start": 0, "end": 3, "surface": "ali"}',
+     "'label' must be a string, got 5"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 0, "end": 3, "surface": null}',
+     "'surface' must be a string, got None"),
+    ('{"doc_id": "d1", "label": "Tool", "qualifier": ["General"], "start": 0, "end": 3, '
+     '"surface": "ali"}', "'qualifier' must be a string or null, got ['General']"),
 ])
 def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record, reason):
     corpus_dir = tmp_path / "c"
@@ -536,7 +575,7 @@ def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record
                      '"surface": "BWA"}\n\n' + record + "\n", encoding="utf-8")
     with pytest.raises(MalformedPrediction) as exc:
         ExternalPredictions.from_jsonl(preds)
-    assert exc.value.line_no == 3
+    assert exc.value.where == 3
     assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -561,7 +600,7 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
     rules_path.write_text(rules, encoding="utf-8")
     with pytest.raises(MalformedRules) as exc:
         ruleset_from_file(rules_path)
-    assert exc.value.key == key
+    assert exc.value.where == key
     assert main(["tag", "--corpus", str(corpus_dir), "--gazetteer", str(gaz_path),
                  "--rules", str(rules_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -657,7 +696,7 @@ def test_validate_lists_an_undecodable_document_and_checks_the_rest(tmp_path, ca
     assert main(["validate", "--corpus", str(corpus_dir)]) == 1
     captured = capsys.readouterr()
     assert f"StandoffParseError at {bad}:2: {_NOT_UTF8_REASON}" in captured.out
-    assert "OffsetOutOfRange at d2:1" in captured.out
+    assert f"OffsetOutOfRange at {corpus_dir / 'd2.ann'}:1" in captured.out
     assert "2 violation(s) in 2 document(s)" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
@@ -681,7 +720,7 @@ def test_undecodable_json_input_names_its_file(tmp_path, capsys, flag):
     }[flag]
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: not UTF-8: byte 0xff at offset 3 (line 2)" in err
+    assert f"{path}:2: not UTF-8: byte 0xff at offset 3" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -698,6 +737,39 @@ def test_undecodable_prediction_file_names_its_file_and_line(tmp_path, capsys, n
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{bad}:2: {_NOT_UTF8_REASON}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["pd", "preds.jsonl"])
+def test_a_missing_prediction_names_the_doc_id_and_the_predictions(tmp_path, capsys,
+                                                                   name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    preds = tmp_path / name
+    if name == "pd":
+        preds.mkdir()
+    else:
+        preds.write_text('{"doc_id": "d2", "label": "Tool", "start": 0, "end": 3, '
+                         '"surface": "ali"}\n', encoding="utf-8")
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {preds}: no prediction found for doc_id 'd1'\n")
+
+
+def test_a_bad_prediction_corpus_is_named_by_its_file(gold_dir, tmp_path, capsys):
+    # Gold and predictions share doc ids, so the message names the file.
+    pred = _write_pred_dir(tmp_path)
+    (pred / "d1.ann").write_text("T1\tTool 13 99\tBWA\n", encoding="utf-8")
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred / 'd1.ann'}:1: fragment end 99 exceeds text length 36\n")
+
+
+def test_list_valued_flags_take_a_list_from_the_config(gold_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"source": [f"{gold_dir}:silver"]}), encoding="utf-8")
+    assert main(["fuse", "--out", str(tmp_path / "f"), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == '{"documents": 2, "provenance": {"silver": 2}}\n'
 
 
 def _crlf_corpus(tmp_path):
@@ -722,13 +794,14 @@ def test_span_digit_int_rejects_is_a_malformed_line(tmp_path, capsys):
     corpus_dir = tmp_path / "c"
     corpus_dir.mkdir()
     (corpus_dir / "d1.txt").write_text("BWA", encoding="utf-8")
-    (corpus_dir / "d1.ann").write_text("T1\tTool 0 \u00b2\tBWA\n", encoding="utf-8")
+    ann = corpus_dir / "d1.ann"
+    ann.write_text("T1\tTool 0 \u00b2\tBWA\n", encoding="utf-8")
     assert main(["validate", "--corpus", str(corpus_dir)]) == 1
     out = capsys.readouterr().out
-    assert "MalformedLine at d1:1: bad span segment '0 \u00b2'" in out
+    assert f"MalformedLine at {ann}:1: bad span segment '0 \u00b2'" in out
     assert "1 violation(s) in 1 document(s)" in out
     assert main(["stats", "--corpus", str(corpus_dir)]) == 1
-    assert "error: d1:1: bad span segment '0 \u00b2'" in capsys.readouterr().err
+    assert f"error: {ann}:1: bad span segment '0 \u00b2'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "stats"])

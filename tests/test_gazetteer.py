@@ -53,7 +53,7 @@ def test_ingest_bioweb_and_custom_are_tool_names():
 def test_ingest_malformed_json_record():
     with pytest.raises(MalformedDump) as exc:
         ingest("biotools", '[{"name":"ok"},{"label":"no-name"}]')
-    assert exc.value.record_index == 1
+    assert exc.value.where == "record 1"
     with pytest.raises(MalformedDump):
         ingest("biotools", "not json")
     with pytest.raises(MalformedDump):
@@ -178,7 +178,7 @@ def test_a_bad_source_after_a_valid_list_names_its_entry(bad_sources):
                         {**row, "key": "x1", "canonical": "X1", "sources": bad_sources}]}
     with pytest.raises(MalformedDump) as exc:
         Gazetteer.from_json_dict(data, "gaz.json")
-    assert exc.value.record_index == 2
+    assert exc.value.where == "record 2"
     assert str(exc.value).startswith("gaz.json: record 2: entry must be")
 
 
@@ -187,7 +187,7 @@ def test_a_bad_entry_after_a_cached_sources_list_names_its_entry(change):
     row = {"key": "bwa", "canonical": "BWA", "kind": TOOL_NAME, "sources": ["custom"]}
     with pytest.raises(MalformedDump) as exc:
         Gazetteer.from_json_dict({"entries": [row, {**row, "key": "star", **change}]})
-    assert exc.value.record_index == 1
+    assert exc.value.where == "record 1"
 
 
 def test_common_words_skip_blank_and_indented_comment_lines():
@@ -285,7 +285,7 @@ def test_a_repeated_key_in_a_gazetteer_file_is_an_error():
     with pytest.raises(MalformedDump) as exc:
         Gazetteer.from_json_dict(data, "gaz.json")
     assert str(exc.value) == "gaz.json: record 2: duplicate key 'bwa'"
-    assert exc.value.record_index == 2
+    assert exc.value.where == "record 2"
 
 
 @pytest.mark.parametrize("normalization", [5, None, [], "x"])

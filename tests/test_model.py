@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowner.model import (Corpus, Document, Entity, EntityLabel, Span,
+import flowner
+from flowner.cli import UsageError
+from flowner.model import (Corpus, Document, Entity, EntityLabel, InputError, Span,
                            validate_corpus, validate_document)
 from gen import random_document
 from oracles import (OracleEntity, OracleEntityLabel, OracleSpan, oracle_canonical_order,
@@ -228,3 +230,30 @@ def test_random_documents_validate_cleanly():
     for i in range(50):
         doc = random_document(rng, f"d{i}")
         assert validate_document(doc) == [], doc
+
+
+@pytest.mark.parametrize("path, where, shown", [
+    ("rules.json", 3, "rules.json:3: bad"),
+    ("rules.json", "fixed_lists.Tool", "rules.json: fixed_lists.Tool: bad"),
+    ("dump.json", "record 0", "dump.json: record 0: bad"),
+    ("table.json", None, "table.json: bad"),
+    (None, "row 2", "row 2: bad"),
+    (None, None, "bad"),
+])
+def test_an_input_error_shows_the_parts_it_has(path, where, shown):
+    exc = InputError("bad", path, where)
+    assert str(exc) == shown
+    assert (exc.reason, exc.path, exc.where) == ("bad", path, where)
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is InputError and str(again) == shown
+
+
+def test_every_input_error_class_is_a_bare_subclass():
+    classes = [flowner.StandoffParseError, flowner.MalformedLine, flowner.OffsetOutOfRange,
+               flowner.SurfaceMismatch, flowner.DuplicateId, flowner.MalformedRules,
+               flowner.MalformedPrediction, flowner.MissingPrediction, flowner.MalformedDump,
+               flowner.MalformedTable, flowner.MalformedResult, UsageError]
+    for cls in classes:
+        assert issubclass(cls, InputError)
+        assert "__init__" not in vars(cls) and "__str__" not in vars(cls), cls
+    assert issubclass(flowner.MissingPrediction, KeyError)

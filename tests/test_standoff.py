@@ -39,15 +39,15 @@ def test_parse_discontinuous_entity():
 def test_parse_surface_mismatch():
     with pytest.raises(SurfaceMismatch) as exc:
         parse_standoff("T1\tTool 19 22\tfoo\n", TEXT, "d1")
-    assert exc.value.line_no == 1
-    assert exc.value.doc_id == "d1"
+    assert exc.value.where == 1
+    assert exc.value.path == "d1"
 
 
 def test_parse_duplicate_id():
     ann = "T1\tTool 19 22\tBWA\nT1\tData 0 7\tmapping\n"
     with pytest.raises(DuplicateId) as exc:
         parse_standoff(ann, TEXT, "d1")
-    assert exc.value.line_no == 2
+    assert exc.value.where == 2
 
 
 def test_parse_offset_out_of_range():
@@ -66,7 +66,7 @@ def test_parse_offset_out_of_range():
 def test_parse_malformed_entity_lines(bad):
     with pytest.raises(MalformedLine) as exc:
         parse_standoff(bad + "\n", TEXT, "d1")
-    assert exc.value.line_no == 1
+    assert exc.value.where == 1
 
 
 def test_non_entity_lines_are_kept_verbatim():
@@ -206,7 +206,7 @@ def _outcome(parse, ann, text):
     try:
         return parse(ann, text, "d1")
     except StandoffParseError as exc:
-        return type(exc), exc.line_no, str(exc)
+        return type(exc), exc.where, str(exc)
 
 
 @settings(max_examples=200)
