@@ -60,14 +60,15 @@ def _labels_arg(value) -> list[str] | None:
     return labels
 
 
-def _check_focus(focus: list[str], known: set[str]) -> None:
+def _check_focus(focus: list[str], known: set[str], config=None) -> None:
     """Each ``--focus`` label must be a schema label or one of ``known``,
-    the labels of the inputs; any other is a usage error that names it."""
+    the labels of the inputs; any other is a usage error that names it, and
+    ``config``, the config file the labels came from, if they did."""
     unknown = [label for label in dict.fromkeys(focus)
                if label not in BIOTOFLOW.labels and label not in known]
     if unknown:
         raise UsageError(f"--focus names unknown label(s): "
-                         f"{', '.join(map(repr, unknown))}")
+                         f"{', '.join(map(repr, unknown))}", config)
 
 
 def _base_labels(*corpora: Corpus) -> set[str]:
@@ -159,7 +160,7 @@ def _cmd_eval(args) -> int:
     gold = corpus_io.load_corpus_dir(args.gold)
     pred = corpus_io.load_corpus_dir(args.pred)
     if focus:
-        _check_focus(focus, _base_labels(gold, pred))
+        _check_focus(focus, _base_labels(gold, pred), args.focus_config)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
     payload = {}
@@ -180,7 +181,7 @@ def _cmd_iaa(args) -> int:
     a = corpus_io.load_corpus_dir(args.annotator_a)
     b = corpus_io.load_corpus_dir(args.annotator_b)
     if focus:
-        _check_focus(focus, _base_labels(a, b))
+        _check_focus(focus, _base_labels(a, b), args.focus_config)
     mode = evaluation.MatchMode(args.mode)
     report = evaluation.score(a, b, mode, focus)
     _print_report(report, args.macro, args.diff)
@@ -300,7 +301,8 @@ def _cmd_report(args) -> int:
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
     results = [experiment.run_result_from_file(p) for p in paths]
     if focus:
-        _check_focus(focus, {base for r in results for base in r.report.per_label})
+        _check_focus(focus, {base for r in results for base in r.report.per_label},
+                     args.focus_config)
     table = experiment.aggregate(results, focus, per_split=args.per_split)
     rendered = experiment.render_table(table, layout=args.layout)
     if args.out:
@@ -442,6 +444,10 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None
 
 
+# Flags whose value a command parses after argparse has read it.
+_VALUE_PARSERS = {"focus": _labels_arg, "ratios": _ratios_arg}
+
+
 def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> None:
     """Set the config file's values as flag defaults, each checked against
     the flag of the subcommand that runs ``func``."""
@@ -456,10 +462,17 @@ def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> N
     running = next(sub for sub in registry.values() if sub.get_default("func") is func)
     for action in running._actions:
         if action.dest in config:
-            reason = _config_value_error(action, config[action.dest])
+            value = config[action.dest]
+            reason = _config_value_error(action, value)
             if reason is not None:
                 raise UsageError(f"config key {action.dest!r} in {path} {reason}, "
-                                 f"got {config[action.dest]!r}")
+                                 f"got {value!r}")
+            parse = _VALUE_PARSERS.get(action.dest)
+            if parse is not None:
+                try:
+                    parse(value)
+                except UsageError as exc:
+                    raise UsageError(exc.reason, path) from None
     for sub in registry.values():
         dests = {a.dest for a in sub._actions}
         sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
@@ -470,10 +483,13 @@ def main(argv=None) -> int:
     parser, registry = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # The config file names a --focus it supplied, in the label check.
+        focus_config = None if getattr(args, "focus", None) is not None else args.config
         if args.config is not None:
             # Re-parse so the config defaults sit below the explicit flags.
             _apply_config(args.config, registry, args.func)
             args = parser.parse_args(argv)
+        args.focus_config = focus_config
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,6 +17,14 @@ only gold and pred whose extents overlap.  ``entities_compatible`` stays
 the arbiter of every candidate, so the matched pairs and their tie-breaks
 are exactly those of the all-pairs test.
 
+Both entry points share one matcher over index positions.  ``score``
+hands it each document's entity tuples as they are: a :class:`Document`
+keeps them canonical and free of duplicates, so an entity is told by its
+index, with no sort and no set of entities.  ``match_document`` takes any
+iterable, so it sorts its inputs into canonical order first.
+``EntityRef`` is a tuple record like the model's, hashing as the frozen
+dataclass it replaces did.
+
 P and R are defined as 0 on empty denominators so micro aggregation is
 total; overall scores are micro-averages over the label filter when one
 is set.  Inter-annotator agreement is the same computation with the
@@ -29,6 +37,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Corpus, Entity, _extents_increase
@@ -46,21 +56,26 @@ class DocSetMismatch(ValueError):
 def char_overlap(a: Entity, b: Entity) -> int:
     """Shared character positions between the two fragment unions."""
     total = 0
-    for fa in a.fragments:
-        for fb in b.fragments:
-            total += max(0, min(fa.end, fb.end) - max(fa.start, fb.start))
+    # Fields by index and spans unpacked: this runs for every candidate pair.
+    for a_start, a_end in a[2]:
+        for b_start, b_end in b[2]:
+            overlap = ((a_end if a_end < b_end else b_end)
+                       - (a_start if a_start > b_start else b_start))
+            if overlap > 0:
+                total += overlap
     return total
 
 
 def entities_compatible(g: Entity, p: Entity, mode: MatchMode,
                         qualifier_sensitive: bool = False) -> bool:
     """Whether a gold/pred pair may be matched under the given mode."""
-    if g.label.base != p.label.base:
+    g_label, p_label = g[1], p[1]
+    if g_label[0] != p_label[0]:
         return False
-    if qualifier_sensitive and g.label.qualifier != p.label.qualifier:
+    if qualifier_sensitive and g_label[1] != p_label[1]:
         return False
     if mode == MatchMode.STRICT:
-        return g.fragments == p.fragments
+        return g[2] == p[2]
     return char_overlap(g, p) > 0
 
 
@@ -111,33 +126,40 @@ def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: Match
     pairs those whose extents overlap.  Touching extents (one ends where
     the other starts) share no character and are not paired.
     """
+    # An EntityLabel is the tuple (base, qualifier).
     def label_key(e: Entity):
-        return (e.label.base, e.label.qualifier) if qualifier_sensitive else e.label.base
+        return e[1] if qualifier_sensitive else e[1][0]
 
     if mode == MatchMode.STRICT:
         index: dict[tuple, list[int]] = defaultdict(list)
         for pi, p in enumerate(pred):
-            index[label_key(p), p.fragments].append(pi)
+            index[label_key(p), p[2]].append(pi)
         for gi, g in enumerate(gold):
-            for pi in index.get((label_key(g), g.fragments), ()):
+            for pi in index.get((label_key(g), g[2]), ()):
                 yield gi, pi
         return
 
     events: dict[object, list[tuple[int, int, int, int]]] = defaultdict(list)
     for side, entities in enumerate((gold, pred)):
         for i, e in enumerate(entities):
-            events[label_key(e)].append((e.start, side, i, e.end))
+            fragments = e[2]
+            events[label_key(e)].append((fragments[0][0], side, i, fragments[-1][1]))
     for group in events.values():
         group.sort()
-        # Per side, the (end, index) of entities started so far; pruned lazily
-        # of those ending at or before the current start.
+        # Per side, a heap of the (end, index) of entities started so far,
+        # popped of those ending at or before the current start.
         active: tuple[list, list] = ([], [])
         for start, side, i, end in group:
             other = active[1 - side]
-            other[:] = [(e, j) for e, j in other if e > start]
-            for _e, j in other:
-                yield (i, j) if side == 0 else (j, i)
-            active[side].append((end, i))
+            while other and other[0][0] <= start:
+                heappop(other)
+            if side:
+                for _e, j in other:
+                    yield j, i
+            else:
+                for _e, j in other:
+                    yield i, j
+            heappush(active[side], (end, i))
 
 
 def _key_order(entities: Iterable[Entity]) -> Sequence[Entity]:
@@ -147,30 +169,15 @@ def _key_order(entities: Iterable[Entity]) -> Sequence[Entity]:
     return entities if _extents_increase(entities) else sorted(entities, key=Entity.sort_key)
 
 
-def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMode,
-                   qualifier_sensitive: bool = False,
-                   ) -> list[tuple[Entity, Entity]]:
-    """Maximum-cardinality one-to-one matching for one document.
-
-    Returns (gold, pred) pairs.  The result is a pure function of the
-    entity sets: inputs are canonically sorted first (no key is built for
-    entities whose extents strictly increase), candidate edges are
-    greedily seeded in preference order (overlap desc, gold start, pred
-    start) and then augmented to maximum cardinality.
-
-    Only candidate pairs are tested: a hash join on (label, fragments) in
-    strict mode, a per-label sweep over extents in relaxed mode.
-    ``entities_compatible`` still decides every candidate, and every
-    compatible pair is a candidate, so the edge set, its total order and
-    hence the pairs and tie-breaks are those of testing all gold×pred pairs.
-    """
-    gold_list, pred_list = _key_order(gold), _key_order(pred)
-
+def _match_indices(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
+                   qualifier_sensitive: bool) -> tuple[dict[int, int], dict[int, int]]:
+    """Maximum matching of two canonically ordered entity sequences, as the
+    index maps ``match_g`` (gold index -> pred index) and ``match_p``."""
     edges: list[tuple[int, int, int, int, int]] = []
-    for gi, pi in _candidate_pairs(gold_list, pred_list, mode, qualifier_sensitive):
-        g, p = gold_list[gi], pred_list[pi]
+    for gi, pi in _candidate_pairs(gold, pred, mode, qualifier_sensitive):
+        g, p = gold[gi], pred[pi]
         if entities_compatible(g, p, mode, qualifier_sensitive):
-            edges.append((-char_overlap(g, p), g.start, p.start, gi, pi))
+            edges.append((-char_overlap(g, p), g[2][0][0], p[2][0][0], gi, pi))
     edges.sort()
 
     match_g: dict[int, int] = {}
@@ -185,10 +192,31 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
         adj[gi].append((ov, ps, pi))
     for gi in adj:
         adj[gi].sort()
-    for gi in range(len(gold_list)):
+    for gi in range(len(gold)):
         if gi not in match_g and gi in adj:
             _augment(gi, adj, match_g, match_p)
+    return match_g, match_p
 
+
+def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMode,
+                   qualifier_sensitive: bool = False,
+                   ) -> list[tuple[Entity, Entity]]:
+    """Maximum-cardinality one-to-one matching for one document.
+
+    Returns (gold, pred) pairs in gold order.  The result is a pure function
+    of the entity sets: inputs are canonically sorted first (no key is built
+    for entities whose extents strictly increase), candidate edges are
+    greedily seeded in preference order (overlap desc, gold start, pred
+    start) and then augmented to maximum cardinality.
+
+    Only candidate pairs are tested: a hash join on (label, fragments) in
+    strict mode, a per-label sweep over extents in relaxed mode.
+    ``entities_compatible`` still decides every candidate, and every
+    compatible pair is a candidate, so the edge set, its total order and
+    hence the pairs and tie-breaks are those of testing all gold×pred pairs.
+    """
+    gold_list, pred_list = _key_order(gold), _key_order(pred)
+    match_g, _match_p = _match_indices(gold_list, pred_list, mode, qualifier_sensitive)
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
 
 
@@ -213,23 +241,42 @@ class LabelScore:
                 "p": self.p, "r": self.r, "f1": self.f1}
 
 
-@dataclass(frozen=True)
-class EntityRef:
-    """Enough of an entity to list it in reports without the document."""
+class EntityRef(tuple):
+    """Enough of an entity to list it in reports without the document: the
+    tuple ``(doc_id, entity_id, label, start, end, surface)`` with read-only
+    named fields, hashing as the frozen dataclass it replaces did.  Like the
+    model's records it equals the plain tuple of its fields."""
 
-    doc_id: str
-    entity_id: str
-    label: str
-    start: int
-    end: int
-    surface: str
+    __slots__ = ()
+    __match_args__ = ("doc_id", "entity_id", "label", "start", "end", "surface")
+
+    def __new__(cls, doc_id: str, entity_id: str, label: str, start: int, end: int,
+                surface: str) -> "EntityRef":
+        return tuple.__new__(cls, (doc_id, entity_id, label, start, end, surface))
+
+    doc_id = property(itemgetter(0))
+    entity_id = property(itemgetter(1))
+    label = property(itemgetter(2))
+    start = property(itemgetter(3))
+    end = property(itemgetter(4))
+    surface = property(itemgetter(5))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"EntityRef(doc_id={self[0]!r}, entity_id={self[1]!r}, label={self[2]!r}, "
+                f"start={self[3]!r}, end={self[4]!r}, surface={self[5]!r})")
 
     @classmethod
     def of(cls, doc_id: str, ent: Entity) -> "EntityRef":
-        return cls(doc_id, ent.id, ent.label.base, ent.start, ent.end, ent.surface)
+        fragments = ent[2]
+        return tuple.__new__(cls, (doc_id, ent[0], ent[1][0], fragments[0][0],
+                                   fragments[-1][1], ent[3]))
 
-    def sort_key(self) -> tuple:
-        return (self.doc_id, self.start, self.end, self.label, self.entity_id)
+
+# Reports list entities by (doc_id, start, end, label, entity_id).
+_ref_order = itemgetter(0, 3, 4, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -302,42 +349,41 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
         raise DocSetMismatch(f"doc_id sets differ, e.g. {missing[:5]}")
 
     pred_by_id = {d.doc_id: d for d in pred_corpus.documents}
-    counts: dict[str, Counter] = defaultdict(Counter)
+    tp, fn, fp = Counter(), Counter(), Counter()
     missed: list[EntityRef] = []
     spurious: list[EntityRef] = []
 
-    for gold_doc in sorted(gold_corpus.documents, key=lambda d: d.doc_id):
-        pred_doc = pred_by_id[gold_doc.doc_id]
-        matched = match_document(gold_doc.entities, pred_doc.entities, mode,
-                                 qualifier_sensitive)
-        matched_gold = {g for g, _ in matched}
-        matched_pred = {p for _, p in matched}
-        for g, _ in matched:
-            counts[g.label.base]["tp"] += 1
-        for g in gold_doc.entities:
-            if g not in matched_gold:
-                counts[g.label.base]["fn"] += 1
-                missed.append(EntityRef.of(gold_doc.doc_id, g))
-        for p in pred_doc.entities:
-            if p not in matched_pred:
-                counts[p.label.base]["fp"] += 1
-                spurious.append(EntityRef.of(gold_doc.doc_id, p))
+    # Documents in any order: the listings are sorted by doc_id first below.
+    for gold_doc in gold_corpus.documents:
+        doc_id = gold_doc.doc_id
+        # Canonical and duplicate-free (the Document invariant): an entity
+        # is told by its index, and no sort is needed.
+        gold, pred = gold_doc.entities, pred_by_id[doc_id].entities
+        match_g, match_p = _match_indices(gold, pred, mode, qualifier_sensitive)
+        tp.update(gold[gi][1][0] for gi in match_g)
+        for i, g in enumerate(gold):
+            if i not in match_g:
+                fn[g[1][0]] += 1
+                missed.append(EntityRef.of(doc_id, g))
+        for i, p in enumerate(pred):
+            if i not in match_p:
+                fp[p[1][0]] += 1
+                spurious.append(EntityRef.of(doc_id, p))
 
     flt = tuple(sorted(set(label_filter))) if label_filter is not None else None
-    if flt:
-        for base in flt:
-            counts.setdefault(base, Counter())
     per_label = {
-        base: LabelScore.from_counts(c["tp"], c["fp"], c["fn"])
-        for base, c in sorted(counts.items())
+        base: LabelScore.from_counts(tp[base], fp[base], fn[base])
+        for base in sorted(tp.keys() | fn.keys() | fp.keys() | set(flt or ()))
     }
+    missed.sort(key=_ref_order)
+    spurious.sort(key=_ref_order)
     return MatchReport(
         mode=mode,
         per_label=per_label,
         overall=_micro(per_label, flt),
         label_filter=flt,
-        missed=tuple(sorted(missed, key=EntityRef.sort_key)),
-        spurious=tuple(sorted(spurious, key=EntityRef.sort_key)),
+        missed=tuple(missed),
+        spurious=tuple(spurious),
     )
 
 

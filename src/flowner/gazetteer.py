@@ -96,10 +96,10 @@ _checked_entry = partial(tuple.__new__, VocabEntry)
 def _line_names(payload: str) -> Iterable[tuple[int, str]]:
     # splitlines: a dump is read without newline translation, and its lines
     # may end in CRLF or a lone CR.
-    for idx, line in enumerate(payload.splitlines()):
+    for line_no, line in enumerate(payload.splitlines(), start=1):
         name = line.strip()
         if name and not name.startswith("#"):
-            yield idx, name
+            yield line_no, name
 
 
 def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
@@ -128,16 +128,16 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
 
 
 def _ingest_lines(payload: str, sources: frozenset[str], kind: str) -> list[VocabEntry]:
-    return [_checked_entry((name, kind, sources)) for _idx, name in _line_names(payload)]
+    return [_checked_entry((name, kind, sources)) for _line_no, name in _line_names(payload)]
 
 
 def _ingest_images(payload: str, sources: frozenset[str]) -> list[VocabEntry]:
     entries = []
-    for idx, image in _line_names(payload):
+    for line_no, image in _line_names(payload):
         name = image.rsplit("/", 1)[-1].split(":", 1)[0].split("@", 1)[0].strip()
         if not name:
             raise MalformedDump(f"cannot extract a name from image {image!r}",
-                                where=f"record {idx}")
+                                where=line_no)
         entries.append(_checked_entry((name, BINARY_NAME, sources)))
     return entries
 
@@ -171,7 +171,7 @@ def ingest(source_kind: str, payload: str, path=None) -> list[VocabEntry]:
 def common_words(text: str) -> frozenset[str]:
     """A common-word list, one word per line, case-folded; blank lines and
     lines starting with ``#`` (after leading space) are skipped."""
-    return frozenset(word.casefold() for _idx, word in _line_names(text))
+    return frozenset(word.casefold() for _line_no, word in _line_names(text))
 
 
 def shipped_common_words() -> frozenset[str]:

@@ -316,23 +316,42 @@ class ExternalPredictions:
 
     def __init__(self, ann_by_doc: Optional[Mapping[str, str]] = None,
                  entities_by_doc: Optional[Mapping[str, tuple[Entity, ...]]] = None,
-                 ann_paths: Optional[Mapping[str, str]] = None, path=None):
+                 ann_paths: Optional[Mapping[str, str]] = None, path=None,
+                 entity_lines: Optional[Mapping[str, tuple[int, ...]]] = None):
         """``ann_paths`` names the file each ``ann_by_doc`` text was read
         from; a parse error is located by it, else by the doc_id.  ``path``
         names the directory or file the predictions came from; a
-        :class:`MissingPrediction` is located by it."""
+        :class:`MissingPrediction` is located by it.  ``entity_lines`` holds
+        the line of ``path`` each of a document's ``entities_by_doc`` was
+        read from: an entity that does not fit the document's text is a
+        :class:`MalformedPrediction` at that line."""
         self._ann_by_doc = dict(ann_by_doc or {})
         self._entities_by_doc = dict(entities_by_doc or {})
         self._ann_paths = dict(ann_paths or {})
         self._path = path
+        self._entity_lines = dict(entity_lines or {})
 
     def __call__(self, doc: Document) -> tuple[Entity, ...]:
         if doc.doc_id in self._entities_by_doc:
-            return self._entities_by_doc[doc.doc_id]
+            entities = self._entities_by_doc[doc.doc_id]
+            if doc.doc_id in self._entity_lines:
+                self._check_lines(doc, entities, self._entity_lines[doc.doc_id])
+            return entities
         if doc.doc_id in self._ann_by_doc:
             location = self._ann_paths.get(doc.doc_id, doc.doc_id)
             return parse_standoff(self._ann_by_doc[doc.doc_id], doc.text, location).entities
         raise MissingPrediction(f"no prediction found for doc_id {doc.doc_id!r}", self._path)
+
+    def _check_lines(self, doc: Document, entities: tuple[Entity, ...],
+                     lines: tuple[int, ...]) -> None:
+        """Raise a :class:`MalformedPrediction` at the first line whose
+        entity's offsets or surface disagree with the document's text."""
+        violations = validate_document(Document(doc.doc_id, doc.text, entities))
+        if violations:
+            line_of = dict(zip((e.id for e in entities), lines))
+            first = min(violations, key=lambda v: line_of[v.entity_id])
+            raise MalformedPrediction(f"{first.kind} in document {doc.doc_id!r}: "
+                                      f"{first.message}", self._path, line_of[first.entity_id])
 
     @classmethod
     def from_dir(cls, path) -> "ExternalPredictions":
@@ -355,8 +374,11 @@ class ExternalPredictions:
         start/end may be equal-length arrays for discontinuous entities.
         doc_id, label and surface are strings, qualifier a string or null,
         and an offset an integer (not a boolean).  Every fault is a
-        :class:`MalformedPrediction` naming ``path`` and the line."""
+        :class:`MalformedPrediction` naming ``path`` and the line, and so is
+        a record whose offsets or surface do not fit its document's text,
+        found when that document is annotated."""
         per_doc: dict[str, list[Entity]] = {}
+        lines: dict[str, list[int]] = {}
         # newline=None splits lines as a text-mode read of the file would.
         with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -382,7 +404,9 @@ class ExternalPredictions:
                         surface=rec["surface"]))
                 except ValueError as exc:
                     raise MalformedPrediction(str(exc), path, line_no) from None
-        return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()}, path=path)
+                lines.setdefault(rec["doc_id"], []).append(line_no)
+        return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()}, path=path,
+                   entity_lines={k: tuple(v) for k, v in lines.items()})
 
 
 def silver_annotate(corpus: Corpus,

@@ -11,7 +11,10 @@ by comparing every pair of extents.  The one exception is
 ``oracle_match_document``: it is ``evaluation.match_document`` as it was
 before candidate indexing, testing every gold×pred pair with the
 package's own compatibility, overlap and augmentation, so that it pins
-the exact pairs and tie-breaks, not only their count.  The standoff
+the exact pairs and tie-breaks, not only their count.  ``oracle_score``
+is ``evaluation.score`` as it was before it matched by index: through
+that matcher, telling matched entities by set membership, with
+``EntityRef`` a frozen dataclass (``OracleEntityRef``).  The standoff
 parser and the canonical entity order are kept as they were before the
 single-regex entity line and the precomputed sort keys.  JSON text is
 the stdlib's indented encoder, called here rather than through the
@@ -34,7 +37,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from flowner.evaluation import _augment, char_overlap, entities_compatible
+from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment, _micro,
+                                char_overlap, entities_compatible)
 from flowner.gazetteer import BINARY_NAME, TOOL_NAME, BuildOptions, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
@@ -118,6 +122,74 @@ def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
             _augment(gi, adj, match_g, match_p)
 
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
+
+
+@dataclass(frozen=True)
+class OracleEntityRef:
+    doc_id: str
+    entity_id: str
+    label: str
+    start: int
+    end: int
+    surface: str
+
+    @classmethod
+    def of(cls, doc_id: str, ent: Entity) -> "OracleEntityRef":
+        return cls(doc_id, ent.id, ent.label.base, ent.start, ent.end, ent.surface)
+
+    def sort_key(self) -> tuple:
+        return (self.doc_id, self.start, self.end, self.label, self.entity_id)
+
+
+def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
+                 qualifier_sensitive: bool = False) -> MatchReport:
+    """``evaluation.score`` as it was while it matched through
+    ``match_document`` (here its all-pairs oracle) and told matched from
+    unmatched entities by set membership."""
+    gold_ids = set(gold_corpus.doc_ids())
+    pred_ids = set(pred_corpus.doc_ids())
+    if gold_ids != pred_ids:
+        missing = sorted(gold_ids ^ pred_ids)
+        raise DocSetMismatch(f"doc_id sets differ, e.g. {missing[:5]}")
+
+    pred_by_id = {d.doc_id: d for d in pred_corpus.documents}
+    counts: dict[str, Counter] = defaultdict(Counter)
+    missed: list[OracleEntityRef] = []
+    spurious: list[OracleEntityRef] = []
+
+    for gold_doc in sorted(gold_corpus.documents, key=lambda d: d.doc_id):
+        pred_doc = pred_by_id[gold_doc.doc_id]
+        matched = oracle_match_document(gold_doc.entities, pred_doc.entities, mode,
+                                        qualifier_sensitive)
+        matched_gold = {g for g, _ in matched}
+        matched_pred = {p for _, p in matched}
+        for g, _ in matched:
+            counts[g.label.base]["tp"] += 1
+        for g in gold_doc.entities:
+            if g not in matched_gold:
+                counts[g.label.base]["fn"] += 1
+                missed.append(OracleEntityRef.of(gold_doc.doc_id, g))
+        for p in pred_doc.entities:
+            if p not in matched_pred:
+                counts[p.label.base]["fp"] += 1
+                spurious.append(OracleEntityRef.of(gold_doc.doc_id, p))
+
+    flt = tuple(sorted(set(label_filter))) if label_filter is not None else None
+    if flt:
+        for base in flt:
+            counts.setdefault(base, Counter())
+    per_label = {
+        base: LabelScore.from_counts(c["tp"], c["fp"], c["fn"])
+        for base, c in sorted(counts.items())
+    }
+    return MatchReport(
+        mode=mode,
+        per_label=per_label,
+        overall=_micro(per_label, flt),
+        label_filter=flt,
+        missed=tuple(sorted(missed, key=OracleEntityRef.sort_key)),
+        spurious=tuple(sorted(spurious, key=OracleEntityRef.sort_key)),
+    )
 
 
 def oracle_count_nested(doc) -> int:

@@ -378,7 +378,7 @@ def test_a_focus_from_the_config_that_names_no_label_is_a_usage_error(
     assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
                  "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"usage error: {err}\n" and captured.out == ""
+    assert captured.err == f"usage error: {config}: {err}\n" and captured.out == ""
 
 
 def test_a_focus_list_from_the_config_is_stripped(gold_dir, tmp_path, capsys):
@@ -408,15 +408,27 @@ def test_a_focus_label_found_nowhere_is_a_usage_error(gold_dir, tmp_path, capsys
     assert captured.out == "" and not out.exists()
 
 
-def test_a_focus_label_found_nowhere_in_the_config_is_a_usage_error(gold_dir, tmp_path,
-                                                                    capsys):
+@pytest.mark.parametrize("focus", [["Tool", "Toool"], "Toool"])
+@pytest.mark.parametrize("command", ["eval", "iaa", "report"])
+def test_a_focus_label_found_nowhere_in_the_config_is_a_usage_error(
+        gold_dir, tmp_path, capsys, command, focus):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"focus": ["Tool", "Toool"]}), encoding="utf-8")
-    assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
-                 "--config", str(config)]) == 2
+    config.write_text(json.dumps({"focus": focus}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(_focus_argv(command, gold_dir, tmp_path, out)
+                + ["--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "usage error: --focus names unknown label(s): 'Toool'\n"
-    assert captured.out == ""
+    assert captured.err == f"usage error: {config}: --focus names unknown label(s): 'Toool'\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_focus_flag_wins_over_the_config_and_is_reported_as_a_flag(gold_dir, tmp_path,
+                                                                     capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"focus": "Tool"}), encoding="utf-8")
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(gold_dir),
+                 "--config", str(config), "--focus", "Toool"]) == 2
+    assert capsys.readouterr().err == "usage error: --focus names unknown label(s): 'Toool'\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "iaa", "report"])
@@ -471,6 +483,9 @@ def test_a_focus_label_from_a_corpus_or_result_outside_the_schema_is_known(tmp_p
     (["report"], {"results": "runs"},
      "config key 'results' in {} takes a list of strings, got 'runs'"),
     (["split"], {"n": "x"}, "config key 'n' in {} takes an integer, got 'x'"),
+    (["split"], {"ratios": "x"}, "{}: --ratios takes two comma-separated fractions, got 'x'"),
+    (["split"], {"ratios": "0.6,0.2,0.2"},
+     "{}: --ratios takes two comma-separated fractions, got '0.6,0.2,0.2'"),
 ])
 def test_a_config_value_gets_the_check_of_its_flag(tmp_path, capsys, argv, config, err):
     path = tmp_path / "cfg.json"
@@ -580,6 +595,26 @@ def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{preds}:3: " in err and reason in err
+
+
+@pytest.mark.parametrize("record, reason", [
+    ('{"doc_id": "d1", "label": "Tool", "start": 0, "end": 99, "surface": "x"}',
+     "OffsetOutOfRange in document 'd1': fragment end 99 exceeds text length 16"),
+    ('{"doc_id": "d1", "label": "Tool", "start": 0, "end": 3, "surface": "BWA"}',
+     "SurfaceMismatch in document 'd1': surface 'BWA' != text slice 'ali'"),
+])
+def test_a_jsonl_prediction_that_does_not_fit_its_text_names_its_line(
+        tmp_path, capsys, record, reason):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    preds = tmp_path / "preds.jsonl"
+    # The bad record sorts before the good one, and is still found on line 3.
+    preds.write_text('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, '
+                     '"surface": "BWA"}\n\n' + record + "\n", encoding="utf-8")
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {preds}:3: {reason}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("rules, key, reason", [

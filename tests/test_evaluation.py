@@ -1,15 +1,20 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowner import evaluation
-from flowner.evaluation import (DocSetMismatch, MatchMode, entities_compatible,
-                                macro_average, match_document, render_diff, score)
+from flowner.evaluation import (DocSetMismatch, EntityRef, MatchMode, entities_compatible,
+                                macro_average, match_document, render_diff, render_report,
+                                score)
 from flowner.model import Corpus, Document, Entity, EntityLabel, Span
 from gen import random_corpus_pair, random_match_instance
-from oracles import brute_force_max_pairs, oracle_compatible, oracle_match_document
+from oracles import (OracleEntityRef, brute_force_max_pairs, oracle_compatible,
+                     oracle_match_document, oracle_score)
 from util import doc_of, ent
 
 STRICT = MatchMode.STRICT
@@ -244,6 +249,25 @@ def test_macro_average_differs_from_micro():
     assert macro_r == 0.5             # macro: mean(1.0, 0.0)
 
 
+def test_an_entity_ref_is_a_record_as_the_frozen_dataclass_was():
+    e = Entity("T1", EntityLabel("Tool", "Lab"), (Span(0, 3), Span(4, 6)), "abc de")
+    ref, old = EntityRef.of("d1", e), OracleEntityRef.of("d1", e)
+    fields = ("d1", "T1", "Tool", 0, 6, "abc de")
+    assert ref == EntityRef(*fields) == fields and dataclasses.astuple(old) == fields
+    assert tuple(getattr(ref, f.name) for f in dataclasses.fields(old)) == fields
+    assert ref.__match_args__ == tuple(f.name for f in dataclasses.fields(old))
+    assert repr(ref) == repr(old).replace("Oracle", "") == (
+        "EntityRef(doc_id='d1', entity_id='T1', label='Tool', start=0, end=6, "
+        "surface='abc de')")
+    assert hash(ref) == hash(old)
+    for clone in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert clone == ref and type(clone) is EntityRef and repr(clone) == repr(ref)
+    with pytest.raises(AttributeError):
+        ref.label = "Data"
+    with pytest.raises(AttributeError):
+        ref.other = 1
+
+
 def test_diff_listing_contents():
     text = "BWA data"
     gold = Corpus("g", (doc_of("d", text,
@@ -302,6 +326,40 @@ def test_match_pairs_equal_the_all_pairs_oracle(gold, pred, mode, qualifier_sens
                    Corpus("p", (Document("d", "x" * 40, tuple(pred)),)),
                    mode, qualifier_sensitive=qualifier_sensitive)
     assert render_diff(report) == expected
+
+
+# Ids and surfaces from small sets, so that equal entities (which a Document
+# keeps once), equal sort keys up to the id, and ids that order differently
+# as strings and as numbers (as a string T10 sorts before T2) all come up.
+@st.composite
+def _documents(draw, doc_ids):
+    docs = []
+    for doc_id in doc_ids:
+        entities = [Entity(draw(st.sampled_from(["T2", "T3", "T10", "N1"])), e.label,
+                           e.fragments, draw(st.sampled_from(["x", "y"])))
+                    for e in draw(_entities("T"))]
+        docs.append(Document(doc_id, "x" * 40, tuple(entities)))
+    return draw(st.permutations(docs))
+
+
+@settings(max_examples=150)
+@given(doc_ids=st.lists(st.sampled_from(["d1", "d2", "d10", "a"]), min_size=1, max_size=4,
+                        unique=True),
+       mode=st.sampled_from([STRICT, RELAXED]), qualifier_sensitive=st.booleans(),
+       label_filter=st.none() | st.lists(st.sampled_from(["Tool", "Data", "Method"])),
+       data=st.data())
+def test_score_equals_the_set_based_oracle(doc_ids, mode, qualifier_sensitive,
+                                           label_filter, data):
+    gold = Corpus("g", data.draw(_documents(doc_ids)))
+    pred = Corpus("p", data.draw(_documents(doc_ids)))
+    got = score(gold, pred, mode, label_filter, qualifier_sensitive)
+    want = oracle_score(gold, pred, mode, label_filter, qualifier_sensitive)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert render_report(got) == render_report(want)
+    assert render_diff(got) == render_diff(want)
+    for refs, oracle_refs in ((got.missed, want.missed), (got.spurious, want.spurious)):
+        assert [tuple(r) for r in refs] == [dataclasses.astuple(r) for r in oracle_refs]
+        assert [hash(r) for r in refs] == [hash(r) for r in oracle_refs]
 
 
 def test_compatibility_tests_grow_linearly_with_entity_count(monkeypatch):

@@ -45,6 +45,14 @@ def test_ingest_container_images():
     assert all(e.kind == BINARY_NAME for e in entries)
 
 
+def test_a_bad_container_image_is_located_by_its_line():
+    # Line 3, after a comment and a blank line, which are not records.
+    with pytest.raises(MalformedDump) as exc:
+        ingest("biocontainers", "# images\n\nquay.io/x/:tag\n", "bc.txt")
+    assert exc.value.where == 3
+    assert str(exc.value) == "bc.txt:3: cannot extract a name from image 'quay.io/x/:tag'"
+
+
 def test_ingest_bioweb_and_custom_are_tool_names():
     assert ingest("bioweb", "ClustalW\n")[0].kind == TOOL_NAME
     assert ingest("custom", "MyTool\n")[0].kind == TOOL_NAME
