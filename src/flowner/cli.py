@@ -82,6 +82,8 @@ def _ratios_arg(value) -> tuple[float, float]:
     except ValueError:
         raise UsageError(f"--ratios takes two comma-separated fractions, "
                          f"got {value!r}") from None
+    if not experiment.ratios_in_range((train_frac, dev_frac)):
+        raise UsageError(f"--ratios out of range, got {value!r}")
     return train_frac, dev_frac
 
 
@@ -228,9 +230,8 @@ def _load_gazetteer(path) -> gazetteer.Gazetteer:
 def _cmd_gazetteer_export(args) -> int:
     _require(args, "gazetteer", "out")
     gaz = _load_gazetteer(args.gazetteer)
-    gazetteer.export_vocab(gaz, args.out, split_multiword=args.split_multiword)
-    print(f"wrote {len(gazetteer.vocab_lines(gaz, args.split_multiword))} line(s) "
-          f"to {args.out}")
+    n_lines = gazetteer.export_vocab(gaz, args.out, split_multiword=args.split_multiword)
+    print(f"wrote {n_lines} line(s) to {args.out}")
     return 0
 
 

@@ -22,8 +22,7 @@ hands it each document's entity tuples as they are: a :class:`Document`
 keeps them canonical and free of duplicates, so an entity is told by its
 index, with no sort and no set of entities.  ``match_document`` takes any
 iterable, so it sorts its inputs into canonical order first.
-``EntityRef`` is a tuple record like the model's, hashing as the frozen
-dataclass it replaces did.
+``EntityRef`` is a record like the model's (see :mod:`flowner.model`).
 
 P and R are defined as 0 on empty denominators so micro aggregation is
 total; overall scores are micro-averages over the label filter when one
@@ -34,7 +33,7 @@ and R exactly and leaves F1 unchanged.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -241,32 +240,10 @@ class LabelScore:
                 "p": self.p, "r": self.r, "f1": self.f1}
 
 
-class EntityRef(tuple):
-    """Enough of an entity to list it in reports without the document: the
-    tuple ``(doc_id, entity_id, label, start, end, surface)`` with read-only
-    named fields, hashing as the frozen dataclass it replaces did.  Like the
-    model's records it equals the plain tuple of its fields."""
+class EntityRef(namedtuple("EntityRef", "doc_id entity_id label start end surface")):
+    """Enough of an entity to list it in reports without the document."""
 
     __slots__ = ()
-    __match_args__ = ("doc_id", "entity_id", "label", "start", "end", "surface")
-
-    def __new__(cls, doc_id: str, entity_id: str, label: str, start: int, end: int,
-                surface: str) -> "EntityRef":
-        return tuple.__new__(cls, (doc_id, entity_id, label, start, end, surface))
-
-    doc_id = property(itemgetter(0))
-    entity_id = property(itemgetter(1))
-    label = property(itemgetter(2))
-    start = property(itemgetter(3))
-    end = property(itemgetter(4))
-    surface = property(itemgetter(5))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return (f"EntityRef(doc_id={self[0]!r}, entity_id={self[1]!r}, label={self[2]!r}, "
-                f"start={self[3]!r}, end={self[4]!r}, surface={self[5]!r})")
 
     @classmethod
     def of(cls, doc_id: str, ent: Entity) -> "EntityRef":

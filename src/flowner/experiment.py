@@ -103,10 +103,16 @@ class SplitManifest:
                    ratios=(data["ratios"][0], data["ratios"][1]))
 
 
+def ratios_in_range(ratios: Sequence[float]) -> bool:
+    """Whether ``(train_frac, dev_frac)`` has 0 < train < 1 and 0 <= dev < 1."""
+    train_frac, dev_frac = ratios
+    return 0.0 < train_frac < 1.0 and 0.0 <= dev_frac < 1.0
+
+
 def split_sizes(n: int, ratios: Sequence[float] = DEFAULT_RATIOS) -> tuple[int, int, int]:
     """(n_train, n_dev, n_test) for a corpus of n documents."""
     train_frac, dev_frac = ratios
-    if not (0.0 < train_frac < 1.0 and 0.0 <= dev_frac < 1.0):
+    if not ratios_in_range(ratios):
         raise ValueError(f"ratios out of range: {ratios!r}")
     n_test = math.floor((1.0 - train_frac) * n + 0.5)
     pool = n - n_test

@@ -10,10 +10,9 @@ removed (counts recorded, policy configurable).  Adapters read dump files
 from disk; fetching live registries is out of scope here so runs stay
 reproducible and offline.
 
-A :class:`VocabEntry` is an immutable tuple ``(canonical, kind, sources)``
-with read-only named fields, so it is cheap to build; it also compares
-equal to the plain tuple of its fields.  A name seen once keeps the very
-entry that :func:`ingest` returned; only a merge builds a new one.
+A :class:`VocabEntry` is a record like the model's (see
+:mod:`flowner.model`).  A name seen once keeps the very entry that
+:func:`ingest` returned; only a merge builds a new one.
 
 An entry's ``sources`` is an immutable frozenset that entries share: every
 entry ingested from one dump holds the same set, a merge keeps one object
@@ -34,12 +33,13 @@ names.
 
 from __future__ import annotations
 
+import io
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import corpus_io
@@ -65,28 +65,15 @@ class MalformedDump(InputError):
     file and line (a byte that is not UTF-8), or by the file alone."""
 
 
-class VocabEntry(tuple):
-    """One name: the tuple ``(canonical, kind, sources)`` with read-only
-    named fields.  A blank ``canonical`` is a ``ValueError``."""
+class VocabEntry(namedtuple("VocabEntry", "canonical kind sources")):
+    """One name.  A blank ``canonical`` is a ``ValueError``."""
 
     __slots__ = ()
-    __match_args__ = ("canonical", "kind", "sources")
 
     def __new__(cls, canonical: str, kind: str, sources: frozenset[str]) -> "VocabEntry":
         if not canonical.strip():
             raise ValueError("vocab entry name is empty")
         return tuple.__new__(cls, (canonical, kind, sources))
-
-    canonical = property(itemgetter(0))
-    kind = property(itemgetter(1))
-    sources = property(itemgetter(2))
-
-    def __getnewargs__(self) -> tuple:  # so that copy and pickle call __new__ right
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return (f"VocabEntry(canonical={self[0]!r}, kind={self[1]!r}, "
-                f"sources={self[2]!r})")
 
 
 # An entry whose name is already known to be stripped and non-blank.
@@ -94,9 +81,9 @@ _checked_entry = partial(tuple.__new__, VocabEntry)
 
 
 def _line_names(payload: str) -> Iterable[tuple[int, str]]:
-    # splitlines: a dump is read without newline translation, and its lines
-    # may end in CRLF or a lone CR.
-    for line_no, line in enumerate(payload.splitlines(), start=1):
+    # A dump is read untranslated; newline=None ends lines at CRLF, CR or LF
+    # only, as an editor does (str.splitlines also breaks at \f, NEL, U+2028...).
+    for line_no, line in enumerate(io.StringIO(payload, newline=None), start=1):
         name = line.strip()
         if name and not name.startswith("#"):
             yield line_no, name
@@ -338,7 +325,9 @@ def vocab_lines(gaz: Gazetteer, split_multiword: bool = False) -> list[str]:
     return sorted(seen.values(), key=lambda s: (s.casefold(), s))
 
 
-def export_vocab(gaz: Gazetteer, path, split_multiword: bool = False) -> None:
-    """Write the vocabulary file: one name per line, UTF-8, LF terminators."""
-    content = "".join(line + "\n" for line in vocab_lines(gaz, split_multiword))
-    corpus_io.atomic_write_text(path, content)
+def export_vocab(gaz: Gazetteer, path, split_multiword: bool = False) -> int:
+    """Write the vocabulary file: one name per line, UTF-8, LF terminators.
+    Returns the number of lines written."""
+    lines = vocab_lines(gaz, split_multiword)
+    corpus_io.atomic_write_text(path, "".join(line + "\n" for line in lines))
+    return len(lines)

@@ -11,18 +11,22 @@ uniqueness) are checked by :func:`validate_corpus`, which reports them as
 data rather than raising, so a corpus with broken annotations can still be
 loaded and inspected.
 
-:class:`Span`, :class:`EntityLabel` and :class:`Entity` are tuples with
-read-only named fields, so building, hashing, comparing and ordering them
-runs in C; a corpus holds one of each per annotation.  They hash as the
-frozen dataclasses they replace did (the hash of the tuple of their
-fields), so set and dict orders are unchanged.  Two behaviours differ
-from those dataclasses: a record compares equal to the plain tuple of its
-fields (``Span(0, 3) == (0, 3)``), and entities and labels order as
-tuples where the dataclasses could not be ordered at all.  ``len(span)``
-is its length in characters, ``end - start``, not its two items: take a
-span apart as ``(span.start, span.end)`` or ``start, end = span``, since
-``tuple()``, ``list()`` and ``*span`` size their result by ``len`` (a
-slot per character) and ``reversed()`` reads it as the item count.
+Records: :class:`Span`, :class:`EntityLabel`, :class:`Entity`,
+:class:`~flowner.evaluation.EntityRef` and
+:class:`~flowner.gazetteer.VocabEntry` are ``namedtuple`` subclasses with
+``__slots__ = ()``, built, hashed, compared and ordered in C.  A subclass
+adds only what differs from a plain namedtuple, such as the validating
+``__new__`` of ``Span``, ``Entity`` and ``VocabEntry``; namedtuple's
+``_make`` and ``_replace`` bypass it and are not flowner API.  Parsers
+whose fields are already checked build records with
+``partial(tuple.__new__, cls)``.  Records hash and print as the frozen
+dataclasses they replace did, so set and dict orders are unchanged;
+unlike those, a record equals the plain tuple of its fields
+(``Span(0, 3) == (0, 3)``), and entities and labels are ordered.
+``len(span)`` is ``end - start``, not 2: take a span apart as
+``(span.start, span.end)`` or ``start, end = span``, since ``tuple()``,
+``list()`` and ``*span`` size their result by ``len`` (a slot per
+character) and ``reversed()`` reads it as the item count.
 
 A :class:`Document` keeps its entities in canonical order
 (:meth:`Entity.sort_key`); entities whose extents already strictly
@@ -32,10 +36,10 @@ computing a key.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Optional, Sequence
 
 
@@ -66,16 +70,11 @@ class Provenance(str, Enum):
     CONVERTED = "converted"
 
 
-class Span(tuple):
-    """Half-open character interval ``[start, end)`` into a document text:
-    the tuple ``(start, end)`` with read-only named fields.
-
-    ``len()`` is ``end - start``, not 2; see the module docstring for how
-    to take a span apart.
-    """
+class Span(namedtuple("Span", "start end")):
+    """Half-open character interval ``[start, end)`` into a document text;
+    ``len()`` is ``end - start`` (see the module docstring)."""
 
     __slots__ = ()
-    __match_args__ = ("start", "end")
 
     def __new__(cls, start: int, end: int) -> "Span":
         if start < 0:
@@ -84,22 +83,16 @@ class Span(tuple):
             raise ValueError(f"span must be non-empty: [{start}, {end})")
         return tuple.__new__(cls, (start, end))
 
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
-
     def __len__(self) -> int:
         return self[1] - self[0]
 
-    def __getnewargs__(self) -> tuple:  # so that copy and pickle call __new__ right
+    # Namedtuple's returns tuple(self), which would size itself by len().
+    def __getnewargs__(self) -> tuple:
         return (self[0], self[1])
 
-    def __repr__(self) -> str:
-        return f"Span(start={self[0]!r}, end={self[1]!r})"
 
-
-class EntityLabel(tuple):
-    """Schema label: the tuple ``(base, qualifier)`` with read-only named
-    fields; the qualifier is optional.
+class EntityLabel(namedtuple("EntityLabel", "base qualifier", defaults=(None,))):
+    """Schema label: a base and an optional qualifier.
 
     The base is not restricted here; source corpora in foreign schemas
     (e.g. ``software``) pass through the same model before conversion.
@@ -107,19 +100,6 @@ class EntityLabel(tuple):
     """
 
     __slots__ = ()
-    __match_args__ = ("base", "qualifier")
-
-    def __new__(cls, base: str, qualifier: Optional[str] = None) -> "EntityLabel":
-        return tuple.__new__(cls, (base, qualifier))
-
-    base = property(itemgetter(0))
-    qualifier = property(itemgetter(1))
-
-    def __getnewargs__(self) -> tuple:
-        return (self[0], self[1])
-
-    def __repr__(self) -> str:
-        return f"EntityLabel(base={self[0]!r}, qualifier={self[1]!r})"
 
     def __str__(self) -> str:
         if self[1]:
@@ -127,9 +107,8 @@ class EntityLabel(tuple):
         return self[0]
 
 
-class Entity(tuple):
-    """One annotation: the tuple ``(id, label, fragments, surface)`` with
-    read-only named fields.
+class Entity(namedtuple("Entity", "id label fragments surface")):
+    """One annotation.
 
     ``fragments`` must be sorted by start and pairwise non-overlapping;
     ``surface`` must equal the document-text slices of the fragments
@@ -139,7 +118,6 @@ class Entity(tuple):
     """
 
     __slots__ = ()
-    __match_args__ = ("id", "label", "fragments", "surface")
 
     def __new__(cls, id: str, label: EntityLabel, fragments: tuple[Span, ...],
                 surface: str) -> "Entity":
@@ -154,18 +132,6 @@ class Entity(tuple):
                 if cur.start < prev.end:
                     raise ValueError(f"entity {id}: fragments overlap")
         return tuple.__new__(cls, (id, label, fragments, surface))
-
-    id = property(itemgetter(0))
-    label = property(itemgetter(1))
-    fragments = property(itemgetter(2))
-    surface = property(itemgetter(3))
-
-    def __getnewargs__(self) -> tuple:
-        return (self[0], self[1], self[2], self[3])
-
-    def __repr__(self) -> str:
-        return (f"Entity(id={self[0]!r}, label={self[1]!r}, fragments={self[2]!r}, "
-                f"surface={self[3]!r})")
 
     # Indexed rather than by field name: these run once per entity and pair.
     @property

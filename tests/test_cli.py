@@ -143,6 +143,7 @@ def test_split_writes_manifests(gold_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flags, named", [
     (["--n", "0"], "--n"), (["--n", "-3"], "--n"), (["--ratios", "a,b"], "--ratios"),
     (["--ratios", "0.8"], "--ratios"), (["--ratios", "0.8,0.3,0.1"], "--ratios"),
+    (["--ratios", "1.5,0.3"], "--ratios"), (["--ratios", "nan,0.3"], "--ratios"),
 ])
 def test_split_with_no_splits_or_bad_ratios_is_a_usage_error(tmp_path, capsys, flags,
                                                               named):
@@ -175,6 +176,21 @@ def test_convert_pipeline(tmp_path, capsys):
     assert data["dropped"] == {"figure": 1}
     text = oracle_dumps_json(data) + "\n"
     assert report.read_text("utf-8") == capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("split_flag", [[], ["--split-multiword"]])
+def test_gazetteer_export_prints_the_line_count_of_its_file(tmp_path, capsys, split_flag):
+    dump = tmp_path / "custom.txt"
+    dump.write_text("Burrows Wheeler Aligner\nBWA\nSAMtools\n", encoding="utf-8")
+    gaz_path = tmp_path / "gaz.json"
+    assert main(["gazetteer", "build", "--custom", str(dump), "--out", str(gaz_path)]) == 0
+    capsys.readouterr()
+    vocab = tmp_path / "vocab.txt"
+    assert main(["gazetteer", "export", "--gazetteer", str(gaz_path), "--out", str(vocab),
+                 *split_flag]) == 0
+    n_lines = len(vocab.read_text("utf-8").splitlines())
+    assert n_lines == (6 if split_flag else 3)
+    assert capsys.readouterr().out == f"wrote {n_lines} line(s) to {vocab}\n"
 
 
 def test_gazetteer_build_export_tag_silver(tmp_path, capsys):
@@ -486,6 +502,8 @@ def test_a_focus_label_from_a_corpus_or_result_outside_the_schema_is_known(tmp_p
     (["split"], {"ratios": "x"}, "{}: --ratios takes two comma-separated fractions, got 'x'"),
     (["split"], {"ratios": "0.6,0.2,0.2"},
      "{}: --ratios takes two comma-separated fractions, got '0.6,0.2,0.2'"),
+    (["split"], {"ratios": "1.5,0.3"}, "{}: --ratios out of range, got '1.5,0.3'"),
+    (["split"], {"ratios": "nan,0.3"}, "{}: --ratios out of range, got 'nan,0.3'"),
 ])
 def test_a_config_value_gets_the_check_of_its_flag(tmp_path, capsys, argv, config, err):
     path = tmp_path / "cfg.json"

@@ -53,6 +53,22 @@ def test_a_bad_container_image_is_located_by_its_line():
     assert str(exc.value) == "bc.txt:3: cannot extract a name from image 'quay.io/x/:tag'"
 
 
+# Form feed, vertical tab, \x1c-\x1e, NEL and U+2028/U+2029 end a line for
+# str.splitlines but not for an editor; CRLF and a lone CR do end one.
+_INNER_BREAKS = "\f\v\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("inner", list(_INNER_BREAKS))
+def test_dump_lines_end_only_at_cr_and_lf(inner):
+    payload = f"bwa{inner}star\r\nsamtools\rhisat2\n"
+    names = [f"bwa{inner}star", "samtools", "hisat2"]
+    assert [e.canonical for e in ingest("bioconda", payload)] == names
+    assert common_words(payload) == {n.casefold() for n in names}
+    with pytest.raises(MalformedDump) as exc:
+        ingest("biocontainers", f"quay.io/x/bwa{inner}star\nquay.io/x/:tag\n", "bc.txt")
+    assert str(exc.value) == "bc.txt:2: cannot extract a name from image 'quay.io/x/:tag'"
+
+
 def test_ingest_bioweb_and_custom_are_tool_names():
     assert ingest("bioweb", "ClustalW\n")[0].kind == TOOL_NAME
     assert ingest("custom", "MyTool\n")[0].kind == TOOL_NAME

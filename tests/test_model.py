@@ -165,6 +165,18 @@ def test_records_are_immutable_values():
     assert len(Span(4, 10)) == 6 and e.extent() == Span(0, 6)
 
 
+def test_the_records_are_namedtuples_that_add_no_field_boilerplate():
+    from flowner.evaluation import EntityRef
+    from flowner.gazetteer import VocabEntry
+    for cls in (Span, EntityLabel, Entity, EntityRef, VocabEntry):
+        assert cls.__bases__[0].__bases__ == (tuple,) and cls.__slots__ == ()
+        own = vars(cls)
+        assert not {"__repr__", "__match_args__", *cls._fields} & own.keys(), cls
+        assert ("__getnewargs__" in own) == (cls is Span)
+    assert EntityLabel("Tool") == EntityLabel("Tool", None) == ("Tool", None)
+    assert not hasattr(Span(0, 1), "__dict__")
+
+
 def test_a_long_span_converts_to_its_two_fields():
     # len() is the span's length, so conversions that size by it still
     # yield exactly the two fields.
