@@ -16,11 +16,11 @@ from .evaluation import (DocSetMismatch, EntityRef, LabelScore, MatchMode,
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
                          MalformedResult, MixedModes, RunResult, SplitManifest,
                          aggregate, make_splits, render_table, split_sizes)
-from .gazetteer import (BuildOptions, Gazetteer, MalformedDump, VocabEntry,
-                        build_gazetteer, export_vocab, ingest, vocab_lines)
-from .tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                     FusionSource, MalformedPrediction, MalformedRules, Matcher,
-                     MissingPrediction, RuleSet, TaggerPredictor, default_ruleset,
-                     fuse, provenance_counts, silver_annotate, tag)
+from .gazetteer import (Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
+                        export_vocab, ingest, vocab_lines)
+from .tagger import (DuplicateDocId, ExternalPredictions, MalformedPrediction,
+                     MalformedRules, Matcher, MissingPrediction, RuleSet,
+                     TaggerPredictor, default_ruleset, fuse, provenance_counts,
+                     silver_annotate, tag)
 
 __version__ = "0.1.0"

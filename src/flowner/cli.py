@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands cover the batch pipelines: validate, stats, convert, split,
-eval, iaa, gazetteer build/export, tag, silver, fuse, report.  Exit codes
+eval, iaa, gazetteer build/export, tag, silver, fuse, report.  ``tag`` runs
+the built-in dictionary/rule tagger; ``silver`` reads model predictions
+(a standoff directory or JSONL) into a silver corpus.  Exit codes
 are fixed so CI can gate on them: 0 success, 1 validation/data failure,
 2 usage error.  All randomness flows through explicit ``--seed`` flags;
 artifacts are written atomically; given identical inputs and flags every
@@ -14,7 +16,9 @@ key that no subcommand accepts is a usage error.  A value gets the check
 its flag gets on the command line: one of the flag's choices, ``true`` or
 ``false`` for a switch, an integer for a numeric flag, a list of strings
 for a repeatable flag (``--source``, ``--results``) and a string for any
-other (``--focus`` also takes a list of labels).
+other (``--focus`` also takes a list of labels).  An error about a value the
+config file supplied (a ``--focus`` label, a missing corpus directory)
+names the file.
 """
 
 from __future__ import annotations
@@ -60,15 +64,33 @@ def _labels_arg(value) -> list[str] | None:
     return labels
 
 
-def _check_focus(focus: list[str], known: set[str], config=None) -> None:
+def _config_of(args, dest: str):
+    """The ``--config`` file if it supplied flag ``dest``'s value, else None."""
+    return args.config if dest in args.from_config else None
+
+
+def _read_dir(read, args, dest: str, path=None):
+    """``read(path)`` of the corpus directory that flag ``dest`` names, by
+    default its value; a missing directory that the ``--config`` file
+    supplied is an error that names the file."""
+    try:
+        return read(getattr(args, dest) if path is None else path)
+    except FileNotFoundError as exc:
+        config = _config_of(args, dest)
+        if config is None:
+            raise
+        raise InputError(str(exc), config) from None
+
+
+def _check_focus(focus: list[str], known: set[str], args) -> None:
     """Each ``--focus`` label must be a schema label or one of ``known``,
     the labels of the inputs; any other is a usage error that names it, and
-    ``config``, the config file the labels came from, if they did."""
+    the config file the labels came from, if they did."""
     unknown = [label for label in dict.fromkeys(focus)
                if label not in BIOTOFLOW.labels and label not in known]
     if unknown:
         raise UsageError(f"--focus names unknown label(s): "
-                         f"{', '.join(map(repr, unknown))}", config)
+                         f"{', '.join(map(repr, unknown))}", _config_of(args, "focus"))
 
 
 def _base_labels(*corpora: Corpus) -> set[str]:
@@ -89,7 +111,7 @@ def _ratios_arg(value) -> tuple[float, float]:
 
 def _cmd_validate(args) -> int:
     _require(args, "corpus")
-    paths = corpus_io.document_paths(args.corpus)
+    paths = _read_dir(corpus_io.document_paths, args, "corpus")
     bases = BIOTOFLOW.labels if args.schema == "biotoflow" else None
     # Lenient load: a file the parser rejects is a finding, not a crash.
     documents = []
@@ -110,7 +132,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     _require(args, "corpus")
-    corpus = corpus_io.load_corpus_dir(args.corpus)
+    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
     report = corpus_stats(corpus)
     payload = report.to_json_dict()
     text = corpus_io.dumps_json(payload)
@@ -122,7 +144,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert(args) -> int:
     _require(args, "corpus", "out")
-    corpus = corpus_io.load_corpus_dir(args.corpus)
+    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
     table = (schema.mapping_table_from_file(args.table) if args.table
              else schema.default_softcite_table())
     converted, report = schema.convert_corpus(corpus, table, strict=args.strict)
@@ -138,7 +160,7 @@ def _cmd_split(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n takes a number of splits of at least 1, got {args.n!r}")
     ratios = _ratios_arg(args.ratios) if args.ratios else experiment.DEFAULT_RATIOS
-    corpus = corpus_io.load_corpus_dir(args.corpus)
+    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
     manifests = experiment.make_splits(corpus, args.n, args.seed, ratios)
     out = Path(args.out)
     for m in manifests:
@@ -159,10 +181,10 @@ def _print_report(report, macro: bool, diff: bool) -> None:
 def _cmd_eval(args) -> int:
     _require(args, "gold", "pred")
     focus = _labels_arg(args.focus)
-    gold = corpus_io.load_corpus_dir(args.gold)
-    pred = corpus_io.load_corpus_dir(args.pred)
+    gold = _read_dir(corpus_io.load_corpus_dir, args, "gold")
+    pred = _read_dir(corpus_io.load_corpus_dir, args, "pred")
     if focus:
-        _check_focus(focus, _base_labels(gold, pred), args.focus_config)
+        _check_focus(focus, _base_labels(gold, pred), args)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
     payload = {}
@@ -180,10 +202,10 @@ def _cmd_eval(args) -> int:
 def _cmd_iaa(args) -> int:
     _require(args, "annotator_a", "annotator_b")
     focus = _labels_arg(args.focus)
-    a = corpus_io.load_corpus_dir(args.annotator_a)
-    b = corpus_io.load_corpus_dir(args.annotator_b)
+    a = _read_dir(corpus_io.load_corpus_dir, args, "annotator_a")
+    b = _read_dir(corpus_io.load_corpus_dir, args, "annotator_b")
     if focus:
-        _check_focus(focus, _base_labels(a, b), args.focus_config)
+        _check_focus(focus, _base_labels(a, b), args)
     mode = evaluation.MatchMode(args.mode)
     report = evaluation.score(a, b, mode, focus)
     _print_report(report, args.macro, args.diff)
@@ -205,12 +227,9 @@ def _cmd_gazetteer_build(args) -> int:
     common = None
     if args.common_words:
         common = gazetteer.common_words(_read_dump(args.common_words))
-    options = gazetteer.BuildOptions(
-        min_length=args.min_length,
-        drop_numeric=not args.keep_numeric,
-        drop_common_words=not args.keep_common,
-        common_words=common)
-    gaz = gazetteer.build_gazetteer(entries, options)
+    gaz = gazetteer.build_gazetteer(
+        entries, min_length=args.min_length, drop_numeric=not args.keep_numeric,
+        drop_common_words=not args.keep_common, common_words=common)
     corpus_io.atomic_write_text(args.out, gaz.to_json_text())
     print(f"gazetteer: {len(gaz)} entries "
           f"({json.dumps(gaz.normalization['filtered'])} filtered)")
@@ -243,7 +262,7 @@ def _ruleset(args) -> tagger.RuleSet:
 
 def _cmd_tag(args) -> int:
     _require(args, "corpus", "gazetteer", "out")
-    corpus = corpus_io.load_corpus_dir(args.corpus)
+    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
     predictor = tagger.TaggerPredictor(_load_gazetteer(args.gazetteer), _ruleset(args))
     tagged = tagger.silver_annotate(corpus, predictor)
     corpus_io.write_corpus_dir(tagged, args.out)
@@ -252,17 +271,15 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_silver(args) -> int:
-    _require(args, "corpus", "out")
-    corpus = corpus_io.load_corpus_dir(args.corpus)
-    if args.predictions:
-        path = Path(args.predictions)
-        predictor = (tagger.ExternalPredictions.from_jsonl(path)
-                     if path.suffix == ".jsonl"
-                     else tagger.ExternalPredictions.from_dir(path))
-    elif args.gazetteer:
-        predictor = tagger.TaggerPredictor(_load_gazetteer(args.gazetteer), _ruleset(args))
-    else:
-        raise UsageError("need --predictions or --gazetteer")
+    _require(args, "corpus", "predictions", "out")
+    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
+    path = Path(args.predictions)
+    predictor = (tagger.ExternalPredictions.from_jsonl(path) if path.suffix == ".jsonl"
+                 else tagger.ExternalPredictions.from_dir(path))
+    unknown = sorted(predictor.readers.keys() - set(corpus.doc_ids()))
+    if unknown:
+        raise tagger.MalformedPrediction(
+            f"prediction(s) for doc_id(s) not in the corpus, e.g. {unknown[:5]}", path)
     silver = tagger.silver_annotate(corpus, predictor)
     corpus_io.write_corpus_dir(silver, args.out)
     print(f"silver-annotated {len(silver)} document(s) into {args.out}")
@@ -281,12 +298,8 @@ def _cmd_fuse(args) -> int:
         except ValueError:
             raise UsageError(f"unknown role {role_name!r} in --source {raw!r}, expected "
                              + "|".join(p.value for p in Provenance)) from None
-        corpus = corpus_io.load_corpus_dir(path)
-        sources.append(tagger.FusionSource(corpus=corpus, role=role))
-    config = tagger.FusionConfig(
-        sources=tuple(sources), for_training=args.for_training,
-        prefix_on_collision=args.prefix_collisions)
-    fused = tagger.fuse(config)
+        sources.append((_read_dir(corpus_io.load_corpus_dir, args, "source", path), role))
+    fused = tagger.fuse(sources, args.for_training, args.prefix_collisions)
     corpus_io.write_corpus_dir(fused, args.out)
     counts = tagger.provenance_counts(fused)
     print(json.dumps({"documents": len(fused), "provenance": dict(sorted(counts.items()))}))
@@ -302,8 +315,7 @@ def _cmd_report(args) -> int:
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
     results = [experiment.run_result_from_file(p) for p in paths]
     if focus:
-        _check_focus(focus, {base for r in results for base in r.report.per_label},
-                     args.focus_config)
+        _check_focus(focus, {base for r in results for base in r.report.per_label}, args)
     table = experiment.aggregate(results, focus, per_split=args.per_split)
     rendered = experiment.render_table(table, layout=args.layout)
     if args.out:
@@ -396,12 +408,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--rules", help="rule set JSON (default: built-in)")
     p.add_argument("--out")
 
-    p = add("silver", _cmd_silver, help="silver-annotate a corpus with a predictor")
+    p = add("silver", _cmd_silver,
+            help="silver-annotate a corpus with model predictions (the built-in tagger is 'tag')")
     p.add_argument("--corpus")
     p.add_argument("--out")
     p.add_argument("--predictions", help="standoff dir or .jsonl of model predictions")
-    p.add_argument("--gazetteer", help="use the built-in tagger with this gazetteer")
-    p.add_argument("--rules")
 
     p = add("fuse", _cmd_fuse, help="concatenate corpora, tracking provenance")
     p.add_argument("--source", action="append",
@@ -484,13 +495,19 @@ def main(argv=None) -> int:
     parser, registry = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # The config file names a --focus it supplied, in the label check.
-        focus_config = None if getattr(args, "focus", None) is not None else args.config
+        explicit = vars(args)
         if args.config is not None:
             # Re-parse so the config defaults sit below the explicit flags.
             _apply_config(args.config, registry, args.func)
             args = parser.parse_args(argv)
-        args.focus_config = focus_config
+            # argparse appends a repeated flag to its default; a list given
+            # on the command line replaces the config's instead.
+            for dest, value in explicit.items():
+                if isinstance(value, list):
+                    setattr(args, dest, value)
+        # The values the config file supplied, for errors that name the file.
+        args.from_config = {dest for dest, value in vars(args).items()
+                            if explicit.get(dest) != value}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -103,6 +103,9 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
         name = record.get("name")
         if not isinstance(name, str) or not name.strip():
             raise MalformedDump("record has no usable 'name' field", where=f"record {idx}")
+        # A line break would split the name in the one-name-per-line vocabulary.
+        if "\n" in name or "\r" in name:
+            raise MalformedDump("line break in 'name'", where=f"record {idx}")
         entries.append(_checked_entry((name.strip(), TOOL_NAME, sources)))
         binaries = record.get("binaries", [])
         if not isinstance(binaries, list):
@@ -110,6 +113,8 @@ def _ingest_json_records(payload: str, sources: frozenset[str]) -> list[VocabEnt
         for binary in binaries:
             if not isinstance(binary, str) or not binary.strip():
                 raise MalformedDump("empty name in 'binaries'", where=f"record {idx}")
+            if "\n" in binary or "\r" in binary:
+                raise MalformedDump("line break in 'binaries'", where=f"record {idx}")
             entries.append(_checked_entry((binary.strip(), BINARY_NAME, sources)))
     return entries
 
@@ -164,14 +169,6 @@ def common_words(text: str) -> frozenset[str]:
 def shipped_common_words() -> frozenset[str]:
     return common_words(
         resources.files("flowner.data").joinpath("common_words.txt").read_text("utf-8"))
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    min_length: int = 2
-    drop_numeric: bool = True
-    drop_common_words: bool = True
-    common_words: Optional[frozenset[str]] = None  # case-folded; None = shipped list
 
 
 @dataclass(frozen=True)
@@ -259,17 +256,20 @@ class Gazetteer:
         return cls(entries=dict(sorted(entries.items())), normalization=normalization)
 
 
-def build_gazetteer(entries: Sequence[VocabEntry],
-                    options: Optional[BuildOptions] = None) -> Gazetteer:
+def build_gazetteer(entries: Sequence[VocabEntry], *, min_length: int = 2,
+                    drop_numeric: bool = True, drop_common_words: bool = True,
+                    common_words: Optional[frozenset[str]] = None) -> Gazetteer:
     """Merge raw entries case-insensitively and apply the name filters.
 
     First-seen casing becomes canonical; sources are unioned; a merged
-    name seen as both tool and binary counts as a tool.  Filter decisions
-    are tallied in the normalization record.
+    name seen as both tool and binary counts as a tool.  Names shorter
+    than ``min_length``, pure numbers (``drop_numeric``) and, with
+    ``drop_common_words``, case-folded ``common_words`` (None: the shipped
+    list) are dropped.  Filter decisions are tallied in the normalization
+    record.
     """
-    opts = options or BuildOptions()
-    common = opts.common_words if opts.common_words is not None else (
-        shipped_common_words() if opts.drop_common_words else frozenset())
+    common = common_words if common_words is not None else (
+        shipped_common_words() if drop_common_words else frozenset())
 
     merged: dict[str, VocabEntry] = {}
     interned: dict[frozenset[str], frozenset[str]] = {}
@@ -290,19 +290,19 @@ def build_gazetteer(entries: Sequence[VocabEntry],
     kept: dict[str, VocabEntry] = {}
     filtered = {"too_short": 0, "numeric": 0, "common_word": 0}
     for key in sorted(merged):
-        if len(key) < opts.min_length:
+        if len(key) < min_length:
             filtered["too_short"] += 1
-        elif opts.drop_numeric and _NUMERIC_RE.match(key):
+        elif drop_numeric and _NUMERIC_RE.match(key):
             filtered["numeric"] += 1
-        elif opts.drop_common_words and key in common:
+        elif drop_common_words and key in common:
             filtered["common_word"] += 1
         else:
             kept[key] = merged[key]
 
     normalization = {
-        "min_length": opts.min_length,
-        "drop_numeric": opts.drop_numeric,
-        "drop_common_words": opts.drop_common_words,
+        "min_length": min_length,
+        "drop_numeric": drop_numeric,
+        "drop_common_words": drop_common_words,
         "filtered": filtered,
         "kept": len(kept),
     }

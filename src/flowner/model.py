@@ -142,10 +142,6 @@ class Entity(namedtuple("Entity", "id label fragments surface")):
     def end(self) -> int:
         return self[2][-1][1]
 
-    def extent(self) -> Span:
-        """Smallest single span covering every fragment."""
-        return Span(self.start, self.end)
-
     def slice_text(self, text: str) -> str:
         """The canonical surface: fragment slices joined by one space."""
         return " ".join(text[f.start:f.end] for f in self.fragments)
@@ -239,12 +235,6 @@ class Document:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", _canonical_order(self.entities))
         object.__setattr__(self, "sidecar", tuple(self.sidecar))
-
-    def entity_by_id(self, entity_id: str) -> Optional[Entity]:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        return None
 
 
 @dataclass(frozen=True)

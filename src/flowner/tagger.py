@@ -269,7 +269,8 @@ class MissingPrediction(InputError, KeyError):
 
 
 class MalformedPrediction(InputError):
-    """A JSONL prediction record that cannot be read, located by file and line."""
+    """Predictions that cannot be used: a JSONL record, located by file and
+    line, or predictions for documents the corpus lacks, by the path."""
 
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
@@ -311,62 +312,59 @@ def _jsonl_fault(rec) -> Optional[str]:
     return None
 
 
-class ExternalPredictions:
-    """Model predictions read from standoff files or JSONL, keyed by doc_id."""
+def _ann_reader(ann: str, location: str) -> Callable[[str], tuple[Entity, ...]]:
+    """The entities of one ``.ann`` text, parsed against the document's text
+    and located by ``location``, the file it was read from."""
+    return lambda text: parse_standoff(ann, text, location).entities
 
-    def __init__(self, ann_by_doc: Optional[Mapping[str, str]] = None,
-                 entities_by_doc: Optional[Mapping[str, tuple[Entity, ...]]] = None,
-                 ann_paths: Optional[Mapping[str, str]] = None, path=None,
-                 entity_lines: Optional[Mapping[str, tuple[int, ...]]] = None):
-        """``ann_paths`` names the file each ``ann_by_doc`` text was read
-        from; a parse error is located by it, else by the doc_id.  ``path``
-        names the directory or file the predictions came from; a
-        :class:`MissingPrediction` is located by it.  ``entity_lines`` holds
-        the line of ``path`` each of a document's ``entities_by_doc`` was
-        read from: an entity that does not fit the document's text is a
-        :class:`MalformedPrediction` at that line."""
-        self._ann_by_doc = dict(ann_by_doc or {})
-        self._entities_by_doc = dict(entities_by_doc or {})
-        self._ann_paths = dict(ann_paths or {})
-        self._path = path
-        self._entity_lines = dict(entity_lines or {})
 
-    def __call__(self, doc: Document) -> tuple[Entity, ...]:
-        if doc.doc_id in self._entities_by_doc:
-            entities = self._entities_by_doc[doc.doc_id]
-            if doc.doc_id in self._entity_lines:
-                self._check_lines(doc, entities, self._entity_lines[doc.doc_id])
-            return entities
-        if doc.doc_id in self._ann_by_doc:
-            location = self._ann_paths.get(doc.doc_id, doc.doc_id)
-            return parse_standoff(self._ann_by_doc[doc.doc_id], doc.text, location).entities
-        raise MissingPrediction(f"no prediction found for doc_id {doc.doc_id!r}", self._path)
-
-    def _check_lines(self, doc: Document, entities: tuple[Entity, ...],
-                     lines: tuple[int, ...]) -> None:
-        """Raise a :class:`MalformedPrediction` at the first line whose
-        entity's offsets or surface disagree with the document's text."""
-        violations = validate_document(Document(doc.doc_id, doc.text, entities))
+def _jsonl_reader(doc_id: str, entities: tuple[Entity, ...], lines: tuple[int, ...],
+                  path) -> Callable[[str], tuple[Entity, ...]]:
+    """One document's JSONL entities, each read from the line of ``path`` at
+    the same index of ``lines``: the first, by line, whose offsets or
+    surface disagree with the document's text is a
+    :class:`MalformedPrediction` at its line."""
+    def read(text: str) -> tuple[Entity, ...]:
+        violations = validate_document(Document(doc_id, text, entities))
         if violations:
             line_of = dict(zip((e.id for e in entities), lines))
             first = min(violations, key=lambda v: line_of[v.entity_id])
-            raise MalformedPrediction(f"{first.kind} in document {doc.doc_id!r}: "
-                                      f"{first.message}", self._path, line_of[first.entity_id])
+            raise MalformedPrediction(f"{first.kind} in document {doc_id!r}: "
+                                      f"{first.message}", path, line_of[first.entity_id])
+        return entities
+    return read
+
+
+class ExternalPredictions:
+    """Model predictions keyed by doc_id: ``readers`` maps each doc_id to a
+    function from the document's text to its entities.  ``path`` names the
+    directory or file the predictions came from; a document with no reader
+    is a :class:`MissingPrediction` located by it."""
+
+    def __init__(self, readers: Mapping[str, Callable[[str], tuple[Entity, ...]]],
+                 path=None):
+        self.readers = dict(readers)
+        self._path = path
+
+    def __call__(self, doc: Document) -> tuple[Entity, ...]:
+        reader = self.readers.get(doc.doc_id)
+        if reader is None:
+            raise MissingPrediction(f"no prediction found for doc_id {doc.doc_id!r}", self._path)
+        return reader(doc.text)
 
     @classmethod
     def from_dir(cls, path) -> "ExternalPredictions":
         """Read every ``<doc_id>.ann`` under a directory (parsed lazily,
-        against the text of the document being annotated); a path that is
-        not a directory raises ``FileNotFoundError``."""
+        against the text of the document being annotated, a parse error
+        located by the file); a path that is not a directory raises
+        ``FileNotFoundError``."""
         from pathlib import Path
         root = Path(path)
         if not root.is_dir():
             raise FileNotFoundError(f"predictions directory not found: {root}")
-        ann_by_doc, ann_paths = {}, {}
-        for ann_path in sorted(root.glob("*.ann")):
-            ann_by_doc[ann_path.stem] = _read_text(ann_path, StandoffParseError)
-            ann_paths[ann_path.stem] = str(ann_path)
-        return cls(ann_by_doc=ann_by_doc, ann_paths=ann_paths, path=path)
+        return cls({ann_path.stem: _ann_reader(_read_text(ann_path, StandoffParseError),
+                                               str(ann_path))
+                    for ann_path in sorted(root.glob("*.ann"))}, path)
 
     @classmethod
     def from_jsonl(cls, path) -> "ExternalPredictions":
@@ -405,8 +403,8 @@ class ExternalPredictions:
                 except ValueError as exc:
                     raise MalformedPrediction(str(exc), path, line_no) from None
                 lines.setdefault(rec["doc_id"], []).append(line_no)
-        return cls(entities_by_doc={k: tuple(v) for k, v in per_doc.items()}, path=path,
-                   entity_lines={k: tuple(v) for k, v in lines.items()})
+        return cls({doc_id: _jsonl_reader(doc_id, tuple(ents), tuple(lines[doc_id]), path)
+                    for doc_id, ents in per_doc.items()}, path)
 
 
 def silver_annotate(corpus: Corpus,
@@ -433,55 +431,44 @@ class DuplicateDocId(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FusionSource:
-    corpus: Corpus
-    role: Optional[Provenance] = None  # overrides document provenance when set
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    sources: tuple[FusionSource, ...]
-    for_training: bool = False
-    prefix_on_collision: bool = False
-
-
 def provenance_counts(corpus: Corpus) -> Counter:
     return Counter(doc.provenance.value for doc in corpus.documents)
 
 
-def fuse(config: FusionConfig) -> Corpus:
+def fuse(sources: Sequence[tuple[Corpus, Optional[Provenance]]], for_training: bool = False,
+         prefix_on_collision: bool = False) -> Corpus:
     """Concatenate the source corpora, preserving per-document provenance.
 
-    doc_id collisions across sources raise unless prefixing is enabled,
-    in which case every doc_id is prefixed with its corpus name.  When
-    the result is meant for training (``for_training``), at least one
-    source must contribute gold documents.
+    Each source is a ``(corpus, role)`` pair; a role that is not None
+    overrides the provenance of the corpus's documents.  doc_id collisions
+    across sources raise unless ``prefix_on_collision``, in which case
+    every doc_id is prefixed with its corpus name.  When the result is
+    meant for training (``for_training``), at least one source must
+    contribute gold documents.
     """
-    if config.for_training:
+    if for_training:
         has_gold = any(
-            src.role == Provenance.GOLD or
-            (src.role is None and any(d.provenance == Provenance.GOLD
-                                      for d in src.corpus.documents))
-            for src in config.sources)
+            role == Provenance.GOLD or
+            (role is None and any(d.provenance == Provenance.GOLD for d in corpus.documents))
+            for corpus, role in sources)
         if not has_gold:
             raise ValueError("training fusion needs at least one gold source")
 
-    ids = Counter(doc.doc_id for src in config.sources for doc in src.corpus.documents)
+    ids = Counter(doc.doc_id for corpus, _role in sources for doc in corpus.documents)
     collisions = sorted(i for i, n in ids.items() if n > 1)
-    prefix = bool(collisions) and config.prefix_on_collision
+    prefix = bool(collisions) and prefix_on_collision
     if collisions and not prefix:
         raise DuplicateDocId(f"doc_id collision across sources, e.g. {collisions[:5]}")
 
     documents = []
-    for src in config.sources:
-        for doc in src.corpus.documents:
-            if src.role is not None and doc.provenance != src.role:
-                doc = replace(doc, provenance=src.role)
+    for corpus, role in sources:
+        for doc in corpus.documents:
+            if role is not None and doc.provenance != role:
+                doc = replace(doc, provenance=role)
             if prefix:
-                doc = replace(doc, doc_id=f"{src.corpus.name}:{doc.doc_id}")
+                doc = replace(doc, doc_id=f"{corpus.name}:{doc.doc_id}")
             documents.append(doc)
     if prefix and len({d.doc_id for d in documents}) != len(documents):
         raise DuplicateDocId("doc_ids still collide after corpus-name prefixing")
-    name = "+".join(src.corpus.name for src in config.sources)
+    name = "+".join(corpus.name for corpus, _role in sources)
     return Corpus(name=name, documents=tuple(documents))

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment, _micro,
                                 char_overlap, entities_compatible)
-from flowner.gazetteer import BINARY_NAME, TOOL_NAME, BuildOptions, shipped_common_words
+from flowner.gazetteer import BINARY_NAME, TOOL_NAME, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
 from flowner.standoff import DuplicateId, MalformedLine, OffsetOutOfRange, SurfaceMismatch
@@ -474,12 +474,13 @@ class OracleVocabEntry:
 _ORACLE_NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 
 
-def oracle_build_gazetteer(entries: list[VocabEntry], options: Optional[BuildOptions] = None,
+def oracle_build_gazetteer(entries: list[VocabEntry], *, min_length: int = 2,
+                           drop_numeric: bool = True, drop_common_words: bool = True,
+                           common_words: Optional[frozenset[str]] = None,
                            ) -> tuple[dict[str, OracleVocabEntry], dict]:
     """The kept ``{key: entry}`` table and the normalization record."""
-    opts = options or BuildOptions()
-    common = opts.common_words if opts.common_words is not None else (
-        shipped_common_words() if opts.drop_common_words else frozenset())
+    common = common_words if common_words is not None else (
+        shipped_common_words() if drop_common_words else frozenset())
     merged: dict[str, OracleVocabEntry] = {}
     for entry in entries:
         name = entry.canonical.strip()
@@ -494,18 +495,18 @@ def oracle_build_gazetteer(entries: list[VocabEntry], options: Optional[BuildOpt
     kept: dict[str, OracleVocabEntry] = {}
     filtered = {"too_short": 0, "numeric": 0, "common_word": 0}
     for key in sorted(merged):
-        if len(key) < opts.min_length:
+        if len(key) < min_length:
             filtered["too_short"] += 1
-        elif opts.drop_numeric and _ORACLE_NUMERIC_RE.match(key):
+        elif drop_numeric and _ORACLE_NUMERIC_RE.match(key):
             filtered["numeric"] += 1
-        elif opts.drop_common_words and key in common:
+        elif drop_common_words and key in common:
             filtered["common_word"] += 1
         else:
             kept[key] = merged[key]
     normalization = {
-        "min_length": opts.min_length,
-        "drop_numeric": opts.drop_numeric,
-        "drop_common_words": opts.drop_common_words,
+        "min_length": min_length,
+        "drop_numeric": drop_numeric,
+        "drop_common_words": drop_common_words,
         "filtered": filtered,
         "kept": len(kept),
     }

@@ -29,8 +29,7 @@ from flowner.gazetteer import build_gazetteer, ingest
 from flowner.model import Corpus, Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import convert_corpus, default_softcite_table
 from flowner.standoff import parse_standoff, serialize_standoff
-from flowner.tagger import FusionConfig, FusionSource, Matcher, fuse, \
-    provenance_counts, tag, default_ruleset
+from flowner.tagger import Matcher, fuse, provenance_counts, tag, default_ruleset
 from gen import (random_corpus_pair, random_document, random_match_instance)
 from oracles import brute_force_max_pairs
 from util import TABLE1_COUNTS, synthetic_table1_corpus
@@ -196,6 +195,7 @@ def test_criterion_5_mapping_table_fixture():
         out = converted.documents[0]
 
         by_id = {e.id: e for e in out.entities}
+        original_by_id = {e.id: e for e in doc.entities}
         dropped_count = 0
         for i, (base, attr, target, qualifier) in enumerate(TABLE3_CASES):
             ent_id = f"T{i + 1}"
@@ -205,7 +205,7 @@ def test_criterion_5_mapping_table_fixture():
             else:
                 got = by_id[ent_id]
                 assert got.label == EntityLabel(target, qualifier), (base, attr)
-                original = doc.entity_by_id(ent_id)
+                original = original_by_id[ent_id]
                 assert got.fragments == original.fragments
                 assert got.surface == original.surface
         assert dropped_count == 4
@@ -337,7 +337,6 @@ def test_criterion_9_fusion_bookkeeping():
             Document(f"pmc{i:05d}", "converted text",
                      provenance=Provenance.CONVERTED)
             for i in range(1159)))
-        fused = fuse(FusionConfig(sources=(FusionSource(gold),
-                                           FusionSource(converted))))
+        fused = fuse([(gold, None), (converted, None)])
         assert len(fused) == 1211
         assert dict(provenance_counts(fused)) == {"gold": 52, "converted": 1159}

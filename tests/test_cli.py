@@ -218,10 +218,18 @@ def test_gazetteer_build_export_tag_silver(tmp_path, capsys):
     surfaces = {e.surface for e in tagged.documents[0].entities}
     assert {"BWA", "v1.2", "star"} <= surfaces
 
+    # The tagger's output read back as model predictions is written unchanged.
     silver_dir = tmp_path / "silver"
     assert main(["silver", "--corpus", str(corpus_dir),
-                 "--gazetteer", str(gaz_path), "--out", str(silver_dir)]) == 0
-    assert (silver_dir / "d1.ann").exists()
+                 "--predictions", str(tagged_dir), "--out", str(silver_dir)]) == 0
+    assert (silver_dir / "d1.ann").read_bytes() == (tagged_dir / "d1.ann").read_bytes()
+
+
+def test_silver_reads_model_predictions_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["silver", "--corpus", str(tmp_path), "--gazetteer", "gaz.json",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_gazetteer_build_writes_the_stdlib_indented_json(tmp_path, capsys):
@@ -436,6 +444,47 @@ def test_a_focus_label_found_nowhere_in_the_config_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err == f"usage error: {config}: --focus names unknown label(s): 'Toool'\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["stats"], "corpus"),
+    (["validate"], "corpus"),
+    (["eval", "--pred", "@gold"], "gold"),
+    (["iaa", "--annotator-a", "@gold"], "annotator_b"),
+    (["fuse", "--out", "@out"], "source"),
+])
+def test_a_missing_corpus_directory_from_the_config_names_the_config(gold_dir, tmp_path,
+                                                                      capsys, argv, key):
+    missing = tmp_path / "nope"
+    config = tmp_path / "cfg.json"
+    value = [f"{missing}:gold"] if key == "source" else str(missing)
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = [{"@gold": str(gold_dir), "@out": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: corpus directory not found: {missing}\n")
+
+
+def test_a_missing_corpus_directory_flag_is_reported_as_a_flag(gold_dir, tmp_path, capsys):
+    missing = tmp_path / "nope"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"corpus": str(gold_dir), "source": [f"{gold_dir}:gold"]}),
+                      encoding="utf-8")
+    for argv in (["stats", "--corpus", str(missing)],
+                 ["fuse", "--source", str(missing), "--out", str(tmp_path / "o")]):
+        for extra in ([], ["--config", str(config)]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr().err == \
+                f"error: corpus directory not found: {missing}\n"
+
+
+def test_a_source_flag_replaces_the_sources_of_the_config(gold_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"source": [f"{gold_dir}:gold"]}), encoding="utf-8")
+    pred_dir = _write_pred_dir(tmp_path)
+    assert main(["fuse", "--source", f"{pred_dir}:silver", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == '{"documents": 2, "provenance": {"silver": 2}}\n'
 
 
 def test_a_focus_flag_wins_over_the_config_and_is_reported_as_a_flag(gold_dir, tmp_path,
@@ -796,7 +845,8 @@ def test_undecodable_prediction_file_names_its_file_and_line(tmp_path, capsys, n
 def test_a_missing_prediction_names_the_doc_id_and_the_predictions(tmp_path, capsys,
                                                                    name):
     corpus_dir = tmp_path / "c"
-    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),
+                                  doc_of("d2", "aligned with BWA"))), corpus_dir)
     preds = tmp_path / name
     if name == "pd":
         preds.mkdir()
@@ -807,6 +857,31 @@ def test_a_missing_prediction_names_the_doc_id_and_the_predictions(tmp_path, cap
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         f"error: {preds}: no prediction found for doc_id 'd1'\n")
+
+
+@pytest.mark.parametrize("name", ["pd", "preds.jsonl"])
+def test_predictions_for_a_doc_id_not_in_the_corpus_are_an_error(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    preds = tmp_path / name
+    if name == "pd":
+        preds.mkdir()
+        (preds / "d1.ann").write_text("T1\tTool 13 16\tBWA\n", encoding="utf-8")
+        (preds / "d9.ann").write_text("T1\tTool 0 3\tnot the text\n", encoding="utf-8")
+        unknown = "d9"
+    else:
+        preds.write_text('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, '
+                         '"surface": "BWA"}\n'
+                         '{"doc_id": "zz", "label": "Tool", "start": 0, "end": 3, '
+                         '"surface": "ali"}\n', encoding="utf-8")
+        unknown = "zz"
+    out = tmp_path / "o"
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {preds}: prediction(s) for doc_id(s) not in the "
+                            f"corpus, e.g. [{unknown!r}]\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_a_bad_prediction_corpus_is_named_by_its_file(gold_dir, tmp_path, capsys):

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowner.gazetteer import (BINARY_NAME, SOURCE_KINDS, TOOL_NAME, BuildOptions,
-                               Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
+from flowner.gazetteer import (BINARY_NAME, SOURCE_KINDS, TOOL_NAME, Gazetteer,
+                               MalformedDump, VocabEntry, build_gazetteer,
                                common_words, export_vocab, ingest,
                                shipped_common_words, vocab_lines)
 from oracles import oracle_build_gazetteer, oracle_dumps_json, oracle_gazetteer_json
@@ -100,6 +100,18 @@ def test_build_merges_case_insensitively():
     assert bwa.kind == TOOL_NAME           # tool outranks binary on merge
 
 
+@pytest.mark.parametrize("payload, field", [
+    ('[{"name": "star"}, {"name": "bwa\\nmem"}]', "name"),
+    ('[{"name": "star"}, {"name": "bwa\\r"}]', "name"),
+    ('[{"name": "star"}, {"name": "bwa", "binaries": ["bwa-mem", "bwa\\r\\nmem"]}]',
+     "binaries"),
+])
+def test_a_biotools_name_with_a_line_break_is_a_dump_error(payload, field):
+    with pytest.raises(MalformedDump) as exc:
+        ingest("biotools", payload, "biotools.json")
+    assert str(exc.value) == f"biotools.json: record 1: line break in {field!r}"
+
+
 def test_build_filters_short_numeric_and_common():
     entries = ingest("custom", "R\n42\n2.5\nusing\nBWA\n")
     gaz = build_gazetteer(entries)
@@ -110,8 +122,8 @@ def test_build_filters_short_numeric_and_common():
 
 def test_build_filters_are_configurable():
     entries = ingest("custom", "R\n42\nusing\n")
-    gaz = build_gazetteer(entries, BuildOptions(
-        min_length=1, drop_numeric=False, drop_common_words=False))
+    gaz = build_gazetteer(entries, min_length=1, drop_numeric=False,
+                          drop_common_words=False)
     assert sorted(gaz.entries) == ["42", "r", "using"]
 
 
@@ -352,10 +364,10 @@ def test_build_equals_the_oracle(dumps, loose, min_length, drop_numeric, drop_co
                for entry in ingest(kind, _dump_payload(kind, names, binaries))]
     # entries made by hand keep their surrounding space until the build
     entries += [VocabEntry(name, kind, frozenset({source})) for name, kind, source in loose]
-    options = BuildOptions(min_length=min_length, drop_numeric=drop_numeric,
-                           drop_common_words=drop_common)
-    gaz = build_gazetteer(entries, options)
-    kept, normalization = oracle_build_gazetteer(entries, options)
+    options = dict(min_length=min_length, drop_numeric=drop_numeric,
+                   drop_common_words=drop_common)
+    gaz = build_gazetteer(entries, **options)
+    kept, normalization = oracle_build_gazetteer(entries, **options)
     assert [(key, *entry) for key, entry in gaz.entries.items()] == \
         [(key, e.canonical, e.kind, e.sources) for key, e in kept.items()]
     assert gaz.normalization == normalization

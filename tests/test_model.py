@@ -40,7 +40,7 @@ def test_entity_fragments_must_be_sorted_and_disjoint():
 
 def test_entity_adjacent_fragments_allowed():
     e = Entity("T1", EntityLabel("Data"), (Span(0, 3), Span(3, 6)), "abc def")
-    assert e.extent() == Span(0, 6)
+    assert (e.start, e.end) == (0, 6)
 
 
 def test_document_normalizes_entity_order_and_dedupes():
@@ -162,7 +162,7 @@ def test_records_are_immutable_values():
             assert end == 6
         case _:
             pytest.fail("no match")
-    assert len(Span(4, 10)) == 6 and e.extent() == Span(0, 6)
+    assert len(Span(4, 10)) == 6 and (e.start, e.end) == (0, 6)
 
 
 def test_the_records_are_namedtuples_that_add_no_field_boilerplate():

@@ -1,16 +1,21 @@
+import json
 import random
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flowner.corpus_io import write_corpus_dir
 from flowner.evaluation import MatchMode, score
 from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
-from flowner.tagger import (DuplicateDocId, ExternalPredictions, FusionConfig,
-                            FusionSource, Matcher, MissingPrediction, RuleSet,
+from flowner.schema import BIOTOFLOW
+from flowner.tagger import (DuplicateDocId, ExternalPredictions, Matcher,
+                            MissingPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
 from oracles import _dict_candidates, _dictionary, oracle_fold
@@ -256,7 +261,7 @@ def test_silver_self_consistency():
 
 
 def test_external_predictions_missing_doc():
-    preds = ExternalPredictions(ann_by_doc={"d1": "", "d2": ""})
+    preds = ExternalPredictions({"d1": lambda text: (), "d2": lambda text: ()})
     corpus = Corpus("c", tuple(Document(f"d{i}", "text here") for i in (1, 2, 3)))
     with pytest.raises(MissingPrediction):
         silver_annotate(corpus, preds)
@@ -295,6 +300,73 @@ def test_external_prediction_surface_mismatch_is_an_error(tmp_path):
         silver_annotate(Corpus("c", (Document("d1", "BWA here"),)), preds)
 
 
+_PREDICTED_TEXTS = {"d1": "aligned with BWA and STAR v1.2", "d2": "génome 配列, reads (x)"}
+_PREDICTED_LABELS = st.one_of(
+    st.tuples(st.sampled_from(sorted(BIOTOFLOW.labels)), st.none()),
+    st.tuples(st.just("Tool"), st.sampled_from(sorted(BIOTOFLOW.qualifiers["Tool"]))))
+
+
+@st.composite
+def _predicted_entities(draw, text):
+    """(label, qualifier, fragments) in file order: fragments cut from
+    sorted distinct offsets, so they are non-empty, ordered and apart."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=6,
+                                    unique=True)))
+        fragments = list(zip(cuts[0::2], cuts[1::2]))
+        out.append((*draw(_PREDICTED_LABELS), fragments))
+    return out
+
+
+def _ann_text(text, entities):
+    lines = [f"T{i}\t{label} {';'.join(f'{s} {e}' for s, e in fragments)}\t"
+             + " ".join(text[s:e] for s, e in fragments)
+             for i, (label, _qualifier, fragments) in enumerate(entities, start=1)]
+    lines += [f"A{i}\t{qualifier} T{i}"
+              for i, (_label, qualifier, _fragments) in enumerate(entities, start=1) if qualifier]
+    return "".join(line + "\n" for line in lines)
+
+
+def _jsonl_line(doc_id, text, label, qualifier, fragments):
+    starts, ends = ([s for s, _e in fragments], [e for _s, e in fragments])
+    record = {"doc_id": doc_id, "label": label,
+              "start": starts if len(starts) > 1 else starts[0],
+              "end": ends if len(ends) > 1 else ends[0],
+              "surface": " ".join(text[s:e] for s, e in fragments)}
+    if qualifier is not None:
+        record["qualifier"] = qualifier
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+@given(st.fixed_dictionaries({doc_id: _predicted_entities(text)
+                              for doc_id, text in _PREDICTED_TEXTS.items()}))
+def test_ann_and_jsonl_predictions_give_the_same_silver_corpus(predicted):
+    corpus = Corpus("c", tuple(Document(d, text) for d, text in _PREDICTED_TEXTS.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "ann").mkdir()
+        jsonl = []
+        for doc_id, entities in predicted.items():
+            text = _PREDICTED_TEXTS[doc_id]
+            (root / "ann" / f"{doc_id}.ann").write_text(_ann_text(text, entities),
+                                                        encoding="utf-8")
+            jsonl += [_jsonl_line(doc_id, text, *entity) for entity in entities]
+        (root / "preds.jsonl").write_text("".join(jsonl), encoding="utf-8")
+        from_ann = silver_annotate(corpus, ExternalPredictions.from_dir(root / "ann"))
+        from_jsonl = silver_annotate(corpus,
+                                     ExternalPredictions.from_jsonl(root / "preds.jsonl"))
+        assert from_ann == from_jsonl
+        assert [len(doc.entities) for doc in from_ann.documents] == \
+            [len(predicted[doc_id]) for doc_id in _PREDICTED_TEXTS]
+        write_corpus_dir(from_ann, root / "out_ann")
+        write_corpus_dir(from_jsonl, root / "out_jsonl")
+        for name in sorted(p.name for p in (root / "out_ann").iterdir()):
+            assert (root / "out_ann" / name).read_bytes() == \
+                (root / "out_jsonl" / name).read_bytes()
+        assert len(list((root / "out_jsonl").iterdir())) == 2 * len(_PREDICTED_TEXTS)
+
+
 def _corpus(name, n, provenance, prefix=""):
     return Corpus(name, tuple(
         Document(f"{prefix}doc{i}", "text here", provenance=provenance)
@@ -304,22 +376,22 @@ def _corpus(name, n, provenance, prefix=""):
 def test_fuse_counts_provenance():
     gold = _corpus("gold", 52, Provenance.GOLD, "g")
     conv = _corpus("conv", 1159, Provenance.CONVERTED, "c")
-    fused = fuse(FusionConfig(sources=(FusionSource(gold), FusionSource(conv))))
+    fused = fuse([(gold, None), (conv, None)])
     assert len(fused) == 1211
     assert dict(provenance_counts(fused)) == {"gold": 52, "converted": 1159}
 
 
 def test_fuse_single_source_is_identity():
     gold = _corpus("gold", 5, Provenance.GOLD)
-    fused = fuse(FusionConfig(sources=(FusionSource(gold),)))
+    fused = fuse([(gold, None)])
     assert fused.documents == gold.documents
 
 
 def test_fuse_is_order_independent_on_document_sets():
     a = _corpus("a", 3, Provenance.GOLD, "a")
     b = _corpus("b", 4, Provenance.SILVER, "b")
-    ab = fuse(FusionConfig((FusionSource(a), FusionSource(b))))
-    ba = fuse(FusionConfig((FusionSource(b), FusionSource(a))))
+    ab = fuse([(a, None), (b, None)])
+    ba = fuse([(b, None), (a, None)])
     assert set(ab.documents) == set(ba.documents)
 
 
@@ -327,24 +399,21 @@ def test_fuse_rejects_collisions_unless_prefixing():
     a = _corpus("a", 3, Provenance.GOLD)
     b = _corpus("b", 3, Provenance.CONVERTED)
     with pytest.raises(DuplicateDocId):
-        fuse(FusionConfig((FusionSource(a), FusionSource(b))))
-    fused = fuse(FusionConfig((FusionSource(a), FusionSource(b)),
-                              prefix_on_collision=True))
+        fuse([(a, None), (b, None)])
+    fused = fuse([(a, None), (b, None)], prefix_on_collision=True)
     assert sorted(fused.doc_ids())[:2] == ["a:doc0", "a:doc1"]
 
 
 def test_fuse_role_overrides_provenance():
     a = _corpus("a", 2, Provenance.GOLD)
-    fused = fuse(FusionConfig((FusionSource(a, role=Provenance.SILVER),)))
+    fused = fuse([(a, Provenance.SILVER)])
     assert dict(provenance_counts(fused)) == {"silver": 2}
 
 
 def test_fuse_training_requires_gold():
     silver = _corpus("s", 3, Provenance.SILVER)
     with pytest.raises(ValueError):
-        fuse(FusionConfig((FusionSource(silver),),
-                          for_training=True))
+        fuse([(silver, None)], for_training=True)
     gold = _corpus("g", 1, Provenance.GOLD, "g")
-    fused = fuse(FusionConfig((FusionSource(silver), FusionSource(gold)),
-                              for_training=True))
+    fused = fuse([(silver, None), (gold, None)], for_training=True)
     assert len(fused) == 4
