@@ -17,8 +17,8 @@ its flag gets on the command line: one of the flag's choices, ``true`` or
 ``false`` for a switch, an integer for a numeric flag, a list of strings
 for a repeatable flag (``--source``, ``--results``) and a string for any
 other (``--focus`` also takes a list of labels).  An error about a value the
-config file supplied (a ``--focus`` label, a missing corpus directory)
-names the file.
+config file supplied (a ``--focus`` label, a missing input file or corpus
+directory) names the file.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def _config_of(args, dest: str):
     return args.config if dest in args.from_config else None
 
 
-def _read_dir(read, args, dest: str, path=None):
-    """``read(path)`` of the corpus directory that flag ``dest`` names, by
-    default its value; a missing directory that the ``--config`` file
+def _read_input(read, args, dest: str, path=None):
+    """``read(path)`` of the input file or directory that flag ``dest``
+    names, by default its value; a missing input that the ``--config`` file
     supplied is an error that names the file."""
     try:
         return read(getattr(args, dest) if path is None else path)
@@ -111,7 +111,7 @@ def _ratios_arg(value) -> tuple[float, float]:
 
 def _cmd_validate(args) -> int:
     _require(args, "corpus")
-    paths = _read_dir(corpus_io.document_paths, args, "corpus")
+    paths = _read_input(corpus_io.document_paths, args, "corpus")
     bases = BIOTOFLOW.labels if args.schema == "biotoflow" else None
     # Lenient load: a file the parser rejects is a finding, not a crash.
     documents = []
@@ -132,7 +132,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     _require(args, "corpus")
-    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
+    corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
     report = corpus_stats(corpus)
     payload = report.to_json_dict()
     text = corpus_io.dumps_json(payload)
@@ -144,8 +144,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert(args) -> int:
     _require(args, "corpus", "out")
-    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
-    table = (schema.mapping_table_from_file(args.table) if args.table
+    corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
+    table = (_read_input(schema.mapping_table_from_file, args, "table") if args.table
              else schema.default_softcite_table())
     converted, report = schema.convert_corpus(corpus, table, strict=args.strict)
     corpus_io.write_corpus_dir(converted, args.out)
@@ -160,7 +160,7 @@ def _cmd_split(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n takes a number of splits of at least 1, got {args.n!r}")
     ratios = _ratios_arg(args.ratios) if args.ratios else experiment.DEFAULT_RATIOS
-    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
+    corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
     manifests = experiment.make_splits(corpus, args.n, args.seed, ratios)
     out = Path(args.out)
     for m in manifests:
@@ -169,48 +169,38 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _print_report(report, macro: bool, diff: bool) -> None:
-    print(evaluation.render_report(report), end="")
-    if macro:
-        p, r, f1 = evaluation.macro_average(report)
-        print(f"Macro           {100 * p:.1f}  {100 * r:.1f}  {100 * f1:.1f}")
-    if diff:
-        print(evaluation.render_diff(report), end="")
+# The corpus flags of each scoring command, in the gold and pred roles.
+_SCORED = {"eval": ("gold", "pred"), "iaa": ("annotator_a", "annotator_b")}
 
 
-def _cmd_eval(args) -> int:
-    _require(args, "gold", "pred")
+def _cmd_score(args) -> int:
+    """``eval`` and ``iaa``: score the second corpus against the first and
+    print the table, the macro row and the diff of each mode; ``eval``
+    heads each mode's output with its name."""
+    sides = _SCORED[args.command]
+    _require(args, *sides)
     focus = _labels_arg(args.focus)
-    gold = _read_dir(corpus_io.load_corpus_dir, args, "gold")
-    pred = _read_dir(corpus_io.load_corpus_dir, args, "pred")
+    gold, pred = (_read_input(corpus_io.load_corpus_dir, args, dest) for dest in sides)
     if focus:
         _check_focus(focus, _base_labels(gold, pred), args)
     modes = ([evaluation.MatchMode(args.mode)] if args.mode != "both"
              else [evaluation.MatchMode.STRICT, evaluation.MatchMode.RELAXED])
     payload = {}
     for mode in modes:
-        report = evaluation.score(gold, pred, mode, focus, args.qualifier_sensitive)
-        print(f"== {mode.value} ==")
-        _print_report(report, args.macro, args.diff)
+        report = evaluation.score(gold, pred, mode, focus,
+                                  getattr(args, "qualifier_sensitive", False))
+        if args.command == "eval":
+            print(f"== {mode.value} ==")
+        rows = evaluation._report_rows(report)
+        if args.macro:
+            rows.append(("Macro", *evaluation._percents(*evaluation.macro_average(report))))
+        print(evaluation._aligned(rows), end="")
+        if args.diff:
+            print(evaluation.render_diff(report), end="")
         payload[mode.value] = report.to_json_dict()
     if args.json:
         corpus_io.atomic_write_json(
             args.json, payload if len(modes) > 1 else payload[modes[0].value])
-    return 0
-
-
-def _cmd_iaa(args) -> int:
-    _require(args, "annotator_a", "annotator_b")
-    focus = _labels_arg(args.focus)
-    a = _read_dir(corpus_io.load_corpus_dir, args, "annotator_a")
-    b = _read_dir(corpus_io.load_corpus_dir, args, "annotator_b")
-    if focus:
-        _check_focus(focus, _base_labels(a, b), args)
-    mode = evaluation.MatchMode(args.mode)
-    report = evaluation.score(a, b, mode, focus)
-    _print_report(report, args.macro, args.diff)
-    if args.json:
-        corpus_io.atomic_write_json(args.json, report.to_json_dict())
     return 0
 
 
@@ -221,12 +211,12 @@ def _cmd_gazetteer_build(args) -> int:
     if not dumps:
         raise UsageError("no dump files given (--biotools/--bioconda/...)")
     entries = [entry for kind, path in dumps.items()
-               for entry in gazetteer.ingest(kind, _read_dump(path), path)]
+               for entry in gazetteer.ingest(kind, _read_input(_read_dump, args, kind), path)]
     if not entries:
         raise gazetteer.MalformedDump("no names found", ", ".join(dumps.values()))
     common = None
     if args.common_words:
-        common = gazetteer.common_words(_read_dump(args.common_words))
+        common = gazetteer.common_words(_read_input(_read_dump, args, "common_words"))
     gaz = gazetteer.build_gazetteer(
         entries, min_length=args.min_length, drop_numeric=not args.keep_numeric,
         drop_common_words=not args.keep_common, common_words=common)
@@ -248,22 +238,17 @@ def _load_gazetteer(path) -> gazetteer.Gazetteer:
 
 def _cmd_gazetteer_export(args) -> int:
     _require(args, "gazetteer", "out")
-    gaz = _load_gazetteer(args.gazetteer)
+    gaz = _read_input(_load_gazetteer, args, "gazetteer")
     n_lines = gazetteer.export_vocab(gaz, args.out, split_multiword=args.split_multiword)
     print(f"wrote {n_lines} line(s) to {args.out}")
     return 0
 
 
-def _ruleset(args) -> tagger.RuleSet:
-    if args.rules:
-        return tagger.ruleset_from_file(args.rules)
-    return tagger.default_ruleset()
-
-
 def _cmd_tag(args) -> int:
     _require(args, "corpus", "gazetteer", "out")
-    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
-    predictor = tagger.TaggerPredictor(_load_gazetteer(args.gazetteer), _ruleset(args))
+    corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
+    rules = _read_input(tagger.ruleset_from_file, args, "rules") if args.rules else None
+    predictor = tagger.TaggerPredictor(_read_input(_load_gazetteer, args, "gazetteer"), rules)
     tagged = tagger.silver_annotate(corpus, predictor)
     corpus_io.write_corpus_dir(tagged, args.out)
     print(f"tagged {len(tagged)} document(s) into {args.out}")
@@ -272,10 +257,11 @@ def _cmd_tag(args) -> int:
 
 def _cmd_silver(args) -> int:
     _require(args, "corpus", "predictions", "out")
-    corpus = _read_dir(corpus_io.load_corpus_dir, args, "corpus")
+    corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
     path = Path(args.predictions)
-    predictor = (tagger.ExternalPredictions.from_jsonl(path) if path.suffix == ".jsonl"
-                 else tagger.ExternalPredictions.from_dir(path))
+    read = (tagger.ExternalPredictions.from_jsonl if path.suffix == ".jsonl"
+            else tagger.ExternalPredictions.from_dir)
+    predictor = _read_input(read, args, "predictions", path)
     unknown = sorted(predictor.readers.keys() - set(corpus.doc_ids()))
     if unknown:
         raise tagger.MalformedPrediction(
@@ -298,7 +284,7 @@ def _cmd_fuse(args) -> int:
         except ValueError:
             raise UsageError(f"unknown role {role_name!r} in --source {raw!r}, expected "
                              + "|".join(p.value for p in Provenance)) from None
-        sources.append((_read_dir(corpus_io.load_corpus_dir, args, "source", path), role))
+        sources.append((_read_input(corpus_io.load_corpus_dir, args, "source", path), role))
     fused = tagger.fuse(sources, args.for_training, args.prefix_collisions)
     corpus_io.write_corpus_dir(fused, args.out)
     counts = tagger.provenance_counts(fused)
@@ -313,7 +299,8 @@ def _cmd_report(args) -> int:
     for raw in args.results:
         p = Path(raw)
         paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
-    results = [experiment.run_result_from_file(p) for p in paths]
+    results = [_read_input(experiment.run_result_from_file, args, "results", p)
+               for p in paths]
     if focus:
         _check_focus(focus, {base for r in results for base in r.report.per_label}, args)
     table = experiment.aggregate(results, focus, per_split=args.per_split)
@@ -334,8 +321,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    # A subcommand is registered by its words, e.g. "gazetteer build".
+    def add(name: str, func, group=sub, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name.split()[-1], parents=[common], **kwargs)
         p.set_defaults(func=func)
         registry[name] = p
         return p
@@ -364,7 +352,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--ratios", help="train_frac,dev_frac_within_train (default 0.75,0.3333)")
 
-    p = add("eval", _cmd_eval, help="score predictions against gold")
+    p = add("eval", _cmd_score, help="score predictions against gold")
     p.add_argument("--gold")
     p.add_argument("--pred")
     p.add_argument("--mode", choices=["strict", "relaxed", "both"], default="both")
@@ -374,7 +362,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--diff", action="store_true", help="list missed/spurious entities")
     p.add_argument("--json", help="write the report JSON here")
 
-    p = add("iaa", _cmd_iaa, help="inter-annotator agreement between two annotation sets")
+    p = add("iaa", _cmd_score, help="inter-annotator agreement between two annotation sets")
     p.add_argument("--annotator-a", dest="annotator_a")
     p.add_argument("--annotator-b", dest="annotator_b")
     p.add_argument("--mode", choices=["strict", "relaxed"], default="relaxed")
@@ -383,11 +371,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--diff", action="store_true")
     p.add_argument("--json")
 
-    p = add("gazetteer", lambda args: 0, help="build or export a gazetteer")
-    gsub = p.add_subparsers(dest="gazetteer_command", required=True)
-    gb = gsub.add_parser("build", parents=[common])
-    gb.set_defaults(func=_cmd_gazetteer_build)
-    registry["gazetteer build"] = gb
+    # The group takes no --config: the subcommand's default would replace it.
+    gsub = sub.add_parser("gazetteer", help="build or export a gazetteer").add_subparsers(
+        dest="gazetteer_command", required=True)
+    gb = add("gazetteer build", _cmd_gazetteer_build, gsub)
     for kind in gazetteer.SOURCE_KINDS:
         gb.add_argument(f"--{kind}", help=f"{kind} dump file")
     gb.add_argument("--out")
@@ -395,9 +382,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     gb.add_argument("--keep-numeric", action="store_true")
     gb.add_argument("--keep-common", action="store_true")
     gb.add_argument("--common-words", help="override the shipped common-word list")
-    ge = gsub.add_parser("export", parents=[common])
-    ge.set_defaults(func=_cmd_gazetteer_export)
-    registry["gazetteer export"] = ge
+    ge = add("gazetteer export", _cmd_gazetteer_export, gsub)
     ge.add_argument("--gazetteer")
     ge.add_argument("--out")
     ge.add_argument("--split-multiword", action="store_true")
@@ -460,9 +445,9 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
 _VALUE_PARSERS = {"focus": _labels_arg, "ratios": _ratios_arg}
 
 
-def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> None:
+def _apply_config(path, registry: dict[str, argparse.ArgumentParser], command: str) -> None:
     """Set the config file's values as flag defaults, each checked against
-    the flag of the subcommand that runs ``func``."""
+    the flag of the subcommand ``command`` (its registry name)."""
     config = corpus_io.read_json(path, UsageError)
     if not isinstance(config, dict):
         raise UsageError("--config must contain a JSON object", path)
@@ -471,8 +456,7 @@ def _apply_config(path, registry: dict[str, argparse.ArgumentParser], func) -> N
     unknown = sorted(config.keys() - valid)
     if unknown:
         raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    running = next(sub for sub in registry.values() if sub.get_default("func") is func)
-    for action in running._actions:
+    for action in registry[command]._actions:
         if action.dest in config:
             value = config[action.dest]
             reason = _config_value_error(action, value)
@@ -498,7 +482,9 @@ def main(argv=None) -> int:
         explicit = vars(args)
         if args.config is not None:
             # Re-parse so the config defaults sit below the explicit flags.
-            _apply_config(args.config, registry, args.func)
+            command = " ".join(filter(None, (args.command,
+                                             getattr(args, "gazetteer_command", None))))
+            _apply_config(args.config, registry, command)
             args = parser.parse_args(argv)
             # argparse appends a repeated flag to its default; a list given
             # on the command line replaces the config's instead.

@@ -14,7 +14,7 @@ text form, :func:`dumps_json`: ``json.dumps`` with an indent of 2 and
 non-ASCII characters as unescaped UTF-8, keys in insertion order.  The
 gazetteer file is the one artifact built from a row template instead, for
 speed at tens of thousands of names; ``Gazetteer.to_json_text`` writes it,
-byte-identical to :func:`dumps_json` of ``Gazetteer.to_json_dict``.
+byte-identical to :func:`dumps_json` of the same data.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Both entry points share one matcher over index positions.  ``score``
 hands it each document's entity tuples as they are: a :class:`Document`
 keeps them canonical and free of duplicates, so an entity is told by its
 index, with no sort and no set of entities.  ``match_document`` takes any
-iterable, so it sorts its inputs into canonical order first.
+iterable and sorts it by :meth:`Entity.sort_key`; no command calls it.
 ``EntityRef`` is a record like the model's (see :mod:`flowner.model`).
 
 P and R are defined as 0 on empty denominators so micro aggregation is
@@ -40,7 +40,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .model import Corpus, Entity, _extents_increase
+from .model import Corpus, Entity
 
 
 class MatchMode(str, Enum):
@@ -161,13 +161,6 @@ def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: Match
             heappush(active[side], (end, i))
 
 
-def _key_order(entities: Iterable[Entity]) -> Sequence[Entity]:
-    """The entities sorted by :meth:`Entity.sort_key`, duplicates kept; when
-    their extents strictly increase they already are, and no key is built."""
-    entities = tuple(entities)
-    return entities if _extents_increase(entities) else sorted(entities, key=Entity.sort_key)
-
-
 def _match_indices(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
                    qualifier_sensitive: bool) -> tuple[dict[int, int], dict[int, int]]:
     """Maximum matching of two canonically ordered entity sequences, as the
@@ -203,10 +196,9 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     """Maximum-cardinality one-to-one matching for one document.
 
     Returns (gold, pred) pairs in gold order.  The result is a pure function
-    of the entity sets: inputs are canonically sorted first (no key is built
-    for entities whose extents strictly increase), candidate edges are
-    greedily seeded in preference order (overlap desc, gold start, pred
-    start) and then augmented to maximum cardinality.
+    of the entity sets: inputs are canonically sorted first, candidate
+    edges are greedily seeded in preference order (overlap desc, gold
+    start, pred start) and then augmented to maximum cardinality.
 
     Only candidate pairs are tested: a hash join on (label, fragments) in
     strict mode, a per-label sweep over extents in relaxed mode.
@@ -214,7 +206,8 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     compatible pair is a candidate, so the edge set, its total order and
     hence the pairs and tie-breaks are those of testing all gold×pred pairs.
     """
-    gold_list, pred_list = _key_order(gold), _key_order(pred)
+    gold_list = sorted(gold, key=Entity.sort_key)
+    pred_list = sorted(pred, key=Entity.sort_key)
     match_g, _match_p = _match_indices(gold_list, pred_list, mode, qualifier_sensitive)
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
 
@@ -364,23 +357,32 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
     )
 
 
+def _percents(*fractions: float) -> tuple[str, ...]:
+    return tuple(f"{100 * x:.1f}" for x in fractions)
+
+
+def _report_rows(report: MatchReport) -> list[tuple[str, ...]]:
+    """The rows of :func:`render_report`: a header, a row per label and the
+    overall row."""
+    rows = [("Entities", "P", "R", "F1", "tp", "fp", "fn")]
+    overall = "Overall-focused" if report.label_filter else "Overall"
+    for name, s in [*sorted(report.per_label.items()), (overall, report.overall)]:
+        rows.append((name, *_percents(s.p, s.r, s.f1), str(s.tp), str(s.fp), str(s.fn)))
+    return rows
+
+
+def _aligned(rows: Sequence[Sequence[str]]) -> str:
+    """Text columns two spaces apart, the first left-aligned and the others
+    right-aligned, one line per row; a row may stop short of the header."""
+    widths = [max(len(r[i]) for r in rows if i < len(r)) for i in range(len(rows[0]))]
+    return "".join("  ".join([r[0].ljust(widths[0])]
+                             + [cell.rjust(w) for cell, w in zip(r[1:], widths[1:])]) + "\n"
+                   for r in rows)
+
+
 def render_report(report: MatchReport) -> str:
     """Plain-text table, percentages with one decimal place."""
-    rows = [("Entities", "P", "R", "F1", "tp", "fp", "fn")]
-    for base, s in sorted(report.per_label.items()):
-        rows.append((base, f"{100 * s.p:.1f}", f"{100 * s.r:.1f}",
-                     f"{100 * s.f1:.1f}", str(s.tp), str(s.fp), str(s.fn)))
-    o = report.overall
-    label = "Overall-focused" if report.label_filter else "Overall"
-    rows.append((label, f"{100 * o.p:.1f}", f"{100 * o.r:.1f}",
-                 f"{100 * o.f1:.1f}", str(o.tp), str(o.fp), str(o.fn)))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(
-            r[i].ljust(widths[i]) if i == 0 else r[i].rjust(widths[i])
-            for i in range(len(r))))
-    return "\n".join(lines) + "\n"
+    return _aligned(_report_rows(report))
 
 
 def render_diff(report: MatchReport) -> str:

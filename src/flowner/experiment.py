@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .evaluation import LabelScore, MatchMode, MatchReport, _micro
+from .evaluation import LabelScore, MatchMode, MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -297,11 +297,5 @@ def render_table(table: AggregateTable, layout: str = "text") -> str:
         lines += ["| " + " | ".join(r) + " |" for r in rows[1:]]
         return "\n".join(lines) + "\n"
     if layout == "text":
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        lines = []
-        for r in rows:
-            lines.append("  ".join(
-                r[0].ljust(widths[0]) if i == 0 else r[i].rjust(widths[i])
-                for i in range(4)))
-        return "\n".join(lines) + "\n"
+        return _aligned(rows)
     raise ValueError(f"unknown layout {layout!r}")

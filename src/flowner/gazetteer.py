@@ -18,17 +18,17 @@ An entry's ``sources`` is an immutable frozenset that entries share: every
 entry ingested from one dump holds the same set, a merge keeps one object
 per distinct union, and loading a gazetteer file builds one set per
 distinct ``sources`` list.  A 20k-name gazetteer so holds a handful of sets,
-not one per name, and :meth:`Gazetteer.to_json_dict` writes one sorted list
-per set.  A gazetteer file that repeats a key is an error, not a silent
-overwrite.
+not one per name.  A gazetteer file that repeats a key is an error, not a
+silent overwrite.
 
 The file is written from :meth:`Gazetteer.to_json_text`, byte-identical to
-``dumps_json(gaz.to_json_dict())`` plus a newline: one row template per
-entry, filled with the stdlib's string escaper, one ``dumps_json`` per
-distinct ``sources`` set and a single join, without the row dicts that
-:meth:`Gazetteer.to_json_dict` builds for readers.  It is the one JSON file
-not written by ``dumps_json`` itself, for speed at tens of thousands of
-names.
+``dumps_json`` of ``{"normalization": ..., "entries": [...]}``, one row
+``{"key", "canonical", "kind", "sources"}`` per entry with its sources
+sorted, plus a newline.  It is built from one row template per entry,
+filled with the stdlib's string escaper, one ``dumps_json`` per distinct
+``sources`` set and a single join, without a dict per row.  It is the one
+JSON file not written by ``dumps_json`` itself, for speed at tens of
+thousands of names.  :meth:`Gazetteer.to_json_dict` is that text parsed.
 """
 
 from __future__ import annotations
@@ -182,23 +182,14 @@ class Gazetteer:
         return len(self.entries)
 
     def to_json_dict(self) -> dict:
-        """The file's data, as :meth:`from_json_dict` reads it; the file
-        itself is written from :meth:`to_json_text`.  Entries with equal
-        ``sources`` share one sorted list, so the result is for reading,
-        not for editing in place."""
-        listed: dict[frozenset[str], list[str]] = {}
-        rows = []
-        for key, (canonical, kind, sources) in self.entries.items():
-            sorted_sources = listed.get(sources)
-            if sorted_sources is None:
-                sorted_sources = listed[sources] = sorted(sources)
-            rows.append({"key": key, "canonical": canonical, "kind": kind,
-                         "sources": sorted_sources})
-        return {"normalization": dict(self.normalization), "entries": rows}
+        """The file's data, as :meth:`from_json_dict` reads it: the parsed
+        :meth:`to_json_text`."""
+        return json.loads(self.to_json_text())
 
     def to_json_text(self) -> str:
-        """The file's text: ``dumps_json(self.to_json_dict()) + "\\n"``,
-        built straight from the entries.
+        """The file's text: ``dumps_json`` of the normalization and a row
+        per entry, its sources sorted, plus a newline, built straight from
+        the entries.
 
         Each entry is one ``%``-format of a fixed row template, its
         strings escaped by ``json.encoder.encode_basestring``.  Each

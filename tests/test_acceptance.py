@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from flowner.cli import main
-from flowner.corpus_io import load_corpus_dir, write_corpus_dir
+from flowner.corpus_io import write_corpus_dir
 from flowner.evaluation import MatchMode, match_document, score
 from flowner.experiment import (LabelScore, RunResult, aggregate,
                                 make_splits, render_table)

@@ -1,16 +1,16 @@
 import json
-from pathlib import Path
+import re
 
 import pytest
 
 from flowner.cli import main
 from flowner.corpus_io import load_corpus_dir, write_corpus_dir
-from flowner.gazetteer import Gazetteer, build_gazetteer, ingest
-from flowner.model import Corpus, Document, Provenance
+from flowner.gazetteer import SOURCE_KINDS, Gazetteer, build_gazetteer, ingest
+from flowner.model import Corpus
 from flowner.standoff import SurfaceMismatch
 from flowner.tagger import (ExternalPredictions, MalformedPrediction, MalformedRules,
                             ruleset_from_file)
-from oracles import oracle_dumps_json
+from oracles import oracle_dumps_json, oracle_gazetteer_json
 from util import doc_of, ent
 
 
@@ -117,6 +117,45 @@ def test_iaa_symmetric_output(gold_dir, tmp_path, capsys):
     assert "100.0" in capsys.readouterr().out
     text = out.read_text("utf-8")
     assert text == oracle_dumps_json(json.loads(text)) + "\n"
+
+
+_CORPUS_FLAGS = {"eval": ["--gold", "--pred"], "iaa": ["--annotator-a", "--annotator-b"]}
+
+
+def _cell_ends(line):
+    return [m.end() for m in re.finditer(r"\S+", line)]
+
+
+@pytest.mark.parametrize("command", ["eval", "iaa"])
+def test_the_macro_row_ends_its_cells_in_the_columns_of_the_table(gold_dir, tmp_path,
+                                                                  capsys, command):
+    pred = _write_pred_dir(tmp_path)
+    first, second = _CORPUS_FLAGS[command]
+    assert main([command, first, str(gold_dir), second, str(pred), "--mode", "relaxed",
+                 "--focus", "Tool", "--macro"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line == line.rstrip() for line in lines)
+    start = next(i for i, line in enumerate(lines) if line.startswith("Entities"))
+    header, rows, macro = lines[start], lines[start + 1:-1], lines[-1]
+    assert [row.split()[0] for row in rows] == ["ProgrammingLanguage", "Tool",
+                                                "Overall-focused"]
+    assert macro.split() == ["Macro", "100.0", "100.0", "100.0"]
+    assert all(_cell_ends(row)[1:] == _cell_ends(header)[1:] for row in rows)
+    assert _cell_ends(macro)[1:] == _cell_ends(header)[1:4]
+
+
+def test_eval_relaxed_and_iaa_print_and_write_the_same_report(gold_dir, tmp_path, capsys):
+    pred = _write_pred_dir(tmp_path)
+    shared = ["--focus", "Tool,ProgrammingLanguage", "--macro", "--diff"]
+    assert main(["eval", "--gold", str(gold_dir), "--pred", str(pred), "--mode", "relaxed",
+                 "--json", str(tmp_path / "eval.json")] + shared) == 0
+    evaluated = capsys.readouterr().out
+    assert main(["iaa", "--annotator-a", str(gold_dir), "--annotator-b", str(pred),
+                 "--json", str(tmp_path / "iaa.json")] + shared) == 0
+    agreed = capsys.readouterr().out
+    assert "Macro" in agreed and "MISSED" in agreed
+    assert evaluated == "== relaxed ==\n" + agreed
+    assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "iaa.json").read_bytes()
 
 
 def test_split_writes_manifests(gold_dir, tmp_path, capsys):
@@ -244,7 +283,8 @@ def test_gazetteer_build_writes_the_stdlib_indented_json(tmp_path, capsys):
                  "--bioconda", str(bioconda), "--out", str(out)]) == 0
     gaz = build_gazetteer(ingest("biotools", biotools.read_text("utf-8")) +
                           ingest("bioconda", bioconda.read_text("utf-8")))
-    assert out.read_text("utf-8") == oracle_dumps_json(gaz.to_json_dict()) + "\n"
+    assert out.read_text("utf-8") == oracle_dumps_json(
+        oracle_gazetteer_json(gaz.entries, gaz.normalization)) + "\n"
     assert "Ångström-Σ" in out.read_text("utf-8")
 
 
@@ -465,6 +505,39 @@ def test_a_missing_corpus_directory_from_the_config_names_the_config(gold_dir, t
         f"error: {config}: corpus directory not found: {missing}\n")
 
 
+@pytest.mark.parametrize("argv, key, name", [
+    (["tag", "--corpus", "@corpus"], "gazetteer", "nope.json"),
+    (["gazetteer", "export"], "gazetteer", "nope.json"),
+    (["tag", "--corpus", "@corpus", "--gazetteer", "@gaz"], "rules", "nope.json"),
+    (["silver", "--corpus", "@corpus"], "predictions", "nope"),
+    (["silver", "--corpus", "@corpus"], "predictions", "nope.jsonl"),
+    (["convert", "--corpus", "@corpus"], "table", "nope.json"),
+    (["gazetteer", "build", "--custom", "@dump"], "common_words", "nope.txt"),
+    (["report"], "results", "nope.json"),
+] + [(["gazetteer", "build"], kind, "nope.txt") for kind in SOURCE_KINDS])
+def test_a_missing_input_file_from_the_config_names_the_config(tmp_path, capsys, argv, key,
+                                                               name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    dump = tmp_path / "names.txt"
+    dump.write_text("BWA\n", encoding="utf-8")
+    gaz = tmp_path / "gaz.json"
+    gaz.write_text(build_gazetteer(ingest("custom", "BWA\n")).to_json_text(), encoding="utf-8")
+    argv = [{"@corpus": str(corpus_dir), "@dump": str(dump), "@gaz": str(gaz)}.get(a, a)
+            for a in argv] + ["--out", str(tmp_path / "o")]
+    missing = tmp_path / name
+    assert main(argv + [f"--{key.replace('_', '-')}", str(missing)]) == 1
+    typed = capsys.readouterr().err
+    assert typed == (f"error: predictions directory not found: {missing}\n" if name == "nope"
+                     else f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: [str(missing)] if key == "results" else str(missing)}),
+                      encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {typed.removeprefix('error: ')}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_missing_corpus_directory_flag_is_reported_as_a_flag(gold_dir, tmp_path, capsys):
     missing = tmp_path / "nope"
     config = tmp_path / "cfg.json"
@@ -572,6 +645,24 @@ def test_a_config_value_is_checked_against_the_subcommand_that_runs(gold_dir, tm
                  "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "== strict ==" in out and "== relaxed ==" in out and "Macro" not in out
+
+
+@pytest.mark.parametrize("config", [{"min_length": 4}, {"bogus": 1}])
+def test_a_config_before_a_gazetteer_subcommand_is_a_usage_error(tmp_path, capsys, config):
+    dump = tmp_path / "names.txt"
+    dump.write_text("BWA\nSAMtools\n", encoding="utf-8")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "gaz.json"
+    argv = ["--custom", str(dump), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(["gazetteer", "--config", str(path), "build"] + argv)
+    assert exc.value.code == 2 and not out.exists()
+    code = main(["gazetteer", "build", "--config", str(path)] + argv)
+    if "bogus" in config:
+        assert code == 2 and "unknown config key(s)" in capsys.readouterr().err
+    else:
+        assert code == 0 and "gazetteer: 1 entries" in capsys.readouterr().out
 
 
 def test_config_file_supplies_defaults(gold_dir, tmp_path, capsys):

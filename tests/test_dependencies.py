@@ -1,5 +1,6 @@
 """The runtime has no dependencies: pyproject.toml declares none, and the
-package imports only the standard library and its own modules."""
+package imports only the standard library and its own modules.  No module
+of the package or of the tests imports a name it never uses."""
 
 import ast
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "flowner").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_pyproject_declares_no_dependencies():
@@ -35,3 +37,30 @@ def test_a_module_imports_only_the_standard_library_and_the_package(path):
 def test_the_import_walk_sees_every_module():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "model.py"}
     assert "collections" in set(_absolute_imports(ROOT / "src" / "flowner" / "model.py"))
+
+
+def _unused_imports(path):
+    """The names that ``path`` imports and never reads as a ``Name``."""
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+# The package's __init__ imports names to export them.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_a_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_unused_import_walk_finds_an_unused_name(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from __future__ import annotations\nimport os.path\n"
+                    "import json as j\nfrom typing import Any, Optional\n"
+                    "x: Optional[int] = os.sep\n", encoding="utf-8")
+    assert _unused_imports(path) == ["Any", "j"]
