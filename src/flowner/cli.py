@@ -206,6 +206,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_gazetteer_build(args) -> int:
     _require(args, "out")
+    if args.keep_common and args.common_words:
+        raise UsageError("--keep-common drops no common word, so it takes no --common-words",
+                         _config_of(args, "keep_common") or _config_of(args, "common_words"))
     dumps = {kind: getattr(args, kind) for kind in gazetteer.SOURCE_KINDS
              if getattr(args, kind, None)}
     if not dumps:

@@ -79,16 +79,16 @@ def dumps_json(data) -> str:
 
 def _read_text(path, error: type[InputError]) -> str:
     """The file's bytes decoded as UTF-8, without newline translation; a
-    byte that is not UTF-8 raises ``error(reason, path, line)``, the line
-    counting from 1, so the message reads ``path:line: not UTF-8: ...``."""
+    byte that is not UTF-8 raises ``error(reason, path, line)``, lines ending
+    at CRLF, CR or LF and counting from 1: ``path:line: not UTF-8: ...``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         at = exc.start
-        raise error(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}",
-                    path, raw.count(b"\n", 0, at) + 1) from None
+        ends = raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
+        raise error(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}", path, ends + 1) from None
 
 
 def read_json(path, error: type[InputError]):

@@ -24,9 +24,11 @@ index, with no sort and no set of entities.  ``match_document`` takes any
 iterable and sorts it by :meth:`Entity.sort_key`; no command calls it.
 ``EntityRef`` is a record like the model's (see :mod:`flowner.model`).
 
-P and R are defined as 0 on empty denominators so micro aggregation is
-total; overall scores are micro-averages over the label filter when one
-is set.  Inter-annotator agreement is the same computation with the
+Every score is P/R/F1 of tp/fp/fn counts pooled over a set of labels
+(:func:`_micro`), with P and R 0 on empty denominators so pooling is
+total.  A report stores only its per-label counts; ``overall`` is derived
+from them, pooled over the label filter, and an empty filter is no
+filter.  Inter-annotator agreement is the same computation with the
 second annotator in the prediction role; swapping the arguments swaps P
 and R exactly and leaves F1 unchanged.
 """
@@ -253,10 +255,13 @@ _ref_order = itemgetter(0, 3, 4, 2, 1)
 class MatchReport:
     mode: MatchMode
     per_label: Mapping[str, LabelScore]
-    overall: LabelScore
     label_filter: Optional[tuple[str, ...]] = None
     missed: tuple[EntityRef, ...] = ()
     spurious: tuple[EntityRef, ...] = ()
+
+    @property
+    def overall(self) -> LabelScore:
+        return _micro(self.per_label, self.label_filter)
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,14 +278,19 @@ class MatchReport:
             for k, v in data["per_label"].items()
         }
         flt = tuple(data["label_filter"]) if data.get("label_filter") else None
-        return cls(mode=MatchMode(data["mode"]), per_label=per_label,
-                   overall=_micro(per_label, flt), label_filter=flt)
+        return cls(mode=MatchMode(data["mode"]), per_label=per_label, label_filter=flt)
+
+
+def _selected(per_label: Mapping[str, LabelScore],
+              label_filter: Optional[Sequence[str]]) -> list[str]:
+    """The labels of ``per_label`` in ``label_filter``, sorted; an empty filter is none."""
+    return sorted(per_label.keys() & label_filter if label_filter else per_label)
 
 
 def _micro(per_label: Mapping[str, LabelScore],
            label_filter: Optional[Sequence[str]]) -> LabelScore:
-    keys = per_label.keys() if label_filter is None else [
-        k for k in per_label if k in set(label_filter)]
+    """The score of the counts pooled over the labels ``label_filter`` selects."""
+    keys = _selected(per_label, label_filter)
     tp = sum(per_label[k].tp for k in keys)
     fp = sum(per_label[k].fp for k in keys)
     fn = sum(per_label[k].fn for k in keys)
@@ -293,14 +303,10 @@ def macro_average(report: MatchReport) -> tuple[float, float, float]:
     The report's own overall stays micro-averaged per the MatchReport
     invariants; this is the alternative convention behind a flag.
     """
-    keys = sorted(report.per_label) if report.label_filter is None else [
-        k for k in sorted(report.per_label) if k in set(report.label_filter)]
-    if not keys:
-        return (0.0, 0.0, 0.0)
-    n = len(keys)
-    return (sum(report.per_label[k].p for k in keys) / n,
-            sum(report.per_label[k].r for k in keys) / n,
-            sum(report.per_label[k].f1 for k in keys) / n)
+    scores = [report.per_label[k] for k in _selected(report.per_label, report.label_filter)]
+    n = len(scores) or 1  # no label: (0.0, 0.0, 0.0)
+    return (sum(s.p for s in scores) / n, sum(s.r for s in scores) / n,
+            sum(s.f1 for s in scores) / n)
 
 
 def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
@@ -310,7 +316,7 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
 
     Documents are paired by doc_id; the id sets must be equal.  Per-label
     counts are pooled over documents (micro), and the overall row is
-    restricted to ``label_filter`` when one is given.
+    restricted to ``label_filter`` when it names a label.
     """
     gold_ids = set(gold_corpus.doc_ids())
     pred_ids = set(pred_corpus.doc_ids())
@@ -340,7 +346,7 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
                 fp[p[1][0]] += 1
                 spurious.append(EntityRef.of(doc_id, p))
 
-    flt = tuple(sorted(set(label_filter))) if label_filter is not None else None
+    flt = tuple(sorted(set(label_filter))) if label_filter else None
     per_label = {
         base: LabelScore.from_counts(tp[base], fp[base], fn[base])
         for base in sorted(tp.keys() | fn.keys() | fp.keys() | set(flt or ()))
@@ -350,7 +356,6 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
     return MatchReport(
         mode=mode,
         per_label=per_label,
-        overall=_micro(per_label, flt),
         label_filter=flt,
         missed=tuple(missed),
         spurious=tuple(spurious),

@@ -10,9 +10,10 @@ Cut sizes: ``n_test = floor((1 - train_frac) * N + 0.5)`` and
 ``n_dev = floor(dev_frac * (N - n_test))``.  With the default ratios
 (0.75, 1/3) a 52-document corpus yields (26, 13, 13).
 
-Aggregation reports the mean and sample standard deviation (divisor n-1,
-0 for a single run) of each percentage metric over all runs pooled; a
-per-split variant (std over split means) is available behind a flag.
+Aggregation has one path: a row (a label, Overall or Overall-focused)
+pools each run's counts over its label set, and reports the mean and
+sample standard deviation (divisor n-1, 0 for one group) over groups of
+runs, one run each or one split each behind a flag, of their mean P/R/F1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .evaluation import LabelScore, MatchMode, MatchReport, _aligned, _micro
+from .evaluation import MatchMode, MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -211,30 +212,19 @@ class AggregateTable:
     mode: MatchMode
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    mean = statistics.mean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
-
-
-def _row(samples: Sequence[tuple[float, float, float]]) -> MetricRow:
-    mp, sp = _mean_std([s[0] for s in samples])
-    mr, sr = _mean_std([s[1] for s in samples])
-    mf, sf = _mean_std([s[2] for s in samples])
-    return MetricRow(mp, sp, mr, sr, mf, sf)
-
-
-def _prf_percent(score: LabelScore) -> tuple[float, float, float]:
-    return (100.0 * score.p, 100.0 * score.r, 100.0 * score.f1)
-
-
-def _per_split_means(samples_by_split: Mapping[int, list[tuple[float, float, float]]],
-                     ) -> list[tuple[float, float, float]]:
+def _row(groups: Sequence[Sequence[MatchReport]], labels: Optional[Sequence[str]]) -> MetricRow:
+    """Mean and sample std, over ``groups``, of each group's mean P/R/F1
+    percentages of the counts pooled over ``labels`` (None: every label).
+    ``statistics`` sums exactly, so no order changes a float."""
     means = []
-    for split_id in sorted(samples_by_split):
-        runs = samples_by_split[split_id]
-        means.append(tuple(statistics.mean(r[i] for r in runs) for i in range(3)))
-    return means
+    for group in groups:
+        scores = [_micro(report.per_label, labels) for report in group]
+        percents = [(100.0 * s.p, 100.0 * s.r, 100.0 * s.f1) for s in scores]
+        means.append([statistics.mean(metric) for metric in zip(*percents)])
+    cells = []
+    for values in zip(*means):
+        cells += [statistics.mean(values), statistics.stdev(values) if len(values) > 1 else 0.0]
+    return MetricRow(*cells)
 
 
 def aggregate(results: Sequence[RunResult],
@@ -244,9 +234,9 @@ def aggregate(results: Sequence[RunResult],
 
     All runs are pooled by default (n = splits x seeds).  With
     ``per_split`` the runs of each split are averaged first and the std
-    is taken over the split means.  The overall row is recomputed from
-    each run's per-label counts so it never depends on how the run's own
-    filter was set; ``overall_focused`` restricts to ``label_filter``.
+    is taken over the split means.  Every row is recomputed from each
+    run's per-label counts, so it never depends on how the run's own
+    filter was set; ``overall_focused`` pools over ``label_filter``.
     """
     if not results:
         raise EmptyResults("no run results to aggregate")
@@ -255,29 +245,15 @@ def aggregate(results: Sequence[RunResult],
         raise MixedModes(f"runs mix modes {sorted(m.value for m in modes)}")
     flt = tuple(sorted(set(label_filter))) if label_filter else None
 
+    by_group: dict[int, list[MatchReport]] = {}
+    for i, r in enumerate(results):
+        by_group.setdefault(r.split_id if per_split else i, []).append(r.report)
+    groups = list(by_group.values())
     labels = sorted({base for r in results for base in r.report.per_label})
-    zero = LabelScore.from_counts(0, 0, 0)
-
-    def collect(metric_of) -> MetricRow:
-        if per_split:
-            by_split: dict[int, list] = {}
-            for r in results:
-                by_split.setdefault(r.split_id, []).append(metric_of(r))
-            return _row(_per_split_means(by_split))
-        return _row([metric_of(r) for r in results])
-
-    per_label_rows = {
-        base: collect(lambda r, b=base: _prf_percent(r.report.per_label.get(b, zero)))
-        for base in labels
-    }
-    overall_row = collect(lambda r: _prf_percent(_micro(r.report.per_label, None)))
-    focused_row = None
-    if flt:
-        focused_row = collect(lambda r: _prf_percent(_micro(r.report.per_label, flt)))
-
-    return AggregateTable(per_label=per_label_rows, overall=overall_row,
-                          overall_focused=focused_row, label_filter=flt,
-                          n_runs=len(results), mode=next(iter(modes)))
+    return AggregateTable(per_label={base: _row(groups, (base,)) for base in labels},
+                          overall=_row(groups, None),
+                          overall_focused=_row(groups, flt) if flt else None,
+                          label_filter=flt, n_runs=len(results), mode=next(iter(modes)))
 
 
 def render_table(table: AggregateTable, layout: str = "text") -> str:

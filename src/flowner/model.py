@@ -23,10 +23,6 @@ whose fields are already checked build records with
 dataclasses they replace did, so set and dict orders are unchanged;
 unlike those, a record equals the plain tuple of its fields
 (``Span(0, 3) == (0, 3)``), and entities and labels are ordered.
-``len(span)`` is ``end - start``, not 2: take a span apart as
-``(span.start, span.end)`` or ``start, end = span``, since ``tuple()``,
-``list()`` and ``*span`` size their result by ``len`` (a slot per
-character) and ``reversed()`` reads it as the item count.
 
 A :class:`Document` keeps its entities in canonical order
 (:meth:`Entity.sort_key`); entities whose extents already strictly
@@ -71,8 +67,7 @@ class Provenance(str, Enum):
 
 
 class Span(namedtuple("Span", "start end")):
-    """Half-open character interval ``[start, end)`` into a document text;
-    ``len()`` is ``end - start`` (see the module docstring)."""
+    """Half-open character interval ``[start, end)`` into a document text."""
 
     __slots__ = ()
 
@@ -82,13 +77,6 @@ class Span(namedtuple("Span", "start end")):
         if start >= end:
             raise ValueError(f"span must be non-empty: [{start}, {end})")
         return tuple.__new__(cls, (start, end))
-
-    def __len__(self) -> int:
-        return self[1] - self[0]
-
-    # Namedtuple's returns tuple(self), which would size itself by len().
-    def __getnewargs__(self) -> tuple:
-        return (self[0], self[1])
 
 
 class EntityLabel(namedtuple("EntityLabel", "base qualifier", defaults=(None,))):

@@ -36,7 +36,7 @@ from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .corpus_io import _read_text, read_json
 from .gazetteer import Gazetteer
@@ -431,6 +431,11 @@ class DuplicateDocId(ValueError):
     pass
 
 
+def _collisions(doc_ids: Iterable[str]) -> list[str]:
+    """The doc_ids that occur more than once, sorted."""
+    return sorted(i for i, n in Counter(doc_ids).items() if n > 1)
+
+
 def provenance_counts(corpus: Corpus) -> Counter:
     return Counter(doc.provenance.value for doc in corpus.documents)
 
@@ -454,8 +459,7 @@ def fuse(sources: Sequence[tuple[Corpus, Optional[Provenance]]], for_training: b
         if not has_gold:
             raise ValueError("training fusion needs at least one gold source")
 
-    ids = Counter(doc.doc_id for corpus, _role in sources for doc in corpus.documents)
-    collisions = sorted(i for i, n in ids.items() if n > 1)
+    collisions = _collisions(d.doc_id for corpus, _role in sources for d in corpus.documents)
     prefix = bool(collisions) and prefix_on_collision
     if collisions and not prefix:
         raise DuplicateDocId(f"doc_id collision across sources, e.g. {collisions[:5]}")
@@ -468,7 +472,9 @@ def fuse(sources: Sequence[tuple[Corpus, Optional[Provenance]]], for_training: b
             if prefix:
                 doc = replace(doc, doc_id=f"{corpus.name}:{doc.doc_id}")
             documents.append(doc)
-    if prefix and len({d.doc_id for d in documents}) != len(documents):
-        raise DuplicateDocId("doc_ids still collide after corpus-name prefixing")
+    collisions = _collisions(d.doc_id for d in documents) if prefix else []
+    if collisions:
+        raise DuplicateDocId(f"doc_ids still collide after corpus-name prefixing, "
+                             f"e.g. {collisions[:5]}")
     name = "+".join(corpus.name for corpus, _role in sources)
     return Corpus(name=name, documents=tuple(documents))

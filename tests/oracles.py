@@ -14,7 +14,10 @@ package's own compatibility, overlap and augmentation, so that it pins
 the exact pairs and tie-breaks, not only their count.  ``oracle_score``
 is ``evaluation.score`` as it was before it matched by index: through
 that matcher, telling matched entities by set membership, with
-``EntityRef`` a frozen dataclass (``OracleEntityRef``).  The standoff
+``EntityRef`` a frozen dataclass (``OracleEntityRef``).
+``oracle_aggregate`` is ``experiment.aggregate`` as it was before every
+row became one pooled label set: a per-label row read from the stored
+score, the overall rows pooled, and one averaging path per mode.  The standoff
 parser and the canonical entity order are kept as they were before the
 single-regex entity line and the precomputed sort keys.  JSON text is
 the stdlib's indented encoder, called here rather than through the
@@ -33,12 +36,14 @@ from __future__ import annotations
 
 import json
 import re
+import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment, _micro,
+from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment,
                                 char_overlap, entities_compatible)
+from flowner.experiment import AggregateTable, EmptyResults, MetricRow, MixedModes
 from flowner.gazetteer import BINARY_NAME, TOOL_NAME, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
@@ -174,7 +179,7 @@ def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
                 counts[p.label.base]["fp"] += 1
                 spurious.append(OracleEntityRef.of(gold_doc.doc_id, p))
 
-    flt = tuple(sorted(set(label_filter))) if label_filter is not None else None
+    flt = tuple(sorted(set(label_filter))) if label_filter else None
     if flt:
         for base in flt:
             counts.setdefault(base, Counter())
@@ -185,11 +190,77 @@ def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
     return MatchReport(
         mode=mode,
         per_label=per_label,
-        overall=_micro(per_label, flt),
         label_filter=flt,
         missed=tuple(sorted(missed, key=OracleEntityRef.sort_key)),
         spurious=tuple(sorted(spurious, key=OracleEntityRef.sort_key)),
     )
+
+
+def _oracle_micro(per_label, label_filter) -> LabelScore:
+    keys = per_label.keys() if label_filter is None else [
+        k for k in per_label if k in set(label_filter)]
+    tp = sum(per_label[k].tp for k in keys)
+    fp = sum(per_label[k].fp for k in keys)
+    fn = sum(per_label[k].fn for k in keys)
+    return LabelScore.from_counts(tp, fp, fn)
+
+
+def _mean_std(values) -> tuple[float, float]:
+    mean = statistics.mean(values)
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    return mean, std
+
+
+def _oracle_row(samples) -> MetricRow:
+    mp, sp = _mean_std([s[0] for s in samples])
+    mr, sr = _mean_std([s[1] for s in samples])
+    mf, sf = _mean_std([s[2] for s in samples])
+    return MetricRow(mp, sp, mr, sr, mf, sf)
+
+
+def _prf_percent(score: LabelScore) -> tuple[float, float, float]:
+    return (100.0 * score.p, 100.0 * score.r, 100.0 * score.f1)
+
+
+def _per_split_means(samples_by_split) -> list[tuple[float, float, float]]:
+    means = []
+    for split_id in sorted(samples_by_split):
+        runs = samples_by_split[split_id]
+        means.append(tuple(statistics.mean(r[i] for r in runs) for i in range(3)))
+    return means
+
+
+def oracle_aggregate(results, label_filter=None, per_split: bool = False) -> AggregateTable:
+    if not results:
+        raise EmptyResults("no run results to aggregate")
+    modes = {r.report.mode for r in results}
+    if len(modes) > 1:
+        raise MixedModes(f"runs mix modes {sorted(m.value for m in modes)}")
+    flt = tuple(sorted(set(label_filter))) if label_filter else None
+
+    labels = sorted({base for r in results for base in r.report.per_label})
+    zero = LabelScore.from_counts(0, 0, 0)
+
+    def collect(metric_of) -> MetricRow:
+        if per_split:
+            by_split: dict[int, list] = {}
+            for r in results:
+                by_split.setdefault(r.split_id, []).append(metric_of(r))
+            return _oracle_row(_per_split_means(by_split))
+        return _oracle_row([metric_of(r) for r in results])
+
+    per_label_rows = {
+        base: collect(lambda r, b=base: _prf_percent(r.report.per_label.get(b, zero)))
+        for base in labels
+    }
+    overall_row = collect(lambda r: _prf_percent(_oracle_micro(r.report.per_label, None)))
+    focused_row = None
+    if flt:
+        focused_row = collect(lambda r: _prf_percent(_oracle_micro(r.report.per_label, flt)))
+
+    return AggregateTable(per_label=per_label_rows, overall=overall_row,
+                          overall_focused=focused_row, label_filter=flt,
+                          n_runs=len(results), mode=next(iter(modes)))
 
 
 def oracle_count_nested(doc) -> int:
@@ -535,9 +606,6 @@ class OracleSpan:
             raise ValueError(f"span start must be >= 0, got {self.start}")
         if self.start >= self.end:
             raise ValueError(f"span must be non-empty: [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,8 @@ import pytest
 
 from flowner.cli import main
 from flowner.corpus_io import write_corpus_dir
-from flowner.evaluation import MatchMode, match_document, score
-from flowner.experiment import (LabelScore, RunResult, aggregate,
-                                make_splits, render_table)
-from flowner.evaluation import MatchReport, _micro
+from flowner.evaluation import LabelScore, MatchMode, MatchReport, match_document, score
+from flowner.experiment import RunResult, aggregate, make_splits, render_table
 from flowner.gazetteer import build_gazetteer, ingest
 from flowner.model import Corpus, Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import convert_corpus, default_softcite_table
@@ -254,8 +252,7 @@ def test_criterion_7_aggregation_oracle():
                 runs.append(RunResult(
                     split_id=split, seed_model=seed,
                     report=MatchReport(mode=MatchMode.RELAXED,
-                                       per_label=per_label,
-                                       overall=_micro(per_label, None))))
+                                       per_label=per_label)))
         assert len(runs) == 25
         table = aggregate(runs, label_filter=["Tool", "Biblio"])
 

@@ -5,6 +5,7 @@ import pytest
 
 from flowner.cli import main
 from flowner.corpus_io import load_corpus_dir, write_corpus_dir
+from flowner.experiment import split_sizes
 from flowner.gazetteer import SOURCE_KINDS, Gazetteer, build_gazetteer, ingest
 from flowner.model import Corpus
 from flowner.standoff import SurfaceMismatch
@@ -42,6 +43,16 @@ def _write_pred_dir(tmp_path, name="pred"):
 def test_validate_ok_exits_zero(gold_dir, capsys):
     assert main(["validate", "--corpus", str(gold_dir)]) == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_validate_against_the_schema_reports_a_foreign_label(tmp_path, capsys):
+    text = "aligned with BWA"
+    write_corpus_dir(Corpus("c", (doc_of("d1", text, ent("T1", "software", 13, 16, text)),)),
+                     tmp_path / "c")
+    assert main(["validate", "--corpus", str(tmp_path / "c"), "--schema", "biotoflow"]) == 1
+    assert capsys.readouterr().out == (
+        "UnregisteredLabel at d1/T1: label 'software' is not in the schema\n"
+        "1 violation(s) in 1 document(s)\n")
 
 
 def test_validate_broken_corpus_exits_one(tmp_path, capsys):
@@ -144,6 +155,14 @@ def test_the_macro_row_ends_its_cells_in_the_columns_of_the_table(gold_dir, tmp_
     assert _cell_ends(macro)[1:] == _cell_ends(header)[1:4]
 
 
+def test_the_macro_row_of_corpora_without_entities_is_zero(tmp_path, capsys):
+    for name in ("gold", "pred"):
+        write_corpus_dir(Corpus(name, (doc_of("d1", "nothing annotated"),)), tmp_path / name)
+    assert main(["eval", "--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred"),
+                 "--mode", "strict", "--macro"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Macro     0.0  0.0  0.0"
+
+
 def test_eval_relaxed_and_iaa_print_and_write_the_same_report(gold_dir, tmp_path, capsys):
     pred = _write_pred_dir(tmp_path)
     shared = ["--focus", "Tool,ProgrammingLanguage", "--macro", "--diff"]
@@ -177,6 +196,28 @@ def test_split_writes_manifests(gold_dir, tmp_path, capsys):
     assert main(["split", "--corpus", str(big), "--n", "5", "--seed", "17",
                  "--out", str(out)]) == 0
     assert [f.read_bytes() for f in sorted(out.glob("split_*.json"))] == before
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_split_takes_valid_ratios_from_the_flag_or_the_config(tmp_path, capsys, from_config):
+    corpus = tmp_path / "c"
+    write_corpus_dir(Corpus("c", tuple(doc_of(f"d{i}", "some text") for i in range(8))),
+                     corpus)
+    out = tmp_path / "splits"
+    argv = ["split", "--corpus", str(corpus), "--out", str(out), "--n", "2"]
+    if from_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ratios": "0.5,0.5"}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--ratios", "0.5,0.5"]
+    assert main(argv) == 0
+    sizes = split_sizes(8, (0.5, 0.5))
+    assert sizes == (2, 2, 4)
+    for path in sorted(out.glob("split_*.json")):
+        manifest = json.loads(path.read_text("utf-8"))
+        assert manifest["ratios"] == [0.5, 0.5]
+        assert tuple(len(manifest[part]) for part in ("train", "dev", "test")) == sizes
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -376,6 +417,19 @@ def test_fuse_cli(tmp_path, capsys):
                        "provenance": {"converted": 2, "gold": 1}}
 
 
+def test_fuse_names_the_ids_that_still_collide_after_prefixing(tmp_path, capsys):
+    # Both sources are corpora named "c", so the corpus-name prefix is no help.
+    for parent in ("a", "b"):
+        write_corpus_dir(Corpus("c", (doc_of("d1", "x"),)), tmp_path / parent / "c")
+    out = tmp_path / "fused"
+    assert main(["fuse", "--source", str(tmp_path / "a" / "c"),
+                 "--source", str(tmp_path / "b" / "c"), "--prefix-collisions",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: doc_ids still collide after corpus-name prefixing, e.g. ['c:d1']\n")
+    assert not out.exists()
+
+
 def test_report_cli(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
@@ -426,6 +480,29 @@ def test_a_focus_that_names_no_label_is_a_usage_error(gold_dir, tmp_path, capsys
     assert main(_focus_argv(command, gold_dir, tmp_path, out) + ["--focus", focus]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"usage error: --focus names no label: {focus!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("config", [None, {"keep_common": True},
+                                    {"keep_common": True, "common_words": "@words"}])
+def test_keep_common_with_a_common_word_list_is_a_usage_error(tmp_path, capsys, config):
+    # Neither file exists: the pair is refused before any input is read.
+    dump, words, out = tmp_path / "bc.txt", tmp_path / "words.txt", tmp_path / "g.json"
+    argv = ["gazetteer", "build", "--bioconda", str(dump), "--out", str(out)]
+    where = ""
+    if config is None:
+        argv += ["--keep-common", "--common-words", str(words)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: str(words) if v == "@words" else v
+                                    for k, v in config.items()}), encoding="utf-8")
+        argv += ["--config", str(path)] + ([] if "common_words" in config
+                                          else ["--common-words", str(words)])
+        where = f"{path}: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: {where}--keep-common drops no common word, "
+                            f"so it takes no --common-words\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -918,18 +995,31 @@ def test_undecodable_json_input_names_its_file(tmp_path, capsys, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
 @pytest.mark.parametrize("name", ["pd/d1.ann", "preds.jsonl"])
-def test_undecodable_prediction_file_names_its_file_and_line(tmp_path, capsys, name):
+def test_undecodable_prediction_file_names_its_file_and_line(tmp_path, capsys, name, eol):
     corpus_dir = tmp_path / "c"
     write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
     (tmp_path / "pd").mkdir()
     bad = tmp_path / name
-    bad.write_bytes(_NOT_UTF8)
+    bad.write_bytes(_NOT_UTF8.replace(b"\n", eol))
     preds = bad.parent if bad.suffix == ".ann" else bad
     assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert f"{bad}:2: {_NOT_UTF8_REASON}" in err and "Traceback" not in err
+    reason = f"not UTF-8: byte 0xff at offset {17 + len(eol)}"
+    assert f"{bad}:2: {reason}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_an_undecodable_dump_names_the_line_its_reader_counts(tmp_path, capsys, eol):
+    dump = tmp_path / "bc.txt"
+    dump.write_bytes(eol.join([b"bwa", b"star", b"\xff", b""]))
+    assert main(["gazetteer", "build", "--bioconda", str(dump),
+                 "--out", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"{dump}:3: not UTF-8: byte 0xff at offset {3 + 2 * len(eol) + 4}" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 @pytest.mark.parametrize("name", ["pd", "preds.jsonl"])

@@ -64,3 +64,46 @@ def test_the_unused_import_walk_finds_an_unused_name(tmp_path):
                     "import json as j\nfrom typing import Any, Optional\n"
                     "x: Optional[int] = os.sep\n", encoding="utf-8")
     assert _unused_imports(path) == ["Any", "j"]
+
+
+def _module_private_names(tree):
+    """The ``_names`` a module defines at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+
+
+def _unread_private_names(paths):
+    """``module.name`` for each top-level ``_name`` of ``paths`` that no module
+    of ``paths`` reads, as a name or as an attribute."""
+    trees = {path: ast.parse(path.read_text("utf-8"), str(path)) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{path.stem}.{name}" for path, tree in trees.items()
+                  for name in _module_private_names(tree) if name not in read)
+
+
+def test_every_private_helper_of_the_package_has_a_reader():
+    assert _unread_private_names(SOURCES) == []
+
+
+def test_the_private_name_walk_finds_a_helper_without_a_reader(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("__all__ = []\n_LIMIT: int = 3\n_x, _y = 1, 2\n"
+                 "def _used():\n    return _LIMIT + _x\n"
+                 "def _dead():\n    return _used()\nclass _Gone:\n    pass\n"
+                 "def _seen_by_b():\n    pass\n", encoding="utf-8")
+    b.write_text("import a\na._seen_by_b()\n", encoding="utf-8")
+    assert _unread_private_names([a, b]) == ["a._Gone", "a._dead", "a._y"]

@@ -165,6 +165,28 @@ def test_label_filter_restricts_overall():
     assert focused.per_label["Data"].fn == 1
 
 
+@pytest.mark.parametrize("label_filter", [None, [], ["Tool"], ["Data", "Tool"], ["Biblio"]])
+def test_overall_survives_a_json_round_trip(label_filter):
+    text = "BWA data hg38"
+    gold = Corpus("g", (doc_of("d", text, ent("T1", "Tool", 0, 3, text),
+                               ent("T2", "Data", 4, 8, text)),))
+    pred = Corpus("p", (doc_of("d", text, ent("T1", "Tool", 0, 3, text),
+                               ent("T2", "Data", 9, 13, text)),))
+    report = score(gold, pred, STRICT, label_filter)
+    data = json.loads(json.dumps(report.to_json_dict()))
+    assert evaluation.MatchReport.from_json_dict(data).overall == report.overall
+
+
+def test_an_empty_label_filter_is_no_filter():
+    text = "BWA data"
+    gold = Corpus("g", (doc_of("d", text, ent("T1", "Tool", 0, 3, text)),))
+    report = score(gold, gold, STRICT, [])
+    assert report.label_filter is None and report == score(gold, gold, STRICT)
+    assert report.overall == report.per_label["Tool"] and report.overall.tp == 1
+    assert render_report(report).splitlines()[-1].split() == [
+        "Overall", "100.0", "100.0", "100.0", "1", "0", "0"]
+
+
 def test_relaxed_dominates_strict_on_random_corpora():
     rng = random.Random(31337)
     for _ in range(300):

@@ -3,12 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowner.evaluation import LabelScore, MatchMode, MatchReport, _micro
+from flowner.evaluation import LabelScore, MatchMode, MatchReport
 from flowner.experiment import (CorpusTooSmall, EmptyResults, MixedModes,
                                 RunResult, SplitManifest, SplitRng, _splitmix64,
                                 aggregate, make_split_ids, render_table,
                                 split_sizes)
+from oracles import oracle_aggregate
 
 
 def test_splitmix64_reference_vector():
@@ -93,8 +95,7 @@ def test_manifest_json_roundtrip():
 
 def _report(mode, counts):
     per_label = {base: LabelScore.from_counts(*c) for base, c in counts.items()}
-    return MatchReport(mode=mode, per_label=per_label,
-                       overall=_micro(per_label, None))
+    return MatchReport(mode=mode, per_label=per_label)
 
 
 def _run(split_id, seed, counts, mode=MatchMode.RELAXED):
@@ -187,6 +188,27 @@ def test_aggregate_per_split_flag():
     assert by_split.per_label["Tool"].std_f1 == pytest.approx(
         np.std(split_means, ddof=1))
     assert pooled.per_label["Tool"].std_f1 != by_split.per_label["Tool"].std_f1
+
+
+_LABELS = ("Biblio", "Data", "Tool", "Version")
+_counts = st.tuples(*[st.integers(0, 30)] * 3)
+_runs = st.lists(st.builds(_run, st.integers(0, 3), st.integers(0, 9),
+                           st.dictionaries(st.sampled_from(_LABELS), _counts)),
+                 min_size=1, max_size=9)
+_filters = st.one_of(st.none(), st.lists(st.sampled_from(_LABELS + ("Other",))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs, _filters, st.booleans(), st.randoms(use_true_random=False))
+def test_aggregate_equals_the_oracle_and_ignores_run_order(runs, label_filter, per_split,
+                                                           rng):
+    table = aggregate(runs, label_filter, per_split)
+    assert table == oracle_aggregate(runs, label_filter, per_split)
+    shuffled = list(runs)
+    rng.shuffle(shuffled)
+    for layout in ("text", "markdown", "csv"):
+        assert (render_table(aggregate(shuffled, label_filter, per_split), layout)
+                == render_table(table, layout))
 
 
 def test_render_one_decimal_plus_minus():
