@@ -5,9 +5,14 @@ maximum-cardinality bipartite matching over the compatibility relation
 (strict: same base label and identical fragments; relaxed: same base
 label and overlapping extents).  Maximum matching, rather than a greedy
 pass, makes the pair count well-defined, order-independent and testable
-against brute force.  Among maximum matchings, ties break
-deterministically: larger character overlap first, then smaller gold
-start offset, then smaller pred start offset.
+against brute force.  Which maximum matching is returned is fixed by two
+steps: compatible pairs are first taken greedily in preference order
+(larger character overlap, then smaller gold start offset, then smaller
+pred start offset), then each unmatched gold, in canonical order, is
+augmented along its pairs in the same order.  This is deterministic but
+does not maximize total overlap: relaxed gold ``[3,7)``, ``[5,10)`` and
+pred ``[1,6)``, ``[3,8)`` pair ``[3,7)-[3,8)`` (overlap 4) and
+``[5,10)-[1,6)`` (1), not the pairs of overlap 3 and 3.
 
 Matching a document takes time near-linear in its entity count plus its
 candidate pairs, not gold×pred.  Candidates come from an index: strict
@@ -36,7 +41,6 @@ and R exactly and leaves F1 unchanged.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -200,7 +204,9 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     Returns (gold, pred) pairs in gold order.  The result is a pure function
     of the entity sets: inputs are canonically sorted first, candidate
     edges are greedily seeded in preference order (overlap desc, gold
-    start, pred start) and then augmented to maximum cardinality.
+    start, pred start) and then augmented to maximum cardinality.  The
+    pair count is maximum; the total overlap need not be (see the module
+    docstring).
 
     Only candidate pairs are tested: a hash join on (label, fragments) in
     strict mode, a per-label sweep over extents in relaxed mode.
@@ -214,14 +220,8 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
 
 
-@dataclass(frozen=True)
-class LabelScore:
-    tp: int
-    fp: int
-    fn: int
-    p: float
-    r: float
-    f1: float
+class LabelScore(namedtuple("LabelScore", "tp fp fn p r f1")):
+    __slots__ = ()
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int) -> "LabelScore":
@@ -251,13 +251,9 @@ class EntityRef(namedtuple("EntityRef", "doc_id entity_id label start end surfac
 _ref_order = itemgetter(0, 3, 4, 2, 1)
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    mode: MatchMode
-    per_label: Mapping[str, LabelScore]
-    label_filter: Optional[tuple[str, ...]] = None
-    missed: tuple[EntityRef, ...] = ()
-    spurious: tuple[EntityRef, ...] = ()
+class MatchReport(namedtuple("MatchReport", "mode per_label label_filter missed spurious",
+                             defaults=(None, (), ()))):
+    __slots__ = ()
 
     @property
     def overall(self) -> LabelScore:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .evaluation import MatchMode, MatchReport, _aligned, _micro
+from .evaluation import MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -77,14 +77,9 @@ class SplitRng:
 DEFAULT_RATIOS = (0.75, 1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class SplitManifest:
-    split_id: int
-    seed: int
-    train_ids: tuple[str, ...]
-    dev_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    ratios: tuple[float, float]
+class SplitManifest(namedtuple("SplitManifest",
+                               "split_id seed train_ids dev_ids test_ids ratios")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,14 +151,14 @@ def make_splits(corpus: Corpus, n_splits: int, base_seed: int,
     return make_split_ids(corpus.doc_ids(), n_splits, base_seed, ratios)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(namedtuple("RunResult", "split_id seed_model report meta")):
     """One evaluation run: which split, which model seed, what scores."""
 
-    split_id: int
-    seed_model: int
-    report: MatchReport
-    meta: Mapping = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, split_id: int, seed_model: int, report: MatchReport,
+                meta: Optional[Mapping] = None) -> "RunResult":
+        return tuple.__new__(cls, (split_id, seed_model, report, {} if meta is None else meta))
 
     def to_json_dict(self) -> dict:
         return {"split_id": self.split_id, "seed_model": self.seed_model,
@@ -187,14 +182,8 @@ def run_result_from_file(path) -> RunResult:
         raise MalformedResult(f"not a run result: {exc}", path) from None
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    mean_p: float
-    std_p: float
-    mean_r: float
-    std_r: float
-    mean_f1: float
-    std_f1: float
+class MetricRow(namedtuple("MetricRow", "mean_p std_p mean_r std_r mean_f1 std_f1")):
+    __slots__ = ()
 
     def cells(self) -> tuple[str, str, str]:
         return (f"{self.mean_p:.1f} ±{self.std_p:.1f}",
@@ -202,14 +191,9 @@ class MetricRow:
                 f"{self.mean_f1:.1f} ±{self.std_f1:.1f}")
 
 
-@dataclass(frozen=True)
-class AggregateTable:
-    per_label: Mapping[str, MetricRow]
-    overall: MetricRow
-    overall_focused: Optional[MetricRow]
-    label_filter: Optional[tuple[str, ...]]
-    n_runs: int
-    mode: MatchMode
+class AggregateTable(namedtuple("AggregateTable", "per_label overall overall_focused "
+                                                "label_filter n_runs mode")):
+    __slots__ = ()
 
 
 def _row(groups: Sequence[Sequence[MatchReport]], labels: Optional[Sequence[str]]) -> MetricRow:

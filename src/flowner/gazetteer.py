@@ -37,7 +37,6 @@ import io
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
@@ -171,12 +170,11 @@ def shipped_common_words() -> frozenset[str]:
         resources.files("flowner.data").joinpath("common_words.txt").read_text("utf-8"))
 
 
-@dataclass(frozen=True)
-class Gazetteer:
-    """Deduplicated name table keyed by case-folded name."""
+class Gazetteer(namedtuple("Gazetteer", "entries normalization")):
+    """Deduplicated name table keyed by case-folded name; its length is
+    its entry count."""
 
-    entries: Mapping[str, VocabEntry]
-    normalization: Mapping
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.entries)

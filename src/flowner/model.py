@@ -11,18 +11,25 @@ uniqueness) are checked by :func:`validate_corpus`, which reports them as
 data rather than raising, so a corpus with broken annotations can still be
 loaded and inspected.
 
-Records: :class:`Span`, :class:`EntityLabel`, :class:`Entity`,
-:class:`~flowner.evaluation.EntityRef` and
-:class:`~flowner.gazetteer.VocabEntry` are ``namedtuple`` subclasses with
-``__slots__ = ()``, built, hashed, compared and ordered in C.  A subclass
-adds only what differs from a plain namedtuple, such as the validating
-``__new__`` of ``Span``, ``Entity`` and ``VocabEntry``; namedtuple's
-``_make`` and ``_replace`` bypass it and are not flowner API.  Parsers
-whose fields are already checked build records with
-``partial(tuple.__new__, cls)``.  Records hash and print as the frozen
-dataclasses they replace did, so set and dict orders are unchanged;
+Records: every value class of the package is a ``namedtuple`` subclass
+with ``__slots__ = ()``, built, hashed, compared and ordered in C: this
+module's, the scores and reports of :mod:`~flowner.evaluation`,
+:mod:`~flowner.stats`, :mod:`~flowner.schema` and :mod:`~flowner.experiment`,
+the :class:`~flowner.gazetteer.Gazetteer` and its entries, and the
+tagger's ``RuleSet``.  No module imports :mod:`dataclasses`, whose
+generated methods cost about a third of the CLI's start-up.  A subclass
+adds only what differs from a plain namedtuple: a ``__new__`` that checks
+or normalizes its fields or gives a fresh default (``RunResult.meta``),
+and a ``__len__`` that counts contents (``Corpus``: documents,
+``Gazetteer``: entries).  namedtuple's ``_make`` and ``_replace`` bypass
+``__new__``, raise ``TypeError`` where ``__len__`` counts contents, and
+are not flowner API.  Parsers whose fields are already checked build
+records with ``partial(tuple.__new__, cls)``.  Records hash and print as
+the dataclasses they replace did, so set and dict orders are unchanged;
 unlike those, a record equals the plain tuple of its fields
-(``Span(0, 3) == (0, 3)``), and entities and labels are ordered.
+(``Span(0, 3) == (0, 3)``), records are ordered, assigning a field raises
+``AttributeError``, and the stats and conversion reports, built once
+from counters, are immutable too.
 
 A :class:`Document` keeps its entities in canonical order
 (:meth:`Entity.sort_key`); entities whose extents already strictly
@@ -33,7 +40,6 @@ computing a key.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Optional, Sequence
@@ -204,8 +210,7 @@ def _canonical_order(entities) -> tuple[Entity, ...]:
     return tuple(unique)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(namedtuple("Document", "doc_id text entities provenance sidecar")):
     """Article text plus its entity annotations and opaque sidecar records.
 
     Entities are kept as a canonically sorted, duplicate-free tuple so two
@@ -214,26 +219,23 @@ class Document:
     verbatim, in file order, for lossless round-trips.
     """
 
-    doc_id: str
-    text: str
-    entities: tuple[Entity, ...] = ()
-    provenance: Provenance = Provenance.GOLD
-    sidecar: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entities", _canonical_order(self.entities))
-        object.__setattr__(self, "sidecar", tuple(self.sidecar))
+    def __new__(cls, doc_id: str, text: str, entities: Sequence[Entity] = (),
+                provenance: Provenance = Provenance.GOLD,
+                sidecar: Sequence[str] = ()) -> "Document":
+        return tuple.__new__(cls, (doc_id, text, _canonical_order(entities), provenance,
+                                   tuple(sidecar)))
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Named list of documents; doc_ids must be unique (see validate_corpus)."""
+class Corpus(namedtuple("Corpus", "name documents")):
+    """Named list of documents; doc_ids must be unique (see validate_corpus).
+    Its length is its document count."""
 
-    name: str
-    documents: tuple[Document, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
+    def __new__(cls, name: str, documents: Sequence[Document] = ()) -> "Corpus":
+        return tuple.__new__(cls, (name, tuple(documents)))
 
     def doc_ids(self) -> list[str]:
         return [d.doc_id for d in self.documents]
@@ -242,14 +244,10 @@ class Corpus:
         return len(self.documents)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "kind doc_id entity_id message")):
     """One broken invariant, located by document and entity id."""
 
-    kind: str
-    doc_id: str
-    entity_id: Optional[str]
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = f"{self.doc_id}/{self.entity_id}" if self.entity_id else self.doc_id

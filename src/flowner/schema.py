@@ -11,8 +11,7 @@ SoftCite table ships as ``data/softcite_mapping.json``.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
@@ -25,18 +24,17 @@ ENVIRONMENT = "environment"
 SPECIFICS = "specifics"
 
 
-@dataclass(frozen=True)
-class SchemaDef:
+class SchemaDef(namedtuple("SchemaDef", "labels categories qualifiers")):
     """A set of base labels, their category grouping and their qualifiers."""
 
-    labels: frozenset[str]
-    categories: Mapping[str, str]
-    qualifiers: Mapping[str, frozenset[str]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        missing = self.labels - set(self.categories)
+    def __new__(cls, labels: frozenset[str], categories: Mapping[str, str],
+                qualifiers: Mapping[str, frozenset[str]]) -> "SchemaDef":
+        missing = labels - set(categories)
         if missing:
             raise ValueError(f"categories not total over labels: missing {sorted(missing)}")
+        return tuple.__new__(cls, (labels, categories, qualifiers))
 
     def is_registered(self, label: EntityLabel) -> bool:
         if label.base not in self.labels:
@@ -85,18 +83,14 @@ class MalformedTable(InputError):
     UTF-8), or by the file alone."""
 
 
-@dataclass(frozen=True)
-class MappingRule:
-    source: str
-    attribute: Optional[str]
-    target: Optional[EntityLabel]
+class MappingRule(namedtuple("MappingRule", "source attribute target")):
+    __slots__ = ()
 
     def key(self) -> tuple[str, Optional[str]]:
         return (self.source, self.attribute)
 
 
-@dataclass(frozen=True)
-class MappingTable:
+class MappingTable(namedtuple("MappingTable", "rules")):
     """Ordered conversion rules; most specific (attributed) rules first.
 
     Order is significant twice over: an attributed rule must precede the
@@ -104,12 +98,12 @@ class MappingTable:
     several known attributes the earliest matching rule wins.
     """
 
-    rules: tuple[MappingRule, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rules: tuple[MappingRule, ...]) -> "MappingTable":
         seen: set[tuple[str, Optional[str]]] = set()
         bare_seen: set[str] = set()
-        for rule in self.rules:
+        for rule in rules:
             if rule.key() in seen:
                 raise ValueError(f"duplicate mapping rule for {rule.key()}")
             seen.add(rule.key())
@@ -118,6 +112,7 @@ class MappingTable:
             elif rule.source in bare_seen:
                 raise ValueError(
                     f"attributed rule for {rule.source!r} must precede its bare rule")
+        return tuple.__new__(cls, (rules,))
 
     def lookup(self, source_base: str, *attributes: Optional[str]) -> Optional[MappingRule]:
         """The first rule for ``source_base`` in table order whose attribute
@@ -131,18 +126,15 @@ class MappingTable:
         return None
 
 
-@dataclass
-class ConversionReport:
+class ConversionReport(namedtuple("ConversionReport",
+                                  "mapped dropped unknown multi_attribute_warnings")):
     """Per-source tallies of what the conversion did.
 
     Keys are ``base`` or ``base+attribute`` as actually matched; entities
     whose source has no rule at all are counted under ``unknown``.
     """
 
-    mapped: Counter = field(default_factory=Counter)
-    dropped: Counter = field(default_factory=Counter)
-    unknown: Counter = field(default_factory=Counter)
-    multi_attribute_warnings: int = 0
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,7 +157,8 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
     carry ``provenance=converted`` and drop their sidecar records, which
     reference the source schema.
     """
-    report = ConversionReport()
+    mapped, dropped, unknown = Counter(), Counter(), Counter()
+    warnings = 0
     out_docs = []
     for doc in corpus.documents:
         attributes_by_id = attribute_values(doc.sidecar)
@@ -177,7 +170,7 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
                 attributes = [ent.label.qualifier, *attributes]
             # Rule keys are unique, so this counts distinct known attributes.
             if sum(r.source == base and r.attribute in attributes for r in table.rules) > 1:
-                report.multi_attribute_warnings += 1
+                warnings += 1
             rule = table.lookup(base, *attributes)
             key = f"{base}+{rule.attribute}" if rule and rule.attribute else base
             if rule is None:
@@ -185,19 +178,20 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
                     raise UnknownSourceLabel(
                         f"no mapping rule for source label {base!r} "
                         f"(doc {doc.doc_id}, entity {ent.id})")
-                report.unknown[key] += 1
-                report.dropped[key] += 1
+                unknown[key] += 1
+                dropped[key] += 1
                 continue
             if rule.target is None:
-                report.dropped[key] += 1
+                dropped[key] += 1
                 continue
-            report.mapped[key] += 1
+            mapped[key] += 1
             kept.append(Entity(id=ent.id, label=rule.target,
                                fragments=ent.fragments, surface=ent.surface))
         out_docs.append(Document(doc_id=doc.doc_id, text=doc.text,
                                  entities=tuple(kept),
                                  provenance=Provenance.CONVERTED, sidecar=()))
-    return Corpus(name=corpus.name, documents=tuple(out_docs)), report
+    return (Corpus(name=corpus.name, documents=tuple(out_docs)),
+            ConversionReport(mapped, dropped, unknown, warnings))
 
 
 _ROW_KEYS = frozenset({"source", "attribute", "target", "qualifier"})

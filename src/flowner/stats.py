@@ -10,8 +10,7 @@ compared loosely.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .model import Corpus, Document
 
@@ -25,14 +24,9 @@ def tokenize(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in TOKEN_RE.finditer(text)]
 
 
-@dataclass
-class StatsReport:
-    labels: Counter = field(default_factory=Counter)
-    entities: int = 0
-    nested_entities: int = 0
-    tokens: int = 0
-    annotated_tokens: int = 0
-    documents: int = 0
+class StatsReport(namedtuple("StatsReport", "labels entities nested_entities tokens "
+                                            "annotated_tokens documents")):
+    __slots__ = ()
 
     @property
     def nesting_fraction(self) -> float:
@@ -88,10 +82,6 @@ def document_stats(doc: Document) -> StatsReport:
     each such gap.
     """
     text = doc.text
-    report = StatsReport(documents=1, entities=len(doc.entities),
-                         nested_entities=count_nested(doc),
-                         tokens=len(_find_tokens(text)))
-    report.labels.update(e.label.base for e in doc.entities)
     covered = _merge_intervals([(f.start, f.end)
                                 for e in doc.entities for f in e.fragments])
     annotated = 0
@@ -101,19 +91,19 @@ def document_stats(doc: Document) -> StatsReport:
     for (_s, gap_start), (gap_end, _e) in zip(covered, covered[1:]):
         if gap_end < n and _alnum_run(text, gap_start - 1, gap_end + 1):
             annotated -= 1
-    report.annotated_tokens = annotated
-    return report
+    return StatsReport(Counter(e.label.base for e in doc.entities), len(doc.entities),
+                       count_nested(doc), len(_find_tokens(text)), annotated, 1)
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
     """Pool per-document stats; order-independent by construction."""
-    total = StatsReport()
+    labels: Counter = Counter()
+    entities = nested = tokens = annotated = 0
     for doc in corpus.documents:
         one = document_stats(doc)
-        total.labels.update(one.labels)
-        total.entities += one.entities
-        total.nested_entities += one.nested_entities
-        total.tokens += one.tokens
-        total.annotated_tokens += one.annotated_tokens
-        total.documents += 1
-    return total
+        labels.update(one.labels)
+        entities += one.entities
+        nested += one.nested_entities
+        tokens += one.tokens
+        annotated += one.annotated_tokens
+    return StatsReport(labels, entities, nested, tokens, annotated, len(corpus.documents))

@@ -33,8 +33,7 @@ import io
 import json
 import re
 from bisect import bisect_left, insort
-from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from collections import Counter, defaultdict, namedtuple
 from importlib import resources
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -57,8 +56,7 @@ def _strings(value, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(namedtuple("RuleSet", "version_patterns biblio_patterns fixed_lists")):
     """Regex patterns and fixed surface lists for the rule pass.
 
     Fields are checked at construction (a list of strings each, non-empty
@@ -68,32 +66,32 @@ class RuleSet:
     ``data/default_rules.json`` and can be edited without code changes.
     """
 
-    version_patterns: tuple[str, ...] = ()
-    biblio_patterns: tuple[str, ...] = ()
-    fixed_lists: Mapping[str, tuple[str, ...]] = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        fixed_lists = {} if self.fixed_lists is None else self.fixed_lists
+    def __new__(cls, version_patterns: Sequence[str] = (), biblio_patterns: Sequence[str] = (),
+                fixed_lists: Optional[Mapping[str, Sequence[str]]] = None) -> "RuleSet":
+        fixed_lists = {} if fixed_lists is None else fixed_lists
         if not isinstance(fixed_lists, Mapping):
             raise MalformedRules("expected an object of lists", where="fixed_lists")
-        object.__setattr__(self, "fixed_lists", {
-            base: _strings(surfaces, f"fixed_lists.{base}")
-            for base, surfaces in fixed_lists.items()})
-        for base, surfaces in self.fixed_lists.items():
+        fixed_lists = {base: _strings(surfaces, f"fixed_lists.{base}")
+                       for base, surfaces in fixed_lists.items()}
+        for base, surfaces in fixed_lists.items():
             if base not in BIOTOFLOW.labels:
                 raise MalformedRules("not a label of the workflow schema",
                                      where=f"fixed_lists.{base}")
             if not all(surfaces):
                 raise MalformedRules("empty surface", where=f"fixed_lists.{base}")
-        for key in ("version_patterns", "biblio_patterns"):
-            patterns = _strings(getattr(self, key), key)
-            object.__setattr__(self, key, patterns)
-            for i, pattern in enumerate(patterns):
+        checked = []
+        for key, patterns in (("version_patterns", version_patterns),
+                              ("biblio_patterns", biblio_patterns)):
+            checked.append(_strings(patterns, key))
+            for i, pattern in enumerate(checked[-1]):
                 try:
                     re.compile(pattern)
                 except re.error as exc:
                     raise MalformedRules(f"invalid regex {pattern!r}: {exc}",
                                          where=f"{key}[{i}]") from None
+        return tuple.__new__(cls, (*checked, fixed_lists))
 
 
 _RULES_KEYS = ("version_patterns", "biblio_patterns", "fixed_lists")
@@ -467,10 +465,10 @@ def fuse(sources: Sequence[tuple[Corpus, Optional[Provenance]]], for_training: b
     documents = []
     for corpus, role in sources:
         for doc in corpus.documents:
-            if role is not None and doc.provenance != role:
-                doc = replace(doc, provenance=role)
-            if prefix:
-                doc = replace(doc, doc_id=f"{corpus.name}:{doc.doc_id}")
+            provenance = doc.provenance if role is None else role
+            doc_id = f"{corpus.name}:{doc.doc_id}" if prefix else doc.doc_id
+            if (doc_id, provenance) != (doc.doc_id, doc.provenance):
+                doc = Document(doc_id, doc.text, doc.entities, provenance, doc.sidecar)
             documents.append(doc)
     collisions = _collisions(d.doc_id for d in documents) if prefix else []
     if collisions:

@@ -26,10 +26,12 @@ template are checked against.  The gazetteer build is
 ``gazetteer.build_gazetteer`` and ``to_json_dict`` as they were while
 entries were frozen dataclasses, rebuilt for every kept name and each
 given its own sorted ``sources`` list.  Document statistics are
-``stats.document_stats`` as it was with a sweep over every token, and the
-tagger's fold is its per-character definition.  ``OracleSpan``,
+``stats.document_stats`` as it was with a sweep over every token, the
+tagger's fold is its per-character definition, and the shipped rule
+patterns are kept as they were with a leading word boundary.  ``OracleSpan``,
 ``OracleEntityLabel`` and ``OracleEntity`` are the model's records as they
-were while they were frozen dataclasses.  Keep it slow and obvious.
+were while they were frozen dataclasses, and ``oracle_dataclass`` builds
+any other value class as the dataclass it was.  Keep it slow and obvious.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import json
 import re
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import TYPE_CHECKING, Optional
 
 from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment,
@@ -277,14 +279,11 @@ def oracle_count_nested(doc) -> int:
 
 def oracle_document_stats(doc: Document) -> StatsReport:
     """``stats.document_stats`` as it was with a loop over every token."""
-    report = StatsReport(documents=1)
+    labels: Counter = Counter()
     for ent in doc.entities:
-        report.labels[ent.label.base] += 1
-    report.entities = len(doc.entities)
-    report.nested_entities = count_nested(doc)
+        labels[ent.label.base] += 1
 
     token_spans = tokenize(doc.text)
-    report.tokens = len(token_spans)
     covered = _merge_intervals([(f.start, f.end)
                                 for e in doc.entities for f in e.fragments])
     # Two sorted sweeps: a token is annotated if it overlaps any covered interval.
@@ -295,14 +294,27 @@ def oracle_document_stats(doc: Document) -> StatsReport:
             k += 1
         if k < len(covered) and covered[k][0] < t_end:
             annotated += 1
-    report.annotated_tokens = annotated
-    return report
+    return StatsReport(labels, len(doc.entities), count_nested(doc), len(token_spans),
+                       annotated, 1)
 
 
 def oracle_fold(s: str) -> str:
     """The tagger's fold, one character at a time."""
     return "".join(next((f for f in (c.casefold(), c.lower()) if len(f) == 1), c)
                    for c in s)
+
+
+# The shipped version and citation patterns as they were before each began
+# with its literal: a leading word boundary, which the regex engine tries at
+# every position of the text.
+ORACLE_RULE_PATTERNS = (
+    r"\b[Vv]ersions?\s+\d+(?:\.\d+)*[A-Za-z]?\b",
+    r"\bv\d+(?:\.\d+)+[A-Za-z]?\b",
+    r"\b\d+(?:\.\d+)+[A-Za-z]?\b",
+    r"\[\d+(?:\s*[,;\u2013-]\s*\d+)*\]",
+    r"\b10\.\d{4,9}/[^\s,;\])>]+",
+    r"\bhttps?://[^\s,;\])>]+",
+)
 
 
 # The dictionary scan the tagger used before ``Matcher``: one lookahead
@@ -620,3 +632,32 @@ class OracleEntity:
     label: OracleEntityLabel
     fragments: tuple[OracleSpan, ...]
     surface: str
+
+
+# The other value classes' fields, in order, as their dataclasses declared
+# them; all were frozen but the two reports.
+_DATACLASS_FIELDS = {
+    "Document": "doc_id text entities provenance sidecar",
+    "Corpus": "name documents",
+    "Violation": "kind doc_id entity_id message",
+    "LabelScore": "tp fp fn p r f1",
+    "MatchReport": "mode per_label label_filter missed spurious",
+    "StatsReport": "labels entities nested_entities tokens annotated_tokens documents",
+    "SplitManifest": "split_id seed train_ids dev_ids test_ids ratios",
+    "RunResult": "split_id seed_model report meta",
+    "MetricRow": "mean_p std_p mean_r std_r mean_f1 std_f1",
+    "AggregateTable": "per_label overall overall_focused label_filter n_runs mode",
+    "SchemaDef": "labels categories qualifiers",
+    "MappingRule": "source attribute target",
+    "MappingTable": "rules",
+    "ConversionReport": "mapped dropped unknown multi_attribute_warnings",
+    "Gazetteer": "entries normalization",
+    "RuleSet": "version_patterns biblio_patterns fixed_lists",
+}
+
+
+def oracle_dataclass(name: str):
+    """The value class ``name`` as the dataclass it was: its fields, with the
+    generated ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``."""
+    return make_dataclass(name, _DATACLASS_FIELDS[name].split(),
+                          frozen=name not in ("StatsReport", "ConversionReport"))

@@ -3,6 +3,7 @@ package imports only the standard library and its own modules.  No module
 of the package or of the tests imports a name it never uses."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +33,21 @@ def test_a_module_imports_only_the_standard_library_and_the_package(path):
     outside = sorted({name for name in _absolute_imports(path)
                       if name.partition(".")[0] not in sys.stdlib_module_names})
     assert outside == []
+
+
+# Generating dataclass methods cost about a third of the CLI's start-up.
+def test_no_module_imports_dataclasses():
+    assert [path.name for path in SOURCES
+            if any(name.partition(".")[0] == "dataclasses" for name in _absolute_imports(path))
+            ] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import flowner.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]"]
 
 
 def test_the_import_walk_sees_every_module():

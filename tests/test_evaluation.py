@@ -79,6 +79,16 @@ def test_match_prefers_larger_overlap():
     assert pairs[0][1].id == "T2"
 
 
+def test_greedy_seeding_does_not_maximize_total_overlap():
+    # The module docstring's example: overlap 4 + 1, though 3 + 3 is possible.
+    gold = [_e("Tool", (3, 7), ent_id="T1"), _e("Tool", (5, 10), ent_id="T2")]
+    pred = [_e("Tool", (1, 6), ent_id="T1"), _e("Tool", (3, 8), ent_id="T2")]
+    pairs = match_document(gold, pred, RELAXED)
+    assert [(g.start, g.end, p.start, p.end) for g, p in pairs] == [(3, 7, 3, 8),
+                                                                    (5, 10, 1, 6)]
+    assert sum(evaluation.char_overlap(g, p) for g, p in pairs) == 5
+
+
 def test_match_agrees_with_brute_force():
     rng = random.Random(12345)
     for _ in range(500):

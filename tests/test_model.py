@@ -1,17 +1,25 @@
 import copy
+import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowner
 from flowner.cli import UsageError
-from flowner.model import (Corpus, Document, Entity, EntityLabel, InputError, Span,
-                           validate_corpus, validate_document)
+from flowner.evaluation import LabelScore, MatchMode, MatchReport
+from flowner.experiment import AggregateTable, MetricRow, RunResult, SplitManifest
+from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
+from flowner.model import (Corpus, Document, Entity, EntityLabel, InputError, Provenance,
+                           Span, Violation, validate_corpus, validate_document)
+from flowner.schema import ConversionReport, MappingRule, MappingTable, SchemaDef
+from flowner.stats import StatsReport
+from flowner.tagger import MalformedRules, RuleSet
 from gen import random_document
 from oracles import (OracleEntity, OracleEntityLabel, OracleSpan, oracle_canonical_order,
-                     oracle_sort_key)
+                     oracle_dataclass, oracle_sort_key)
 from util import doc_of, ent
 
 
@@ -192,6 +200,94 @@ def test_records_equal_the_plain_tuples_of_their_fields():
     assert Span(0, 3) == (0, 3) and label == ("Tool", None)
     assert Entity("T1", label, (Span(0, 3),), "abc") == ("T1", ("Tool", None), ((0, 3),), "abc")
     assert EntityLabel("Data") < EntityLabel("Tool", "Lab")
+
+
+_ENTITY = Entity("T1", EntityLabel("Tool"), (Span(0, 3),), "abc")
+_SCORE = LabelScore.from_counts(1, 1, 0)
+_REPORT = MatchReport(MatchMode.STRICT, {"Tool": _SCORE})
+_ROW = MetricRow(50.0, 0.0, 100.0, 0.0, 66.7, 1.5)
+_RULE = MappingRule("software", "url", EntityLabel("Tool"))
+# Field values, in the order the dataclasses declared them, of one instance
+# of every other value class.
+_VALUE_FIELDS = {
+    Document: ("d1", "abc", (_ENTITY,), Provenance.SILVER, ("#1\tAnnotatorNotes T1\tx",)),
+    Corpus: ("c", (Document("d1", "abc"),)),
+    Violation: ("DuplicateId", "d1", "T1", "id T1 used by more than one entity"),
+    LabelScore: tuple(_SCORE),
+    MatchReport: (MatchMode.STRICT, {"Tool": _SCORE}, ("Tool",), (), ()),
+    StatsReport: (Counter({"Tool": 1}), 1, 0, 1, 1, 1),
+    SplitManifest: (0, 7, ("a", "b"), ("c",), ("d",), (0.75, 1 / 3)),
+    RunResult: (0, 1, _REPORT, {"model": "x"}),
+    MetricRow: tuple(_ROW),
+    AggregateTable: ({"Tool": _ROW}, _ROW, None, None, 1, MatchMode.STRICT),
+    SchemaDef: (frozenset({"Tool"}), {"Tool": "core"}, {"Tool": frozenset({"Lab"})}),
+    MappingRule: tuple(_RULE),
+    MappingTable: ((_RULE,),),
+    ConversionReport: (Counter({"software+url": 1}), Counter(), Counter(), 0),
+    Gazetteer: ({"bwa": VocabEntry("BWA", "tool_name", frozenset({"custom"}))}, {"kept": 1}),
+    RuleSet: ((r"v\d+",), (), {"Tool": ("BWA",)}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_FIELDS), ids=lambda cls: cls.__name__)
+def test_value_classes_hash_and_print_as_the_dataclasses_they_were(cls):
+    values = _VALUE_FIELDS[cls]
+    old = oracle_dataclass(cls.__name__)(*values)
+    names = [f.name for f in dataclasses.fields(old)]
+    new = cls(**dict(zip(names, values)))
+    assert repr(new) == repr(old) and new == cls(*values) == values
+    assert cls.__match_args__ == tuple(names)
+    try:
+        old_hash = hash(old)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(new)
+    else:
+        assert hash(new) == old_hash
+    for clone in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+        assert clone == new and type(clone) is cls
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(new, name, None)
+    with pytest.raises(AttributeError):
+        new.other = 1
+    assert cls.__bases__[0].__bases__ == (tuple,) and cls.__slots__ == ()
+    own = vars(cls).keys() - {"__len__"} if cls in (Corpus, Gazetteer) else vars(cls).keys()
+    assert not {"__repr__", "__match_args__", "__len__", "__getnewargs__", *names} & own
+
+
+def test_a_corpus_and_a_gazetteer_measure_their_contents():
+    corpus = Corpus("c", tuple(Document(f"d{i}", "abc") for i in range(3)))
+    gaz = build_gazetteer(ingest("custom", "BWA\nSAMtools\n"))
+    assert len(corpus) == 3 and len(gaz) == len(gaz.entries) == 2
+    assert len(Corpus("empty")) == 0 and not Corpus("empty")
+    # namedtuple's _make and _replace check len() against the field count.
+    with pytest.raises(TypeError):
+        corpus._replace(name="d")
+    with pytest.raises(TypeError):
+        Gazetteer._make(({}, {}))
+
+
+def test_run_results_do_not_share_meta():
+    first, second = RunResult(0, 1, _REPORT), RunResult(1, 1, _REPORT)
+    assert first.meta == second.meta == {} and first.meta is not second.meta
+
+
+def test_checked_value_classes_raise_their_typed_errors():
+    with pytest.raises(MalformedRules, match="not a label") as info:
+        RuleSet(fixed_lists={"Nope": ["x"]})
+    assert info.value.where == "fixed_lists.Nope"
+    with pytest.raises(MalformedRules, match="invalid regex") as info:
+        RuleSet(biblio_patterns=["("])
+    assert info.value.where == "biblio_patterns[0]"
+    with pytest.raises(MalformedRules, match="list of strings"):
+        RuleSet(version_patterns="v1")
+    with pytest.raises(ValueError, match="categories not total over labels"):
+        SchemaDef(frozenset({"Tool"}), {}, {})
+    with pytest.raises(ValueError, match="duplicate mapping rule"):
+        MappingTable((_RULE, _RULE))
+    with pytest.raises(ValueError, match="must precede its bare rule"):
+        MappingTable((MappingRule("software", None, None), _RULE))
 
 
 def test_validate_ok_corpus_is_empty():

@@ -18,7 +18,7 @@ from flowner.tagger import (DuplicateDocId, ExternalPredictions, Matcher,
                             MissingPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
-from oracles import _dict_candidates, _dictionary, oracle_fold
+from oracles import ORACLE_RULE_PATTERNS, _dict_candidates, _dictionary, oracle_fold
 from util import doc_of, ent
 
 
@@ -82,6 +82,24 @@ def test_biblio_patterns():
     assert "[1, 2]" in biblio
     assert "https://example.org/x" in biblio
     assert "10.5281/zenodo.14900544" in biblio
+
+
+# Pieces of the patterns' literals among word characters (an underscore, a
+# non-ASCII letter, a non-ASCII digit), dots, slashes and spaces.
+_RULE_PIECES = ["v", "V", "ersion", "s", "1", "10", "2345", "٣", "é", "_", "a",
+                ".", "/", "http", "://", " ", "[", "]", ","]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_RULE_PIECES), max_size=30).map("".join))
+@example("v1.2 xv1.2 _10.1234/a ahttp://x 1.2a é1.2 version 2 Aversion 2")
+def test_rule_patterns_match_as_their_word_boundary_forms(text):
+    rules = default_ruleset()
+    shipped = rules.version_patterns + rules.biblio_patterns
+    assert len(shipped) == len(ORACLE_RULE_PATTERNS)
+    for pattern, oracle in zip(shipped, ORACLE_RULE_PATTERNS):
+        assert [m.span() for m in re.finditer(pattern, text)] == \
+            [m.span() for m in re.finditer(oracle, text)], (pattern, text)
 
 
 def test_output_is_flat_and_surfaces_match_slices():
