@@ -11,8 +11,7 @@ from .schema import (BIOTOFLOW, SOFTCITE_QUALIFIERS, ConversionReport,
                      MalformedTable, MappingRule, MappingTable, SchemaDef,
                      UnknownSourceLabel, convert_corpus, default_softcite_table)
 from .evaluation import (DocSetMismatch, EntityRef, LabelScore, MatchMode,
-                         MatchReport, entities_compatible, macro_average,
-                         match_document, score)
+                         MatchReport, macro_average, match_document, score)
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
                          MalformedResult, MixedModes, RunResult, SplitManifest,
                          aggregate, make_splits, render_table, split_sizes)

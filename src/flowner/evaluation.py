@@ -3,7 +3,7 @@
 Gold and predicted entities are paired one-to-one per document with a
 maximum-cardinality bipartite matching over the compatibility relation
 (strict: same base label and identical fragments; relaxed: same base
-label and overlapping extents).  Maximum matching, rather than a greedy
+label and a shared character).  Maximum matching, rather than a greedy
 pass, makes the pair count well-defined, order-independent and testable
 against brute force.  Which maximum matching is returned is fixed by two
 steps: compatible pairs are first taken greedily in preference order
@@ -18,9 +18,11 @@ Matching a document takes time near-linear in its entity count plus its
 candidate pairs, not gold×pred.  Candidates come from an index: strict
 mode hash-joins gold and pred on (base label[, qualifier], fragments);
 relaxed mode sorts each label's entities by start and sweeps them, pairing
-only gold and pred whose extents overlap.  ``entities_compatible`` stays
-the arbiter of every candidate, so the matched pairs and their tie-breaks
-are exactly those of the all-pairs test.
+only gold and pred whose extents overlap.  The candidates state the
+relation once: every strict candidate is compatible, and a relaxed one is
+kept when ``char_overlap``, computed once per candidate for the preference
+order, is positive.  So the matched pairs and their tie-breaks are exactly
+those of the all-pairs test.
 
 Both entry points share one matcher over index positions.  ``score``
 hands it each document's entity tuples as they are: a :class:`Document`
@@ -47,6 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Corpus, Entity
+from .standoff import _LINE_BREAK_RE
 
 
 class MatchMode(str, Enum):
@@ -71,64 +74,40 @@ def char_overlap(a: Entity, b: Entity) -> int:
     return total
 
 
-def entities_compatible(g: Entity, p: Entity, mode: MatchMode,
-                        qualifier_sensitive: bool = False) -> bool:
-    """Whether a gold/pred pair may be matched under the given mode."""
-    g_label, p_label = g[1], p[1]
-    if g_label[0] != p_label[0]:
-        return False
-    if qualifier_sensitive and g_label[1] != p_label[1]:
-        return False
-    if mode == MatchMode.STRICT:
-        return g[2] == p[2]
-    return char_overlap(g, p) > 0
-
-
-def _augment(root: int, adj: dict[int, list[tuple[int, int, int]]],
-             match_g: dict[int, int], match_p: dict[int, int]) -> bool:
-    """One iterative Kuhn augmentation step from a free gold vertex."""
+def _augment(root: int, adj: Mapping[int, list[int]],
+             match_g: dict[int, int], match_p: dict[int, int]) -> None:
+    """One Kuhn augmentation step from a free gold vertex: a depth-first
+    search whose stack is the alternating path, flipped when it reaches a
+    free pred."""
     visited: set[int] = set()
-    prev: dict[int, int] = {}
-    stack: list[list[int]] = [[root, 0]]
+    stack = [(root, iter(adj[root]))]
     while stack:
-        frame = stack[-1]
-        gi, idx = frame
-        neighbors = adj.get(gi, [])
-        moved = False
-        while idx < len(neighbors):
-            pi = neighbors[idx][2]
-            idx += 1
-            if pi in visited:
-                continue
-            visited.add(pi)
-            prev[pi] = gi
-            owner = match_p.get(pi)
-            if owner is None:
-                cur = pi
-                while True:
-                    g2 = prev[cur]
-                    old = match_g.get(g2)
-                    match_g[g2] = cur
-                    match_p[cur] = g2
-                    if old is None:
-                        return True
-                    cur = old
-            frame[1] = idx
-            stack.append([owner, 0])
-            moved = True
-            break
-        if not moved:
+        # The top gold's next unvisited pred, or the top is exhausted.
+        for pi in stack[-1][1]:
+            if pi not in visited:
+                break
+        else:
             stack.pop()
-    return False
+            continue
+        visited.add(pi)
+        owner = match_p.get(pi)
+        if owner is None:
+            for gi, _neighbors in reversed(stack):
+                match_p[pi] = gi
+                match_g[gi], pi = pi, match_g.get(gi)
+            return
+        stack.append((owner, iter(adj[owner])))
 
 
 def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
                      qualifier_sensitive: bool) -> Iterator[tuple[int, int]]:
     """Index pairs (gi, pi) that may be compatible, each exactly once.
 
-    A superset of the compatible pairs: strict mode joins on (label,
-    fragments); relaxed mode sweeps each label's entities by start and
-    pairs those whose extents overlap.  Touching extents (one ends where
+    Strict mode joins on (label, fragments), so its candidates are exactly
+    the compatible pairs.  Relaxed mode sweeps each label's entities by
+    start and pairs those whose extents overlap; such a candidate is
+    compatible if the two share a character, which discontinuous entities
+    with overlapping extents need not.  Touching extents (one ends where
     the other starts) share no character and are not paired.
     """
     # An EntityLabel is the tuple (base, qualifier).
@@ -174,22 +153,21 @@ def _match_indices(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMo
     edges: list[tuple[int, int, int, int, int]] = []
     for gi, pi in _candidate_pairs(gold, pred, mode, qualifier_sensitive):
         g, p = gold[gi], pred[pi]
-        if entities_compatible(g, p, mode, qualifier_sensitive):
-            edges.append((-char_overlap(g, p), g[2][0][0], p[2][0][0], gi, pi))
+        overlap = char_overlap(g, p)
+        if overlap:
+            edges.append((-overlap, g[2][0][0], p[2][0][0], gi, pi))
     edges.sort()
 
+    # For a fixed gold the edge order is (-overlap, pred start, pi), so each
+    # adjacency list comes out in preference order.
     match_g: dict[int, int] = {}
     match_p: dict[int, int] = {}
+    adj: dict[int, list[int]] = defaultdict(list)
     for _ov, _gs, _ps, gi, pi in edges:
+        adj[gi].append(pi)
         if gi not in match_g and pi not in match_p:
             match_g[gi] = pi
             match_p[pi] = gi
-
-    adj: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for ov, _gs, ps, gi, pi in edges:
-        adj[gi].append((ov, ps, pi))
-    for gi in adj:
-        adj[gi].sort()
     for gi in range(len(gold)):
         if gi not in match_g and gi in adj:
             _augment(gi, adj, match_g, match_p)
@@ -208,11 +186,11 @@ def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMo
     pair count is maximum; the total overlap need not be (see the module
     docstring).
 
-    Only candidate pairs are tested: a hash join on (label, fragments) in
-    strict mode, a per-label sweep over extents in relaxed mode.
-    ``entities_compatible`` still decides every candidate, and every
-    compatible pair is a candidate, so the edge set, its total order and
-    hence the pairs and tie-breaks are those of testing all gold×pred pairs.
+    Only candidate pairs are considered: a hash join on (label, fragments)
+    in strict mode, and in relaxed mode a per-label sweep over extents that
+    keeps the pairs sharing a character.  These are exactly the compatible
+    pairs, so the edge set, its total order and hence the pairs and
+    tie-breaks are those of testing all gold×pred pairs.
     """
     gold_list = sorted(gold, key=Entity.sort_key)
     pred_list = sorted(pred, key=Entity.sort_key)
@@ -387,10 +365,12 @@ def render_report(report: MatchReport) -> str:
 
 
 def render_diff(report: MatchReport) -> str:
-    """Missed (gold unmatched) and spurious (pred unmatched) entity listing."""
+    """Missed (gold unmatched) and spurious (pred unmatched) entity listing,
+    one line per entity: a line break in a surface is written as a space,
+    as in a ``.ann`` file."""
     lines = []
     for tag, refs in (("MISSED", report.missed), ("SPURIOUS", report.spurious)):
         for ref in refs:
-            lines.append(f"{tag}\t{ref.doc_id}\t{ref.label}\t"
-                         f"{ref.start} {ref.end}\t{ref.surface}")
+            lines.append(f"{tag}\t{ref.doc_id}\t{ref.label}\t{ref.start} {ref.end}\t"
+                         + _LINE_BREAK_RE.sub(" ", ref.surface))
     return "\n".join(lines) + "\n" if lines else ""

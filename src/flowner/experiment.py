@@ -19,7 +19,6 @@ runs, one run each or one split each behind a flag, of their mean P/R/F1.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
@@ -199,7 +198,9 @@ class AggregateTable(namedtuple("AggregateTable", "per_label overall overall_foc
 def _row(groups: Sequence[Sequence[MatchReport]], labels: Optional[Sequence[str]]) -> MetricRow:
     """Mean and sample std, over ``groups``, of each group's mean P/R/F1
     percentages of the counts pooled over ``labels`` (None: every label).
-    ``statistics`` sums exactly, so no order changes a float."""
+    ``statistics`` sums exactly, so no order changes a float; it is imported
+    here, as only ``report`` needs it and it costs every start-up a few ms."""
+    import statistics
     means = []
     for group in groups:
         scores = [_micro(report.per_label, labels) for report in group]

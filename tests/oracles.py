@@ -10,8 +10,9 @@ used before ``MappingTable.lookup`` took several attributes, and nesting
 by comparing every pair of extents.  The one exception is
 ``oracle_match_document``: it is ``evaluation.match_document`` as it was
 before candidate indexing, testing every gold×pred pair with the
-package's own compatibility, overlap and augmentation, so that it pins
-the exact pairs and tie-breaks, not only their count.  ``oracle_score``
+package's own overlap and the compatibility test, per-gold sort and
+augmentation that the package had then, so that it pins the exact pairs
+and tie-breaks, not only their count.  ``oracle_score``
 is ``evaluation.score`` as it was before it matched by index: through
 that matcher, telling matched entities by set membership, with
 ``EntityRef`` a frozen dataclass (``OracleEntityRef``).
@@ -43,8 +44,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, make_dataclass
 from typing import TYPE_CHECKING, Optional
 
-from flowner.evaluation import (DocSetMismatch, LabelScore, MatchReport, _augment,
-                                char_overlap, entities_compatible)
+from flowner.evaluation import (DocSetMismatch, LabelScore, MatchMode, MatchReport,
+                                char_overlap)
 from flowner.experiment import AggregateTable, EmptyResults, MetricRow, MixedModes
 from flowner.gazetteer import BINARY_NAME, TOOL_NAME, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
@@ -100,15 +101,69 @@ def brute_force_max_pairs(gold, pred, mode_name: str) -> int:
     return best
 
 
+def _oracle_entities_compatible(g: Entity, p: Entity, mode: MatchMode,
+                                qualifier_sensitive: bool = False) -> bool:
+    """``evaluation.entities_compatible``, the test that every candidate
+    pair passed before the candidates alone stated the relation."""
+    g_label, p_label = g[1], p[1]
+    if g_label[0] != p_label[0]:
+        return False
+    if qualifier_sensitive and g_label[1] != p_label[1]:
+        return False
+    if mode == MatchMode.STRICT:
+        return g[2] == p[2]
+    return char_overlap(g, p) > 0
+
+
+def _oracle_augment(root: int, adj: dict[int, list[tuple[int, int, int]]],
+                    match_g: dict[int, int], match_p: dict[int, int]) -> bool:
+    """``evaluation._augment`` as it was, with ``[gold, index]`` frames over
+    per-gold lists of ``(-overlap, pred start, pred index)``."""
+    visited: set[int] = set()
+    prev: dict[int, int] = {}
+    stack: list[list[int]] = [[root, 0]]
+    while stack:
+        frame = stack[-1]
+        gi, idx = frame
+        neighbors = adj.get(gi, [])
+        moved = False
+        while idx < len(neighbors):
+            pi = neighbors[idx][2]
+            idx += 1
+            if pi in visited:
+                continue
+            visited.add(pi)
+            prev[pi] = gi
+            owner = match_p.get(pi)
+            if owner is None:
+                cur = pi
+                while True:
+                    g2 = prev[cur]
+                    old = match_g.get(g2)
+                    match_g[g2] = cur
+                    match_p[cur] = g2
+                    if old is None:
+                        return True
+                    cur = old
+            frame[1] = idx
+            stack.append([owner, 0])
+            moved = True
+            break
+        if not moved:
+            stack.pop()
+    return False
+
+
 def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
-    """``evaluation.match_document`` with its all-pairs edge loop."""
+    """``evaluation.match_document`` with its all-pairs edge loop, its
+    compatibility test, its per-gold sort and its frame-based augmentation."""
     gold_list = sorted(gold, key=Entity.sort_key)
     pred_list = sorted(pred, key=Entity.sort_key)
 
     edges: list[tuple[int, int, int, int, int]] = []
     for gi, g in enumerate(gold_list):
         for pi, p in enumerate(pred_list):
-            if entities_compatible(g, p, mode, qualifier_sensitive):
+            if _oracle_entities_compatible(g, p, mode, qualifier_sensitive):
                 edges.append((-char_overlap(g, p), g.start, p.start, gi, pi))
     edges.sort()
 
@@ -126,7 +181,7 @@ def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
         adj[gi].sort()
     for gi in range(len(gold_list)):
         if gi not in match_g and gi in adj:
-            _augment(gi, adj, match_g, match_p)
+            _oracle_augment(gi, adj, match_g, match_p)
 
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
 

@@ -1,6 +1,7 @@
 """The runtime has no dependencies: pyproject.toml declares none, and the
 package imports only the standard library and its own modules.  No module
-of the package or of the tests imports a name it never uses."""
+of the package or of the tests imports a name it never uses, and every
+name the package defines is read somewhere in it, bar a listed few."""
 
 import ast
 import subprocess
@@ -42,9 +43,10 @@ def test_no_module_imports_dataclasses():
             ] == []
 
 
+# ``statistics`` brings ``fractions`` and ``decimal``; only ``report`` needs it.
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import flowner.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'statistics'} & sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["[]"]
@@ -82,23 +84,26 @@ def test_the_unused_import_walk_finds_an_unused_name(tmp_path):
     assert _unused_imports(path) == ["Any", "j"]
 
 
-def _module_private_names(tree):
-    """The ``_names`` a module defines at its top level, dunders aside."""
+def _module_names(tree):
+    """The names a module defines at its top level, and each method of its
+    classes as ``Class.method``."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name
+            yield from (f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names
-                    if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
-def _unread_private_names(paths):
-    """``module.name`` for each top-level ``_name`` of ``paths`` that no module
-    of ``paths`` reads, as a name or as an attribute."""
+def _unread_names(paths, wanted):
+    """``module.name`` for each name of ``paths`` (see :func:`_module_names`)
+    that ``wanted`` selects and that no module of ``paths`` reads, as a name or
+    as an attribute.  An import is no read, so a re-export in ``__init__`` is
+    none."""
     trees = {path: ast.parse(path.read_text("utf-8"), str(path)) for path in paths}
     read = set()
     for tree in trees.values():
@@ -108,7 +113,14 @@ def _unread_private_names(paths):
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return sorted(f"{path.stem}.{name}" for path, tree in trees.items()
-                  for name in _module_private_names(tree) if name not in read)
+                  for name in _module_names(tree)
+                  if wanted(name) and name.rpartition(".")[2] not in read)
+
+
+def _unread_private_names(paths):
+    """Each top-level ``_name`` of ``paths``, dunders aside, that nothing reads."""
+    return _unread_names(paths, lambda n: n.startswith("_") and "." not in n
+                         and not (n.startswith("__") and n.endswith("__")))
 
 
 def test_every_private_helper_of_the_package_has_a_reader():
@@ -123,3 +135,36 @@ def test_the_private_name_walk_finds_a_helper_without_a_reader(tmp_path):
                  "def _seen_by_b():\n    pass\n", encoding="utf-8")
     b.write_text("import a\na._seen_by_b()\n", encoding="utf-8")
     assert _unread_private_names([a, b]) == ["a._Gone", "a._dead", "a._y"]
+
+
+def _unread_public_names(paths):
+    """Each public top-level name and public method of ``paths`` that
+    nothing reads."""
+    return _unread_names(paths, lambda n: not n.rpartition(".")[2].startswith("_"))
+
+
+# Public names that only readers outside the package read, each with its reason.
+UNREAD_PUBLIC_NAMES = {
+    "evaluation.match_document": "traced by benchmarks/spans.py",
+    "evaluation.render_report": "traced by benchmarks/spans.py",
+    "stats.tokenize": "traced by benchmarks/spans.py",
+    "schema.SOFTCITE_QUALIFIERS": "read by benchmarks/test_bench_workloads.py",
+    "schema.SchemaDef.category_members": "kept for the per-category report rows (ROADMAP)",
+}
+
+
+def test_every_public_name_of_the_package_has_a_reader():
+    assert _unread_public_names(SOURCES) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+def test_the_public_name_walk_finds_a_name_without_a_reader(tmp_path):
+    init, a, b = tmp_path / "__init__.py", tmp_path / "a.py", tmp_path / "b.py"
+    init.write_text("from .a import Gone, dead\n__version__ = '1'\n", encoding="utf-8")
+    a.write_text("LIMIT: int = 3\nX, Y = 1, 2\n"
+                 "def used():\n    return LIMIT + X\n"
+                 "def dead():\n    return used()\nclass Gone:\n    pass\n"
+                 "class Kept:\n    def read(self):\n        pass\n"
+                 "    def unread(self):\n        pass\n    def _private(self):\n        pass\n"
+                 "def seen_by_b():\n    return Kept().read()\n", encoding="utf-8")
+    b.write_text("import a\na.seen_by_b()\n", encoding="utf-8")
+    assert _unread_public_names([init, a, b]) == ["a.Gone", "a.Kept.unread", "a.Y", "a.dead"]

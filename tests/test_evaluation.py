@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowner import evaluation
-from flowner.evaluation import (DocSetMismatch, EntityRef, MatchMode, entities_compatible,
-                                macro_average, match_document, render_diff, render_report,
-                                score)
+from flowner.evaluation import (DocSetMismatch, EntityRef, MatchMode, macro_average,
+                                match_document, render_diff, render_report, score)
 from flowner.model import Corpus, Document, Entity, EntityLabel, Span
 from gen import random_corpus_pair, random_match_instance
 from oracles import (OracleEntityRef, brute_force_max_pairs, oracle_compatible,
@@ -26,37 +25,43 @@ def _e(base, *frags, qualifier=None, ent_id="T1"):
                   tuple(Span(s, e) for s, e in frags), "x")
 
 
+def _paired(g, p, mode, qualifier_sensitive=False):
+    """Whether a document with the one gold ``g`` and the one pred ``p``
+    matches them."""
+    return len(match_document([g], [p], mode, qualifier_sensitive)) == 1
+
+
 def test_compatible_identical_spans():
     g, p = _e("Tool", (8, 11)), _e("Tool", (8, 11))
-    assert entities_compatible(g, p, STRICT)
-    assert entities_compatible(g, p, RELAXED)
+    assert _paired(g, p, STRICT)
+    assert _paired(g, p, RELAXED)
 
 
 def test_compatible_overlap_only_in_relaxed():
     g, p = _e("Tool", (8, 11)), _e("Tool", (9, 15))
-    assert not entities_compatible(g, p, STRICT)
-    assert entities_compatible(g, p, RELAXED)
+    assert not _paired(g, p, STRICT)
+    assert _paired(g, p, RELAXED)
 
 
 def test_compatible_label_mismatch_never():
     g, p = _e("Tool", (8, 11)), _e("Data", (8, 11))
-    assert not entities_compatible(g, p, STRICT)
-    assert not entities_compatible(g, p, RELAXED)
+    assert not _paired(g, p, STRICT)
+    assert not _paired(g, p, RELAXED)
 
 
 def test_compatible_discontinuous_uses_fragment_union():
     g = _e("Data", (0, 3), (10, 14))
     inside_gap = _e("Data", (5, 8))
     on_second = _e("Data", (12, 20))
-    assert not entities_compatible(g, inside_gap, RELAXED)
-    assert entities_compatible(g, on_second, RELAXED)
+    assert not _paired(g, inside_gap, RELAXED)
+    assert _paired(g, on_second, RELAXED)
 
 
 def test_qualifiers_ignored_unless_sensitive():
     g = _e("Tool", (0, 3), qualifier="BioInfo")
     p = _e("Tool", (0, 3), qualifier="Lab")
-    assert entities_compatible(g, p, STRICT)
-    assert not entities_compatible(g, p, STRICT, qualifier_sensitive=True)
+    assert _paired(g, p, STRICT)
+    assert not _paired(g, p, STRICT, qualifier_sensitive=True)
 
 
 def test_match_single_pair():
@@ -106,8 +111,7 @@ def test_compatibility_agrees_with_oracle():
         for g in gold:
             for p in pred:
                 for mode in (STRICT, RELAXED):
-                    assert entities_compatible(g, p, mode) == \
-                        oracle_compatible(g, p, mode.value)
+                    assert _paired(g, p, mode) == oracle_compatible(g, p, mode.value)
 
 
 def _self_eval_corpus():
@@ -313,6 +317,17 @@ def test_diff_listing_contents():
     assert [s.label for s in report.spurious] == ["Version"]
 
 
+@pytest.mark.parametrize("line_break", ["\n", "\r\n"])
+def test_a_diff_record_stays_on_one_line_when_its_surface_breaks_a_line(line_break):
+    text = f"BWA{line_break}mem aligns"
+    end = text.index(" ")
+    gold = Corpus("g", (doc_of("d", text, ent("T1", "Tool", 0, end, text)),))
+    pred = Corpus("p", (doc_of("d", text),))
+    report = score(gold, pred, STRICT)
+    assert report.missed[0].surface == text[:end]
+    assert render_diff(report) == f"MISSED\td\tTool\t0 {end}\tBWA{' ' * len(line_break)}mem\n"
+
+
 # Up to three fragments starting in the first 21 characters, two labels and
 # three qualifiers, so that nested, overlapping, touching (end == start),
 # discontinuous and duplicate-extent entities with equal or different labels
@@ -403,14 +418,14 @@ def test_compatibility_tests_grow_linearly_with_entity_count(monkeypatch):
     pred = [Entity(f"P{i}", EntityLabel(labels[i % 4]),
                    (Span(10 * i + i % 2, 10 * i + 5 + i % 2),), "x") for i in range(n)]
     calls = 0
-    real = evaluation.entities_compatible
+    real = evaluation.char_overlap
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(evaluation, "entities_compatible", counting)
+    monkeypatch.setattr(evaluation, "char_overlap", counting)
     for mode, matched in ((STRICT, n // 2), (RELAXED, n)):
         calls = 0
         assert len(match_document(gold, pred, mode)) == matched
