@@ -18,8 +18,7 @@ from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
 from .gazetteer import (Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
                         export_vocab, ingest, vocab_lines)
 from .tagger import (DuplicateDocId, ExternalPredictions, MalformedPrediction,
-                     MalformedRules, Matcher, MissingPrediction, RuleSet,
-                     TaggerPredictor, default_ruleset, fuse, provenance_counts,
-                     silver_annotate, tag)
+                     MalformedRules, MissingPrediction, RuleSet, TaggerPredictor,
+                     default_ruleset, fuse, provenance_counts, silver_annotate, tag)
 
 __version__ = "0.1.0"

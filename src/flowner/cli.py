@@ -126,7 +126,8 @@ def _cmd_validate(args) -> int:
     for v in violations:
         print(v)
     problems += len(violations)
-    print(f"{problems} violation(s) in {len(paths)} document(s)")
+    n_docs = sum(txt_path is not None for txt_path, _ann_path in paths)  # not an orphan .ann
+    print(f"{problems} violation(s) in {n_docs} document(s)")
     return 1 if problems else 0
 
 

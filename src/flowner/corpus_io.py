@@ -1,9 +1,10 @@
 """Filesystem plumbing: corpus directories, atomic writes, JSON helpers.
 
 A corpus directory holds paired ``<id>.txt`` / ``<id>.ann`` files; a .txt
-without a .ann is an unannotated document.  Files are read and written
-byte-exact as UTF-8, with no newline translation, so offsets count the
-characters of a file as stored and a CRLF text reads back as written.
+without a .ann is an unannotated document, and a .ann without a .txt is
+an error.  Files are read and written byte-exact as UTF-8, with no
+newline translation, so offsets count the characters of a file as stored
+and a CRLF text reads back as written.
 Every artifact this package writes goes through a temp-file-plus-rename
 so a crashed run never leaves a half-written file behind.  A written file
 gets the mode that ``open(path, "w")`` gives a new file, 0o666 less the
@@ -110,19 +111,24 @@ def _stem(path: str) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def document_paths(path) -> list[tuple[str, str]]:
+def document_paths(path) -> list[tuple[Optional[str], str]]:
     """The ``(txt, ann)`` path pairs of a corpus directory, by file name.
 
     The documents are the entries whose names end in ``.txt``, dot-files
     included, sorted as ``sorted(Path(path).glob("*.txt"))`` sorts them;
-    each pairs with the ``.ann`` that ``Path.with_suffix`` would name.
+    each pairs with the ``.ann`` that ``Path.with_suffix`` would name.  An
+    ``.ann`` that no document names comes first, as ``(None, ann)``, so
+    that it is reported rather than ignored.
     """
     root = str(Path(path))
     if not os.path.isdir(root):
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    txts = sorted(name for name in os.listdir(root) if name.endswith(".txt"))
-    return [(os.path.join(root, name), os.path.join(root, _stem(name) + ".ann"))
-            for name in txts]
+    names = os.listdir(root)
+    anns = {name: _stem(name) + ".ann" for name in names if name.endswith(".txt")}
+    claimed = set(anns.values())
+    orphans = sorted(name for name in names if name.endswith(".ann") and name not in claimed)
+    return [(None, os.path.join(root, name)) for name in orphans] + \
+        [(os.path.join(root, txt), os.path.join(root, ann)) for txt, ann in sorted(anns.items())]
 
 
 def load_document(txt_path, ann_path=None,
@@ -130,8 +136,12 @@ def load_document(txt_path, ann_path=None,
                   ) -> Document:
     """Parse one document; with no file at ``ann_path`` it has no
     annotations.  A ``StandoffParseError`` is located by the path and line
-    of the file at fault: a byte that is not UTF-8 in either file, or a
-    bad line of the ``.ann``.  The document's doc_id is the file stem."""
+    of the file at fault: a byte that is not UTF-8 in either file, a bad
+    line of the ``.ann``, or an ``.ann`` with no ``txt_path`` (None).  The
+    document's doc_id is the file stem."""
+    if txt_path is None:
+        raise StandoffParseError("annotations without a text: no .txt file names this .ann",
+                                 ann_path)
     text = _read_text(txt_path, StandoffParseError)
     ann = ""
     if ann_path is not None:
@@ -147,7 +157,8 @@ def load_document(txt_path, ann_path=None,
 
 def load_corpus_dir(path, qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                     ) -> Corpus:
-    """Load every ``<id>.txt`` (with its ``<id>.ann``, if present)."""
+    """Load every ``<id>.txt`` (with its ``<id>.ann``, if present); an
+    ``.ann`` without its ``.txt`` is a ``StandoffParseError`` naming it."""
     documents = [load_document(txt, ann, qualifiers=qualifiers)
                  for txt, ann in document_paths(path)]
     return Corpus(name=Path(path).name, documents=tuple(documents))

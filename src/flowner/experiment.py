@@ -115,8 +115,14 @@ def split_sizes(n: int, ratios: Sequence[float] = DEFAULT_RATIOS) -> tuple[int, 
     return pool - n_dev, n_dev, n_test
 
 
-def make_split_ids(doc_ids: Sequence[str], n_splits: int, base_seed: int,
-                   ratios: Sequence[float] = DEFAULT_RATIOS) -> list[SplitManifest]:
+def make_splits(corpus: Corpus, n_splits: int, base_seed: int,
+                ratios: Sequence[float] = DEFAULT_RATIOS) -> list[SplitManifest]:
+    """Deterministic multi-split assignment of a corpus's doc_ids.
+
+    Identical inputs reproduce identical manifests; each manifest's three
+    lists partition the corpus.
+    """
+    doc_ids = corpus.doc_ids()
     if n_splits < 1:
         raise ValueError(f"need at least 1 split, got {n_splits}")
     if len(set(doc_ids)) != len(doc_ids):
@@ -138,16 +144,6 @@ def make_split_ids(doc_ids: Sequence[str], n_splits: int, base_seed: int,
             train_ids=tuple(sorted(train)), dev_ids=tuple(sorted(dev)),
             test_ids=tuple(sorted(test)), ratios=(ratios[0], ratios[1])))
     return manifests
-
-
-def make_splits(corpus: Corpus, n_splits: int, base_seed: int,
-                ratios: Sequence[float] = DEFAULT_RATIOS) -> list[SplitManifest]:
-    """Deterministic multi-split assignment of a corpus's doc_ids.
-
-    Identical inputs reproduce identical manifests; each manifest's three
-    lists partition the corpus.
-    """
-    return make_split_ids(corpus.doc_ids(), n_splits, base_seed, ratios)
 
 
 class RunResult(namedtuple("RunResult", "split_id seed_model report meta")):
@@ -190,8 +186,7 @@ class MetricRow(namedtuple("MetricRow", "mean_p std_p mean_r std_r mean_f1 std_f
                 f"{self.mean_f1:.1f} ±{self.std_f1:.1f}")
 
 
-class AggregateTable(namedtuple("AggregateTable", "per_label overall overall_focused "
-                                                "label_filter n_runs mode")):
+class AggregateTable(namedtuple("AggregateTable", "per_label overall overall_focused")):
     __slots__ = ()
 
 
@@ -237,12 +232,21 @@ def aggregate(results: Sequence[RunResult],
     labels = sorted({base for r in results for base in r.report.per_label})
     return AggregateTable(per_label={base: _row(groups, (base,)) for base in labels},
                           overall=_row(groups, None),
-                          overall_focused=_row(groups, flt) if flt else None,
-                          label_filter=flt, n_runs=len(results), mode=next(iter(modes)))
+                          overall_focused=_row(groups, flt) if flt else None)
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as an RFC 4180 field: quoted, each ``"`` doubled, if it
+    holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def render_table(table: AggregateTable, layout: str = "text") -> str:
-    """Render as aligned text, Markdown or CSV; cells are ``mean ±std``."""
+    """Render as aligned text, Markdown or CSV; cells are ``mean ±std``.
+    A label that holds a separator is quoted in CSV, its ``|`` escaped as
+    ``\\|`` in Markdown."""
     rows = [("Entities", "P", "R", "F1")]
     for base in sorted(table.per_label):
         rows.append((base,) + table.per_label[base].cells())
@@ -251,11 +255,12 @@ def render_table(table: AggregateTable, layout: str = "text") -> str:
         rows.append(("Overall-focused",) + table.overall_focused.cells())
 
     if layout == "csv":
-        return "\n".join(",".join(r) for r in rows) + "\n"
+        return "\n".join(",".join(map(_csv_cell, r)) for r in rows) + "\n"
     if layout == "markdown":
         lines = ["| " + " | ".join(rows[0]) + " |",
                  "|" + "|".join("---" for _ in rows[0]) + "|"]
-        lines += ["| " + " | ".join(r) + " |" for r in rows[1:]]
+        lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in r) + " |"
+                  for r in rows[1:]]
         return "\n".join(lines) + "\n"
     if layout == "text":
         return _aligned(rows)

@@ -241,6 +241,9 @@ class Gazetteer(namedtuple("Gazetteer", "entries normalization")):
                 raise MalformedDump(_ENTRY_SHAPE, path, f"record {idx}") from None
             if key in entries:
                 raise MalformedDump(f"duplicate key {key!r}", path, f"record {idx}")
+            # A line break would split the name in the one-name-per-line vocabulary.
+            if "\n" in canonical or "\r" in canonical:
+                raise MalformedDump("line break in 'canonical'", path, f"record {idx}")
             entries[key] = _checked_entry((canonical, kind, source_set))
         return cls(entries=dict(sorted(entries.items())), normalization=normalization)
 

@@ -86,9 +86,6 @@ class MalformedTable(InputError):
 class MappingRule(namedtuple("MappingRule", "source attribute target")):
     __slots__ = ()
 
-    def key(self) -> tuple[str, Optional[str]]:
-        return (self.source, self.attribute)
-
 
 class MappingTable(namedtuple("MappingTable", "rules")):
     """Ordered conversion rules; most specific (attributed) rules first.
@@ -104,9 +101,10 @@ class MappingTable(namedtuple("MappingTable", "rules")):
         seen: set[tuple[str, Optional[str]]] = set()
         bare_seen: set[str] = set()
         for rule in rules:
-            if rule.key() in seen:
-                raise ValueError(f"duplicate mapping rule for {rule.key()}")
-            seen.add(rule.key())
+            key = rule[:2]
+            if key in seen:
+                raise ValueError(f"duplicate mapping rule for {key}")
+            seen.add(key)
             if rule.attribute is None:
                 bare_seen.add(rule.source)
             elif rule.source in bare_seen:

@@ -2,13 +2,13 @@
 
 The dictionary pass matches gazetteer names (and the rule set's fixed
 lists) at word boundaries, longest name first at every position, both
-exactly and under a case fold.  A :class:`Matcher` holds the dictionary
-and is built once per run; a scan costs a few hash lookups per word
-start, whatever the dictionary size.  The fold maps each character on its
-own and keeps the length: ``c.casefold()`` if that is one character, else
-``c.lower()`` if that is one character, else ``c`` (so ``\u1e9e`` folds to
-``\u00df``).  A folded hit takes the label of the first dictionary surface
-with the same ``casefold()``.
+exactly and under a case fold.  A :class:`TaggerPredictor` holds the
+dictionary and is built once per run; a scan costs a few hash lookups per
+word start, whatever the dictionary size.  The fold maps each character on
+its own and keeps the length: ``c.casefold()`` if that is one character,
+else ``c.lower()`` if that is one character, else ``c`` (so ``\u1e9e``
+folds to ``\u00df``).  A folded hit takes the label of the first
+dictionary surface with the same ``casefold()``.
 
 This reproduces the case-insensitive regex scan it replaced, except at
 characters that the regex engine relates differently.  U+0130 and U+0131
@@ -94,21 +94,16 @@ class RuleSet(namedtuple("RuleSet", "version_patterns biblio_patterns fixed_list
         return tuple.__new__(cls, (*checked, fixed_lists))
 
 
-_RULES_KEYS = ("version_patterns", "biblio_patterns", "fixed_lists")
-
-
 def ruleset_from_json(data: Mapping, path) -> RuleSet:
     """Build a rule set from parsed JSON; every fault names ``path`` and its key."""
     try:
         if not isinstance(data, Mapping):
             raise MalformedRules("expected a JSON object")
-        unknown = sorted(data.keys() - set(_RULES_KEYS))
+        unknown = sorted(data.keys() - set(RuleSet._fields))
         if unknown:
-            raise MalformedRules(f"unknown key (expected one of {', '.join(_RULES_KEYS)})",
+            raise MalformedRules(f"unknown key (expected one of {', '.join(RuleSet._fields)})",
                                  where=unknown[0])
-        return RuleSet(version_patterns=data.get("version_patterns", ()),
-                       biblio_patterns=data.get("biblio_patterns", ()),
-                       fixed_lists=data.get("fixed_lists", {}))
+        return RuleSet(**data)
     except MalformedRules as exc:
         raise MalformedRules(exc.reason, path, exc.where) from None
 
@@ -164,11 +159,13 @@ _WORD = re.compile(r"\w")
 _WORD_START = re.compile(r"(?<!\w).", re.DOTALL)  # any character not after \w
 
 
-class Matcher:
-    """The dictionary (gazetteer names plus fixed lists) and the rule
-    regexes, compiled once and applied to any number of texts."""
+class TaggerPredictor:
+    """The built-in tagger as a predictor: the dictionary (gazetteer names
+    plus fixed lists) and the rule regexes, compiled once and applied to
+    any number of documents.  ``rules`` defaults to :func:`default_ruleset`."""
 
-    def __init__(self, gaz: Optional[Gazetteer], rules: RuleSet):
+    def __init__(self, gaz: Optional[Gazetteer], rules: Optional[RuleSet] = None):
+        rules = rules if rules is not None else default_ruleset()
         exact: dict[str, str] = {}  # surface -> base; fixed lists override Tool
         if gaz is not None:
             for entry in gaz.entries.values():
@@ -237,10 +234,13 @@ class Matcher:
                     out.append((m.start(), m.end(), _RANK_RULE, label))
         return out
 
+    def __call__(self, doc: Document) -> tuple[Entity, ...]:
+        return tag(doc.text, self)
 
-def tag(doc_text: str, matcher: Matcher) -> tuple[Entity, ...]:
+
+def tag(doc_text: str, tagger: TaggerPredictor) -> tuple[Entity, ...]:
     """Tag one text; returns a flat set of entities, ids T1..Tn by offset."""
-    candidates = matcher.candidates(doc_text)
+    candidates = tagger.candidates(doc_text)
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[2], c[3]))
 
     chosen: list[tuple[int, int, str]] = []
@@ -273,16 +273,6 @@ class MalformedPrediction(InputError):
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
 _JSONL_FIELDS = frozenset(_JSONL_REQUIRED + ("qualifier",))
-
-
-class TaggerPredictor:
-    """Adapts the built-in tagger to the predictor interface."""
-
-    def __init__(self, gaz: Optional[Gazetteer], rules: Optional[RuleSet] = None):
-        self.matcher = Matcher(gaz, rules if rules is not None else default_ruleset())
-
-    def __call__(self, doc: Document) -> tuple[Entity, ...]:
-        return tag(doc.text, self.matcher)
 
 
 def _jsonl_fault(rec) -> Optional[str]:

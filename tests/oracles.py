@@ -4,18 +4,18 @@ Everything here is deliberately written from the definitions, not by
 calling into the package: compatibility via explicit character-position
 sets, maximum matching via exhaustive search over injective mappings,
 dictionary tagging via the regex alternation of every name that the
-tagger scanned with before ``tagger.Matcher`` replaced it, SoftCite
-attribute resolution by the candidate sort that ``schema.convert_corpus``
-used before ``MappingTable.lookup`` took several attributes, and nesting
-by comparing every pair of extents.  The one exception is
-``oracle_match_document``: it is ``evaluation.match_document`` as it was
-before candidate indexing, testing every gold×pred pair with the
-package's own overlap and the compatibility test, per-gold sort and
-augmentation that the package had then, so that it pins the exact pairs
-and tie-breaks, not only their count.  ``oracle_score``
-is ``evaluation.score`` as it was before it matched by index: through
-that matcher, telling matched entities by set membership, with
-``EntityRef`` a frozen dataclass (``OracleEntityRef``).
+tagger scanned with before the dictionary of ``tagger.TaggerPredictor``
+replaced it, SoftCite attribute resolution by the candidate sort that
+``schema.convert_corpus`` used before ``MappingTable.lookup`` took
+several attributes, and nesting by comparing every pair of extents.  The
+one exception is ``oracle_match_document``: it is
+``evaluation.match_document`` as it was before candidate indexing,
+testing every gold×pred pair with the package's own overlap and the
+compatibility test, per-gold sort and augmentation that the package had
+then, so that it pins the exact pairs and tie-breaks, not only their
+count.  ``oracle_score`` is ``evaluation.score`` as it was before it
+matched by index: through that matcher, telling matched entities by set
+membership, with ``EntityRef`` a frozen dataclass (``OracleEntityRef``).
 ``oracle_aggregate`` is ``experiment.aggregate`` as it was before every
 row became one pooled label set: a per-label row read from the stored
 score, the overall rows pooled, and one averaging path per mode.  The standoff
@@ -316,8 +316,7 @@ def oracle_aggregate(results, label_filter=None, per_split: bool = False) -> Agg
         focused_row = collect(lambda r: _prf_percent(_oracle_micro(r.report.per_label, flt)))
 
     return AggregateTable(per_label=per_label_rows, overall=overall_row,
-                          overall_focused=focused_row, label_filter=flt,
-                          n_runs=len(results), mode=next(iter(modes)))
+                          overall_focused=focused_row)
 
 
 def oracle_count_nested(doc) -> int:
@@ -372,9 +371,9 @@ ORACLE_RULE_PATTERNS = (
 )
 
 
-# The dictionary scan the tagger used before ``Matcher``: one lookahead
-# alternation of every surface, run case-sensitively and then with
-# re.IGNORECASE.  O(text x names), kept as the reference for the matcher.
+# The dictionary scan the tagger used before ``TaggerPredictor.candidates``:
+# one lookahead alternation of every surface, run case-sensitively and then
+# with re.IGNORECASE.  O(text x names), kept as the reference for that scan.
 _RANK_DICT_CASED = 0
 _RANK_DICT_FOLDED = 1
 
@@ -701,7 +700,7 @@ _DATACLASS_FIELDS = {
     "SplitManifest": "split_id seed train_ids dev_ids test_ids ratios",
     "RunResult": "split_id seed_model report meta",
     "MetricRow": "mean_p std_p mean_r std_r mean_f1 std_f1",
-    "AggregateTable": "per_label overall overall_focused label_filter n_runs mode",
+    "AggregateTable": "per_label overall overall_focused",
     "SchemaDef": "labels categories qualifiers",
     "MappingRule": "source attribute target",
     "MappingTable": "rules",

@@ -27,7 +27,7 @@ from flowner.gazetteer import build_gazetteer, ingest
 from flowner.model import Corpus, Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import convert_corpus, default_softcite_table
 from flowner.standoff import parse_standoff, serialize_standoff
-from flowner.tagger import Matcher, fuse, provenance_counts, tag, default_ruleset
+from flowner.tagger import TaggerPredictor, fuse, provenance_counts, tag
 from gen import (random_corpus_pair, random_document, random_match_instance)
 from oracles import brute_force_max_pairs
 from util import TABLE1_COUNTS, synthetic_table1_corpus
@@ -313,14 +313,14 @@ def test_criterion_8_gazetteer_tagger_fixture():
                                        (Span(start, start + len(word)),), word))
             gold_corpus = Corpus("g", (Document("d", text,
                                                 entities=tuple(gold)),))
-            pred = tag(text, Matcher(gaz, default_ruleset()))
+            pred = tag(text, TaggerPredictor(gaz))
             pred_corpus = Corpus("p", (Document("d", text, entities=pred),))
             report = score(gold_corpus, pred_corpus, MatchMode.RELAXED)
             assert report.overall.r == 1.0, f"recall loss in trial {trial}"
             assert report.overall.p == 1.0, f"spurious tags in trial {trial}"
 
         text = "fusion calls from STAR-Fusion output"
-        entities = tag(text, Matcher(gaz, default_ruleset()))
+        entities = tag(text, TaggerPredictor(gaz))
         tools = [e.surface for e in entities if e.label.base == "Tool"]
         assert tools == ["STAR-Fusion"]
 

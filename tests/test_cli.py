@@ -451,6 +451,26 @@ def test_report_cli(tmp_path, capsys):
     assert "Tool,70.0 ±10.0,70.0 ±10.0,70.0 ±10.0" in out
 
 
+def test_report_quotes_a_label_that_holds_a_separator(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    per_label = {label: {"tp": 1, "fp": 1, "fn": 1, "p": 0, "r": 0, "f1": 0}
+                 for label in ("Tool,x", 'a"b', "A|B")}
+    (results / "run0.json").write_text(json.dumps(
+        {"split_id": 0, "seed_model": 1,
+         "report": {"mode": "strict", "per_label": per_label, "label_filter": None}}),
+        encoding="utf-8")
+    cells = "50.0 ±0.0"
+    assert main(["report", "--results", str(results), "--layout", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        f"A|B,{cells},{cells},{cells}", f'"Tool,x",{cells},{cells},{cells}',
+        f'"a""b",{cells},{cells},{cells}']
+    assert main(["report", "--results", str(results), "--layout", "markdown"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:5] == [
+        f"| A\\|B | {cells} | {cells} | {cells} |", f"| Tool,x | {cells} | {cells} | {cells} |",
+        f'| a"b | {cells} | {cells} | {cells} |']
+
+
 def _write_run_results(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
@@ -878,6 +898,12 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
     assert not (tmp_path / "o").exists()
 
 
+# A name with a line break would be two lines of the exported vocabulary.
+_LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind": "tool_name", '
+                         '"sources": ["custom"]}, {"key": "a\\nb", "canonical": "a\\nb", '
+                         '"kind": "tool_name", "sources": ["custom"]}]}')
+
+
 @pytest.mark.parametrize("flag, content, reason", [
     ("--gazetteer", '{"entries": [', "invalid JSON"),
     ("--gazetteer", "[]", "expected a JSON object with an 'entries' list"),
@@ -889,6 +915,9 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
      "record 1: duplicate key 'bwa'"),
     ("--gazetteer", '{"normalization": 5, "entries": []}',
      "'normalization' must be a JSON object"),
+    ("--gazetteer", _LINE_BREAK_GAZETTEER, "record 1: line break in 'canonical'"),
+    ("gazetteer export --gazetteer", _LINE_BREAK_GAZETTEER.replace(r"\n", r"\r"),
+     "record 1: line break in 'canonical'"),
     ("--table", '[{"source": ', "invalid JSON"),
     ("--table", '{"source": "software"}', "expected a JSON array of rows"),
     ("--table", '[{"target": "Tool"}]', "row 0: 'source' must be a string"),
@@ -920,6 +949,8 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
     argv = {
         "--gazetteer": ["tag", "--corpus", str(corpus_dir), "--gazetteer", str(path),
                         "--out", out],
+        "gazetteer export --gazetteer": ["gazetteer", "export", "--gazetteer", str(path),
+                                         "--out", out],
         "--table": ["convert", "--corpus", str(corpus_dir), "--table", str(path),
                     "--out", out],
         "--results": ["report", "--results", str(path), "--out", out],
@@ -968,6 +999,35 @@ def test_validate_lists_an_undecodable_document_and_checks_the_rest(tmp_path, ca
     assert f"StandoffParseError at {bad}:2: {_NOT_UTF8_REASON}" in captured.out
     assert f"OffsetOutOfRange at {corpus_dir / 'd2.ann'}:1" in captured.out
     assert "2 violation(s) in 2 document(s)" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _corpus_with_orphan_ann(tmp_path):
+    """Corpus ``c`` of d1.txt with a ``D1.ann`` that no ``.txt`` names."""
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "d1.txt").write_text("aligned with BWA", encoding="utf-8")
+    orphan = corpus_dir / "D1.ann"
+    orphan.write_text("T1\tTool 13 16\tBWA\n", encoding="utf-8")
+    return corpus_dir, orphan
+
+
+def test_an_ann_without_its_txt_is_an_error_that_names_it(tmp_path, capsys):
+    corpus_dir, orphan = _corpus_with_orphan_ann(tmp_path)
+    assert main(["stats", "--corpus", str(corpus_dir)]) == 1
+    captured = capsys.readouterr()
+    assert f"{orphan}: annotations without a text" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_validate_lists_an_ann_without_its_txt_and_checks_the_rest(tmp_path, capsys):
+    corpus_dir, orphan = _corpus_with_orphan_ann(tmp_path)
+    (corpus_dir / "d1.ann").write_text("T1\tTool 0 99\tBWA\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    captured = capsys.readouterr()
+    assert f"StandoffParseError at {orphan}: annotations without a text" in captured.out
+    assert f"OffsetOutOfRange at {corpus_dir / 'd1.ann'}:1" in captured.out
+    assert "2 violation(s) in 1 document(s)" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -14,6 +14,7 @@ from flowner.corpus_io import (atomic_write_json, atomic_write_text, document_pa
 from flowner.gazetteer import build_gazetteer, ingest
 from flowner.evaluation import MatchMode, score
 from flowner.model import Corpus, Document, Entity, Provenance, _extents_increase
+from flowner.standoff import StandoffParseError
 from oracles import oracle_dumps_json, oracle_gazetteer_json
 from util import doc_of, ent, synthetic_table1_corpus
 
@@ -28,6 +29,18 @@ def test_listing_equals_the_sorted_glob(tmp_path):
     names = [os.path.basename(txt) for txt, _ann in want]
     assert names == [".h.txt", ".txt", "a.txt", "b.txt", "dir.txt", "é.txt"]
     assert want[1][1] == str(tmp_path / ".txt.ann")
+
+
+def test_an_ann_that_no_txt_names_is_listed_first_without_a_text(tmp_path):
+    for name in ["a.txt", "a.ann", "A.ann", "a.txt.ann", ".txt", ".txt.ann", "z.ann"]:
+        (tmp_path / name).write_text("x", encoding="utf-8")
+    assert document_paths(tmp_path) == [
+        (None, str(tmp_path / name)) for name in ["A.ann", "a.txt.ann", "z.ann"]] + [
+        (str(tmp_path / txt), str(tmp_path / ann)) for txt, ann in [(".txt", ".txt.ann"),
+                                                                    ("a.txt", "a.ann")]]
+    with pytest.raises(StandoffParseError, match="annotations without a text") as exc:
+        load_corpus_dir(tmp_path)
+    assert exc.value.path == str(tmp_path / "A.ann")
 
 
 def test_listing_a_missing_directory_is_file_not_found(tmp_path):

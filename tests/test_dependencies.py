@@ -1,12 +1,16 @@
 """The runtime has no dependencies: pyproject.toml declares none, and the
 package imports only the standard library and its own modules.  No module
-of the package or of the tests imports a name it never uses, and every
-name the package defines is read somewhere in it, bar a listed few."""
+of the package or of the tests imports a name it never uses, every name
+the package defines is read somewhere in it, bar a listed few, and every
+cross-reference in its docstrings names something that exists."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,3 +172,85 @@ def test_the_public_name_walk_finds_a_name_without_a_reader(tmp_path):
                  "def seen_by_b():\n    return Kept().read()\n", encoding="utf-8")
     b.write_text("import a\na.seen_by_b()\n", encoding="utf-8")
     assert _unread_public_names([init, a, b]) == ["a.Gone", "a.Kept.unread", "a.Y", "a.dead"]
+
+
+_REFERENCE = re.compile(r":(class|func|meth|attr|mod):`([^`]+)`")
+_MISSING = object()
+
+
+def _docstrings(node, owner=""):
+    """``(docstring, owner)`` for each docstring under ``node``, where
+    ``owner`` is the dotted path of its innermost enclosing class, or ""."""
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, owner
+    for child in ast.iter_child_nodes(node):
+        inner = f"{owner}.{child.name}".lstrip(".") if isinstance(child, ast.ClassDef) else owner
+        yield from _docstrings(child, inner)
+
+
+def _lookup(scope, dotted: str):
+    for part in dotted.split("."):
+        scope = getattr(scope, part, _MISSING)
+    return scope
+
+
+def _resolves(role: str, text: str, module, owner: str, package: str) -> bool:
+    """Whether ``:role:`text``` names something: a ``:mod:`` by importing
+    it, any other against the enclosing class ``owner``, the module, the
+    package, or, dotted from the package's name, anywhere in it."""
+    target = text.rpartition("<")[2].rstrip(">") if text.endswith(">") else text
+    target = target.strip().lstrip("~")
+    if role == "mod":
+        try:
+            importlib.import_module(target)
+        except ImportError:
+            return False
+        return True
+    root = sys.modules[package]
+    scopes = [module, root, SimpleNamespace(**{package: root})]
+    if owner:
+        scopes.insert(0, _lookup(module, owner))
+    return any(_lookup(scope, target) is not _MISSING for scope in scopes)
+
+
+def _unresolved_references(paths, package: str):
+    """``module: :role:`text``` for each docstring cross-reference of
+    ``paths``, the modules of ``package``, that names nothing."""
+    modules = {path: importlib.import_module(
+        package if path.stem == "__init__" else f"{package}.{path.stem}") for path in paths}
+    return [f"{path.stem}: {match.group(0)}"
+            for path, module in modules.items()
+            for doc, owner in _docstrings(ast.parse(path.read_text("utf-8"), str(path)))
+            for match in _REFERENCE.finditer(doc)
+            if not _resolves(match.group(1), match.group(2), module, owner, package)]
+
+
+def test_every_docstring_cross_reference_resolves():
+    assert _unresolved_references(SOURCES, "flowner") == []
+
+
+def test_the_cross_reference_walk_finds_a_dangling_reference(tmp_path, monkeypatch):
+    package = tmp_path / "xrefpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        '"""Exports :func:`a.used` and :mod:`xrefpkg.a`; not :mod:`xrefpkg.gone`."""\n'
+        "from .a import used\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        '"""See :class:`Kept`, :meth:`Kept.read`, :func:`used` and\n'
+        ':func:`name\n    <xrefpkg.a.used>`, but not :func:`~xrefpkg.a.lost`."""\n'
+        "class Kept:\n"
+        '    """:meth:`read`, :attr:`LIMIT` and :class:`Kept`; not :meth:`write`."""\n'
+        "    LIMIT = 3\n"
+        "    def read(self):\n"
+        '        """Like :func:`used`, not :func:`unused`."""\n'
+        "def used():\n    pass\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        assert _unresolved_references(sorted(package.glob("*.py")), "xrefpkg") == [
+            "__init__: :mod:`xrefpkg.gone`", "a: :func:`~xrefpkg.a.lost`",
+            "a: :meth:`write`", "a: :func:`unused`"]
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "xrefpkg"]:
+            del sys.modules[name]

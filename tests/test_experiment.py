@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from flowner.evaluation import LabelScore, MatchMode, MatchReport
 from flowner.experiment import (CorpusTooSmall, EmptyResults, MixedModes,
                                 RunResult, SplitManifest, SplitRng, _splitmix64,
-                                aggregate, make_split_ids, render_table,
+                                aggregate, make_splits, render_table,
                                 split_sizes)
+from flowner.model import Corpus, Document
 from oracles import oracle_aggregate
 
 
@@ -54,8 +55,12 @@ def _ids(n):
     return [f"doc{i:04d}" for i in range(n)]
 
 
+def _corpus(ids):
+    return Corpus("c", [Document(doc_id, "") for doc_id in ids])
+
+
 def test_manifests_partition_the_corpus():
-    manifests = make_split_ids(_ids(52), 5, 17)
+    manifests = make_splits(_corpus(_ids(52)), 5, 17)
     assert len(manifests) == 5
     for m in manifests:
         ids = list(m.train_ids) + list(m.dev_ids) + list(m.test_ids)
@@ -64,8 +69,8 @@ def test_manifests_partition_the_corpus():
 
 
 def test_manifests_differ_across_splits_but_reproduce():
-    a = make_split_ids(_ids(52), 3, 99)
-    b = make_split_ids(_ids(52), 3, 99)
+    a = make_splits(_corpus(_ids(52)), 3, 99)
+    b = make_splits(_corpus(_ids(52)), 3, 99)
     assert a == b
     assert a[0].test_ids != a[1].test_ids
 
@@ -73,22 +78,22 @@ def test_manifests_differ_across_splits_but_reproduce():
 def test_manifests_independent_of_input_order():
     ids = _ids(20)
     shuffled_input = ids[::-1]
-    assert make_split_ids(ids, 2, 5) == make_split_ids(shuffled_input, 2, 5)
+    assert make_splits(_corpus(ids), 2, 5) == make_splits(_corpus(shuffled_input), 2, 5)
 
 
 def test_corpus_too_small():
     with pytest.raises(CorpusTooSmall):
-        make_split_ids(_ids(3), 1, 0)
+        make_splits(_corpus(_ids(3)), 1, 0)
 
 
 @pytest.mark.parametrize("n_splits", [0, -3])
 def test_fewer_than_one_split_is_an_error(n_splits):
     with pytest.raises(ValueError, match=f"need at least 1 split, got {n_splits}"):
-        make_split_ids(_ids(10), n_splits, 0)
+        make_splits(_corpus(_ids(10)), n_splits, 0)
 
 
 def test_manifest_json_roundtrip():
-    (m,) = make_split_ids(_ids(10), 1, 3)
+    (m,) = make_splits(_corpus(_ids(10)), 1, 3)
     data = json.loads(json.dumps(m.to_json_dict()))
     assert SplitManifest.from_json_dict(data) == m
 
@@ -118,7 +123,6 @@ def test_aggregate_forced_mean_and_std():
 def test_aggregate_single_run_std_zero():
     table = aggregate([_run(0, 1, {"Tool": (8, 2, 2)})])
     assert table.per_label["Tool"].std_f1 == 0.0
-    assert table.n_runs == 1
 
 
 def test_aggregate_rejects_empty_and_mixed():

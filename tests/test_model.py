@@ -219,7 +219,7 @@ _VALUE_FIELDS = {
     SplitManifest: (0, 7, ("a", "b"), ("c",), ("d",), (0.75, 1 / 3)),
     RunResult: (0, 1, _REPORT, {"model": "x"}),
     MetricRow: tuple(_ROW),
-    AggregateTable: ({"Tool": _ROW}, _ROW, None, None, 1, MatchMode.STRICT),
+    AggregateTable: ({"Tool": _ROW}, _ROW, None),
     SchemaDef: (frozenset({"Tool"}), {"Tool": "core"}, {"Tool": frozenset({"Lab"})}),
     MappingRule: tuple(_RULE),
     MappingTable: ((_RULE,),),

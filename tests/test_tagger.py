@@ -14,7 +14,7 @@ from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.schema import BIOTOFLOW
-from flowner.tagger import (DuplicateDocId, ExternalPredictions, Matcher,
+from flowner.tagger import (DuplicateDocId, ExternalPredictions,
                             MissingPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
@@ -31,19 +31,19 @@ EMPTY_RULES = RuleSet()
 
 def test_dictionary_tagging_at_word_boundaries():
     text = "aligned with BWA and sorted with SAMtools"
-    entities = tag(text, Matcher(_gaz("BWA", "SAMtools"), EMPTY_RULES))
+    entities = tag(text, TaggerPredictor(_gaz("BWA", "SAMtools"), EMPTY_RULES))
     got = [(e.label.base, e.start, e.end, e.surface) for e in entities]
     assert got == [("Tool", 13, 16, "BWA"), ("Tool", 33, 41, "SAMtools")]
 
 
 def test_no_match_inside_words():
     text = "the subSTARship runs"
-    assert tag(text, Matcher(_gaz("STAR"), EMPTY_RULES)) == ()
+    assert tag(text, TaggerPredictor(_gaz("STAR"), EMPTY_RULES)) == ()
 
 
 def test_longest_match_wins_star_fusion():
     text = "fusions called with STAR-Fusion v1.6.0"
-    entities = tag(text, Matcher(_gaz("STAR", "STAR-Fusion"), default_ruleset()))
+    entities = tag(text, TaggerPredictor(_gaz("STAR", "STAR-Fusion"), default_ruleset()))
     by_label = {e.label.base: e.surface for e in entities}
     assert by_label["Tool"] == "STAR-Fusion"
     assert by_label["Version"] == "v1.6.0"
@@ -52,13 +52,13 @@ def test_longest_match_wins_star_fusion():
 
 def test_case_insensitive_fallback():
     text = "reads piped through bwa quickly"
-    entities = tag(text, Matcher(_gaz("BWA"), EMPTY_RULES))
+    entities = tag(text, TaggerPredictor(_gaz("BWA"), EMPTY_RULES))
     assert [(e.label.base, e.surface) for e in entities] == [("Tool", "bwa")]
 
 
 def test_fixed_lists_override_tool_label():
     text = "implemented in Python under Nextflow"
-    entities = tag(text, Matcher(_gaz("Python", "Nextflow"), default_ruleset()))
+    entities = tag(text, TaggerPredictor(_gaz("Python", "Nextflow"), default_ruleset()))
     labels = {e.surface: e.label.base for e in entities}
     assert labels == {"Python": "ProgrammingLanguage",
                       "Nextflow": "ManagementSystem"}
@@ -70,14 +70,14 @@ def test_fixed_lists_override_tool_label():
     ("version 2.1b was slow", "version 2.1b"),
 ])
 def test_version_patterns(text, expected):
-    entities = tag(text, Matcher(None, default_ruleset()))
+    entities = tag(text, TaggerPredictor(None, default_ruleset()))
     versions = [e.surface for e in entities if e.label.base == "Version"]
     assert versions == [expected]
 
 
 def test_biblio_patterns():
     text = "as shown [1, 2] and at https://example.org/x, see 10.5281/zenodo.14900544"
-    entities = tag(text, Matcher(None, default_ruleset()))
+    entities = tag(text, TaggerPredictor(None, default_ruleset()))
     biblio = [e.surface for e in entities if e.label.base == "Biblio"]
     assert "[1, 2]" in biblio
     assert "https://example.org/x" in biblio
@@ -104,7 +104,7 @@ def test_rule_patterns_match_as_their_word_boundary_forms(text):
 
 def test_output_is_flat_and_surfaces_match_slices():
     text = "STAR-Fusion v1.6.0 with STAR and bwa [3] in Python"
-    entities = tag(text, Matcher(_gaz("STAR", "STAR-Fusion", "bwa"), default_ruleset()))
+    entities = tag(text, TaggerPredictor(_gaz("STAR", "STAR-Fusion", "bwa"), default_ruleset()))
     spans = sorted((e.start, e.end) for e in entities)
     for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
         assert e1 <= s2, "tagger emitted overlapping entities"
@@ -117,8 +117,8 @@ def test_output_is_flat_and_surfaces_match_slices():
 def test_tagger_is_deterministic():
     text = "STAR and STAR-Fusion v1.2 in Python with bwa [1]"
     gaz = _gaz("STAR", "STAR-Fusion", "bwa")
-    assert tag(text, Matcher(gaz, default_ruleset())) == \
-        tag(text, Matcher(gaz, default_ruleset()))
+    assert tag(text, TaggerPredictor(gaz, default_ruleset())) == \
+        tag(text, TaggerPredictor(gaz, default_ruleset()))
 
 
 def test_planted_names_recall_and_precision():
@@ -139,7 +139,7 @@ def test_planted_names_recall_and_precision():
                            (Span(start, start + len(name)),), name))
     gold_corpus = Corpus("g", (Document("d", text, entities=tuple(gold)),))
     pred_corpus = Corpus("p", (Document("d", text,
-                                        entities=tag(text, Matcher(gaz, EMPTY_RULES))),))
+                                        entities=tag(text, TaggerPredictor(gaz, EMPTY_RULES))),))
     report = score(gold_corpus, pred_corpus, MatchMode.RELAXED)
     assert report.overall.r == 1.0
     assert report.overall.p == 1.0
@@ -185,7 +185,7 @@ def test_matcher_candidates_equal_the_regex_oracle(names, fixed, pieces):
             piece = _CASINGS[piece[1]](surfaces[piece[0] % len(surfaces)])
         text += sep + piece
     gaz, rules = _gaz_of(names), RuleSet(fixed_lists=fixed)
-    assert sorted(Matcher(gaz, rules).candidates(text)) == \
+    assert sorted(TaggerPredictor(gaz, rules).candidates(text)) == \
         sorted(_dict_candidates(text, _dictionary(gaz, rules)))
 
 
@@ -227,7 +227,7 @@ def test_fold_equals_the_per_character_definition(length, placed, filler):
 def test_where_the_fold_departs_from_ignorecase(names, text, oracle, matched):
     gaz, rules = _gaz_of(names), RuleSet()
     assert sorted(_dict_candidates(text, _dictionary(gaz, rules))) == oracle
-    assert sorted(Matcher(gaz, rules).candidates(text)) == matched
+    assert sorted(TaggerPredictor(gaz, rules).candidates(text)) == matched
 
 
 def test_fold_agrees_with_the_regex_engine_except_where_documented():
