@@ -50,17 +50,20 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _labels_arg(value) -> list[str] | None:
-    """A ``--focus`` value: comma-separated labels, or a list of labels from
-    ``--config``.  A value that names no label is a usage error."""
+def _labels_arg(args) -> list[str] | None:
+    """The ``--focus`` value: comma-separated labels, or a list of labels from
+    ``--config``.  A value that names no label is a usage error that names
+    the config file it came from, if it did."""
+    value = args.focus
     if value is None:
         return None
     parts = value.split(",") if isinstance(value, str) else value
     if not (isinstance(parts, list) and all(isinstance(part, str) for part in parts)):
-        raise UsageError(f"--focus takes comma-separated labels, got {value!r}")
+        raise UsageError(f"--focus takes comma-separated labels, got {value!r}",
+                         _config_of(args, "focus"))
     labels = [label for label in (part.strip() for part in parts) if label]
     if not labels:
-        raise UsageError(f"--focus names no label: {value!r}")
+        raise UsageError(f"--focus names no label: {value!r}", _config_of(args, "focus"))
     return labels
 
 
@@ -98,14 +101,20 @@ def _base_labels(*corpora: Corpus) -> set[str]:
             for e in doc.entities}
 
 
-def _ratios_arg(value) -> tuple[float, float]:
+def _ratios_arg(args) -> tuple[float, float]:
+    """The ``--ratios`` value, by default ``experiment.DEFAULT_RATIOS``; a
+    value that is not two fractions in range is a usage error that names the
+    config file it came from, if it did."""
+    value = args.ratios
+    if value is None:
+        return experiment.DEFAULT_RATIOS
     try:
-        train_frac, dev_frac = (float(part) for part in str(value).split(","))
+        train_frac, dev_frac = (float(part) for part in value.split(","))
     except ValueError:
-        raise UsageError(f"--ratios takes two comma-separated fractions, "
-                         f"got {value!r}") from None
+        raise UsageError(f"--ratios takes two comma-separated fractions, got {value!r}",
+                         _config_of(args, "ratios")) from None
     if not experiment.ratios_in_range((train_frac, dev_frac)):
-        raise UsageError(f"--ratios out of range, got {value!r}")
+        raise UsageError(f"--ratios out of range, got {value!r}", _config_of(args, "ratios"))
     return train_frac, dev_frac
 
 
@@ -157,10 +166,10 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    ratios = _ratios_arg(args)
     _require(args, "corpus", "out")
     if args.n < 1:
         raise UsageError(f"--n takes a number of splits of at least 1, got {args.n!r}")
-    ratios = _ratios_arg(args.ratios) if args.ratios else experiment.DEFAULT_RATIOS
     corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
     manifests = experiment.make_splits(corpus, args.n, args.seed, ratios)
     out = Path(args.out)
@@ -179,8 +188,8 @@ def _cmd_score(args) -> int:
     print the table, the macro row and the diff of each mode; ``eval``
     heads each mode's output with its name."""
     sides = _SCORED[args.command]
+    focus = _labels_arg(args)
     _require(args, *sides)
-    focus = _labels_arg(args.focus)
     gold, pred = (_read_input(corpus_io.load_corpus_dir, args, dest) for dest in sides)
     if focus:
         _check_focus(focus, _base_labels(gold, pred), args)
@@ -192,10 +201,7 @@ def _cmd_score(args) -> int:
                                   getattr(args, "qualifier_sensitive", False))
         if args.command == "eval":
             print(f"== {mode.value} ==")
-        rows = evaluation._report_rows(report)
-        if args.macro:
-            rows.append(("Macro", *evaluation._percents(*evaluation.macro_average(report))))
-        print(evaluation._aligned(rows), end="")
+        print(evaluation.render_report(report, args.macro), end="")
         if args.diff:
             print(evaluation.render_diff(report), end="")
         payload[mode.value] = report.to_json_dict()
@@ -297,8 +303,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    focus = _labels_arg(args)
     _require(args, "results")
-    focus = _labels_arg(args.focus)
     paths: list[Path] = []
     for raw in args.results:
         p = Path(raw)
@@ -445,10 +451,6 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None
 
 
-# Flags whose value a command parses after argparse has read it.
-_VALUE_PARSERS = {"focus": _labels_arg, "ratios": _ratios_arg}
-
-
 def _apply_config(path, registry: dict[str, argparse.ArgumentParser], command: str) -> None:
     """Set the config file's values as flag defaults, each checked against
     the flag of the subcommand ``command`` (its registry name)."""
@@ -467,12 +469,6 @@ def _apply_config(path, registry: dict[str, argparse.ArgumentParser], command: s
             if reason is not None:
                 raise UsageError(f"config key {action.dest!r} in {path} {reason}, "
                                  f"got {value!r}")
-            parse = _VALUE_PARSERS.get(action.dest)
-            if parse is not None:
-                try:
-                    parse(value)
-                except UsageError as exc:
-                    raise UsageError(exc.reason, path) from None
     for sub in registry.values():
         dests = {a.dest for a in sub._actions}
         sub.set_defaults(**{k: v for k, v in config.items() if k in dests})

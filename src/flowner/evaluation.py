@@ -340,16 +340,6 @@ def _percents(*fractions: float) -> tuple[str, ...]:
     return tuple(f"{100 * x:.1f}" for x in fractions)
 
 
-def _report_rows(report: MatchReport) -> list[tuple[str, ...]]:
-    """The rows of :func:`render_report`: a header, a row per label and the
-    overall row."""
-    rows = [("Entities", "P", "R", "F1", "tp", "fp", "fn")]
-    overall = "Overall-focused" if report.label_filter else "Overall"
-    for name, s in [*sorted(report.per_label.items()), (overall, report.overall)]:
-        rows.append((name, *_percents(s.p, s.r, s.f1), str(s.tp), str(s.fp), str(s.fn)))
-    return rows
-
-
 def _aligned(rows: Sequence[Sequence[str]]) -> str:
     """Text columns two spaces apart, the first left-aligned and the others
     right-aligned, one line per row; a row may stop short of the header."""
@@ -359,9 +349,17 @@ def _aligned(rows: Sequence[Sequence[str]]) -> str:
                    for r in rows)
 
 
-def render_report(report: MatchReport) -> str:
-    """Plain-text table, percentages with one decimal place."""
-    return _aligned(_report_rows(report))
+def render_report(report: MatchReport, macro: bool = False) -> str:
+    """Plain-text table, percentages with one decimal place: a header, a row
+    per label, the overall row and, with ``macro``, the
+    :func:`macro_average` row, which has no counts."""
+    rows = [("Entities", "P", "R", "F1", "tp", "fp", "fn")]
+    overall = "Overall-focused" if report.label_filter else "Overall"
+    for name, s in [*sorted(report.per_label.items()), (overall, report.overall)]:
+        rows.append((name, *_percents(s.p, s.r, s.f1), str(s.tp), str(s.fp), str(s.fn)))
+    if macro:
+        rows.append(("Macro", *_percents(*macro_average(report))))
+    return _aligned(rows)
 
 
 def render_diff(report: MatchReport) -> str:

@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .evaluation import MatchReport, _aligned, _micro
+from .evaluation import MatchMode, MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -42,8 +42,8 @@ class MixedModes(ValueError):
 
 
 class MalformedResult(InputError):
-    """A run-result file that cannot be read, located by path (and by line,
-    for a byte that is not UTF-8)."""
+    """A run-result file that cannot be read, located by path and by the
+    dotted key at fault (or by line, for a byte that is not UTF-8)."""
 
 
 def _splitmix64(x: int) -> int:
@@ -166,15 +166,62 @@ class RunResult(namedtuple("RunResult", "split_id seed_model report meta")):
                    meta=data.get("meta", {}))
 
 
+def _expect(ok: bool, what: str, value, path, where) -> None:
+    """A :class:`MalformedResult` at key ``where`` unless ``ok``."""
+    if not ok:
+        raise MalformedResult(f"must be {what}, got {value!r}", path, where)
+
+
+def _check_fields(obj, path, where, required: Sequence[str], optional: Sequence[str]) -> None:
+    """A :class:`MalformedResult` at ``where`` unless ``obj`` is a JSON object
+    with every ``required`` key and no key outside ``required`` and ``optional``."""
+    _expect(type(obj) is dict, "a JSON object", obj, path, where)
+    for key in required:
+        if key not in obj:
+            raise MalformedResult(f"missing field {key!r}", path, where)
+    unknown = sorted(obj.keys() - {*required, *optional})
+    if unknown:
+        raise MalformedResult(f"unknown field(s) {', '.join(unknown)}", path, where)
+
+
+def _check_run_result(data, path) -> None:
+    """A :class:`MalformedResult` naming ``path`` and the dotted key at fault
+    unless ``data`` has the shape :meth:`RunResult.to_json_dict` writes.
+    Counts are non-negative integers (not booleans); p/r/f1 and the overall
+    row are derived from the per-label counts when read."""
+    if type(data) is not dict:
+        raise MalformedResult("not a run result: expected a JSON object", path)
+    _check_fields(data, path, None, ("split_id", "seed_model", "report"), ("meta",))
+    for key in ("split_id", "seed_model"):
+        _expect(type(data[key]) is int, "an integer", data[key], path, key)
+    meta = data.get("meta", {})
+    _expect(type(meta) is dict, "a JSON object", meta, path, "meta")
+    report = data["report"]
+    _check_fields(report, path, "report", ("mode", "per_label"), ("overall", "label_filter"))
+    modes = [m.value for m in MatchMode]
+    _expect(report["mode"] in modes, f"one of {', '.join(modes)}", report["mode"], path,
+            "report.mode")
+    flt = report.get("label_filter")
+    _expect(flt is None or (type(flt) is list and all(type(x) is str for x in flt)),
+            "null or a list of strings", flt, path, "report.label_filter")
+    per_label = report["per_label"]
+    _expect(type(per_label) is dict, "a JSON object", per_label, path, "report.per_label")
+    rows = [(f"report.per_label.{label}", row) for label, row in per_label.items()]
+    if "overall" in report:
+        rows.append(("report.overall", report["overall"]))
+    for where, row in rows:
+        _check_fields(row, path, where, ("tp", "fp", "fn"), ("p", "r", "f1"))
+        for key in ("tp", "fp", "fn"):
+            _expect(type(row[key]) is int and row[key] >= 0, "a non-negative integer",
+                    row[key], path, f"{where}.{key}")
+
+
 def run_result_from_file(path) -> RunResult:
-    """Read one :meth:`RunResult.to_json_dict` file; every fault names ``path``."""
+    """Read one :meth:`RunResult.to_json_dict` file; every fault is a
+    :class:`MalformedResult` that names ``path`` and the key at fault."""
     data = read_json(path, MalformedResult)
-    try:
-        return RunResult.from_json_dict(data)
-    except KeyError as exc:
-        raise MalformedResult(f"missing field {exc}", path) from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise MalformedResult(f"not a run result: {exc}", path) from None
+    _check_run_result(data, path)
+    return RunResult.from_json_dict(data)
 
 
 class MetricRow(namedtuple("MetricRow", "mean_p std_p mean_r std_r mean_f1 std_f1")):

@@ -183,31 +183,14 @@ def _extents_increase(entities: Sequence[Entity]) -> bool:
 
 
 def _canonical_order(entities) -> tuple[Entity, ...]:
-    """Entities sorted by :meth:`Entity.sort_key`, each distinct entity once.
-
+    """Entities sorted by :meth:`Entity.sort_key`, each distinct entity once,
+    at its first occurrence; entities with equal keys keep their input order.
     Entities whose extents strictly increase are returned as they are,
-    without a key.  Otherwise each key is computed once.  Equal entities
-    have equal keys, so duplicates are found among neighbours with the
-    same key, by equality, without hashing; entities with equal keys keep
-    their input order.
-    """
+    without a key."""
     entities = tuple(entities)
     if _extents_increase(entities):
         return entities
-    keys = [e.sort_key() for e in entities]
-    unique: list[Entity] = []
-    same_key: list[Entity] = []
-    prev = None
-    for i in sorted(range(len(entities)), key=keys.__getitem__):
-        ent, key = entities[i], keys[i]
-        if key != prev:
-            prev, same_key = key, [ent]
-        elif ent in same_key:
-            continue
-        else:
-            same_key.append(ent)
-        unique.append(ent)
-    return tuple(unique)
+    return tuple(sorted(dict.fromkeys(entities), key=Entity.sort_key))
 
 
 class Document(namedtuple("Document", "doc_id text entities provenance sidecar")):

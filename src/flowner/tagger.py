@@ -273,6 +273,7 @@ class MalformedPrediction(InputError):
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
 _JSONL_FIELDS = frozenset(_JSONL_REQUIRED + ("qualifier",))
+_LABEL_TOKEN = re.compile(r"\S+").fullmatch
 
 
 def _jsonl_fault(rec) -> Optional[str]:
@@ -288,8 +289,14 @@ def _jsonl_fault(rec) -> Optional[str]:
     for key in ("doc_id", "label", "surface"):
         if type(rec[key]) is not str:
             return f"{key!r} must be a string, got {rec[key]!r}"
-    if rec.get("qualifier") is not None and type(rec["qualifier"]) is not str:
-        return f"'qualifier' must be a string or null, got {rec['qualifier']!r}"
+    # The label and qualifier must read back from the .ann file silver writes.
+    if not _LABEL_TOKEN(rec["label"]):
+        return f"'label' must be one token without whitespace, got {rec['label']!r}"
+    qualifier = rec.get("qualifier")
+    if qualifier is not None and type(qualifier) is not str:
+        return f"'qualifier' must be a string or null, got {qualifier!r}"
+    if qualifier is not None and qualifier not in BIOTOFLOW.qualifiers.get(rec["label"], ()):
+        return f"'qualifier' {qualifier!r} is not registered for label {rec['label']!r}"
     starts, ends = (rec[k] if type(rec[k]) is list else [rec[k]] for k in ("start", "end"))
     for key, offsets in (("start", starts), ("end", ends)):
         # type(), not isinstance: a JSON true is not an offset.
@@ -359,7 +366,9 @@ class ExternalPredictions:
         """Read JSONL records {doc_id, label, start, end, surface[, qualifier]};
         start/end may be equal-length arrays for discontinuous entities.
         doc_id, label and surface are strings, qualifier a string or null,
-        and an offset an integer (not a boolean).  Every fault is a
+        and an offset an integer (not a boolean); the label is one token
+        without whitespace and a qualifier is one the workflow schema
+        registers for it, so the written corpus reads back.  Every fault is a
         :class:`MalformedPrediction` naming ``path`` and the line, and so is
         a record whose offsets or surface do not fit its document's text,
         found when that document is annotated."""

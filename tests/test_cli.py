@@ -224,6 +224,7 @@ def test_split_takes_valid_ratios_from_the_flag_or_the_config(tmp_path, capsys, 
     (["--n", "0"], "--n"), (["--n", "-3"], "--n"), (["--ratios", "a,b"], "--ratios"),
     (["--ratios", "0.8"], "--ratios"), (["--ratios", "0.8,0.3,0.1"], "--ratios"),
     (["--ratios", "1.5,0.3"], "--ratios"), (["--ratios", "nan,0.3"], "--ratios"),
+    (["--ratios", ""], "--ratios"),
 ])
 def test_split_with_no_splits_or_bad_ratios_is_a_usage_error(tmp_path, capsys, flags,
                                                               named):
@@ -836,6 +837,14 @@ def test_fuse_unknown_role_exits_two(tmp_path, capsys):
      "'surface' must be a string, got None"),
     ('{"doc_id": "d1", "label": "Tool", "qualifier": ["General"], "start": 0, "end": 3, '
      '"surface": "ali"}', "'qualifier' must be a string or null, got ['General']"),
+    ('{"doc_id": "d1", "label": "Tool X", "start": 13, "end": 16, "surface": "BWA"}',
+     "'label' must be one token without whitespace, got 'Tool X'"),
+    ('{"doc_id": "d1", "label": "", "start": 13, "end": 16, "surface": "BWA"}',
+     "'label' must be one token without whitespace, got ''"),
+    ('{"doc_id": "d1", "label": "Data", "qualifier": "General", "start": 13, "end": 16, '
+     '"surface": "BWA"}', "'qualifier' 'General' is not registered for label 'Data'"),
+    ('{"doc_id": "d1", "label": "Tool", "qualifier": "", "start": 13, "end": 16, '
+     '"surface": "BWA"}', "'qualifier' '' is not registered for label 'Tool'"),
 ])
 def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record, reason):
     corpus_dir = tmp_path / "c"
@@ -898,6 +907,24 @@ def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, r
     assert not (tmp_path / "o").exists()
 
 
+# A valid run-result file: "Tool" scored tp 1.
+_RUN_RESULT = {"split_id": 0, "seed_model": 1, "meta": {},
+               "report": {"mode": "strict", "label_filter": None,
+                          "per_label": {"Tool": {"tp": 1, "fp": 0, "fn": 0}}}}
+
+
+def _run_result(report=(), **fields) -> str:
+    """The text of ``_RUN_RESULT`` with its ``report`` and top-level items
+    replaced by those given."""
+    data = {**_RUN_RESULT, "report": {**_RUN_RESULT["report"], **dict(report)}, **fields}
+    return json.dumps(data)
+
+
+def _counts(**counts) -> dict:
+    """A report whose "Tool" row has ``counts`` in place of tp 1, fp 0, fn 0."""
+    return {"per_label": {"Tool": {"tp": 1, "fp": 0, "fn": 0, **counts}}}
+
+
 # A name with a line break would be two lines of the exported vocabulary.
 _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind": "tool_name", '
                          '"sources": ["custom"]}, {"key": "a\\nb", "canonical": "a\\nb", '
@@ -929,6 +956,25 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
     ("--results", "[]", "not a run result"),
     ("--results", '{"split_id": 0, "seed_model": 1, "report": {"mode": "strict"}}',
      "missing field 'per_label'"),
+    ("--results", _run_result(split_id=[0]), "split_id: must be an integer, got [0]"),
+    ("--results", _run_result(seed_model=True), "seed_model: must be an integer, got True"),
+    ("--results", _run_result(meta=[]), "meta: must be a JSON object, got []"),
+    ("--results", '{"split_id": 0, "seed_model": 1, "report": []}',
+     "report: must be a JSON object, got []"),
+    ("--results", _run_result({"mode": "loose"}),
+     "report.mode: must be one of strict, relaxed, got 'loose'"),
+    ("--results", _run_result({"label_filter": "Tool"}),
+     "report.label_filter: must be null or a list of strings, got 'Tool'"),
+    ("--results", _run_result({"per_label": ["Tool"]}),
+     "report.per_label: must be a JSON object, got ['Tool']"),
+    ("--results", _run_result(_counts(tp=-1)),
+     "report.per_label.Tool.tp: must be a non-negative integer, got -1"),
+    ("--results", _run_result(_counts(fp=1.5)),
+     "report.per_label.Tool.fp: must be a non-negative integer, got 1.5"),
+    ("--results", _run_result(_counts(fn=True)),
+     "report.per_label.Tool.fn: must be a non-negative integer, got True"),
+    ("--results", _run_result({"overall": {"tp": 1, "fp": 0}}),
+     "report.overall: missing field 'fn'"),
     ("--config", '{"out": ', "invalid JSON"),
     ("--config", "[]", "--config must contain a JSON object"),
     ("gazetteer build --biotools", '[{"name": ', "payload is not valid JSON"),
@@ -963,6 +1009,40 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
     err = capsys.readouterr().err
     assert f"{path}: " in err and reason in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--predictions", {"doc_id": "d1", "label": "Tool", "start": 13, "end": 16,
+                       "surface": "BWA"}),
+    ("--rules", {"fixed_lists": {"ProgrammingLanguage": ["Python"]}}),
+    ("--table", [{"source": "software", "target": "Tool"}]),
+    ("--gazetteer", {"normalization": {}, "entries": []}),
+    ("--results", _RUN_RESULT),
+    ("--config", {"mode": "strict"}),
+])
+def test_every_json_input_rejects_an_unknown_key_and_names_its_file(tmp_path, capsys, flag,
+                                                                     content):
+    corpus_dir, out = tmp_path / "c", str(tmp_path / "o")
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    gaz = tmp_path / "gaz.json"
+    gaz.write_text('{"entries": []}', encoding="utf-8")
+    data = json.loads(json.dumps(content))
+    (data[0] if isinstance(data, list) else data)["bogus_key"] = 1
+    path = tmp_path / ("input.jsonl" if flag == "--predictions" else "input.json")
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    corpus = ["--corpus", str(corpus_dir)]
+    argv = {"--predictions": ["silver", *corpus, "--predictions", str(path), "--out", out],
+            "--rules": ["tag", *corpus, "--gazetteer", str(gaz), "--rules", str(path),
+                        "--out", out],
+            "--table": ["convert", *corpus, "--table", str(path), "--out", out],
+            "--gazetteer": ["tag", *corpus, "--gazetteer", str(path), "--out", out],
+            "--results": ["report", "--results", str(path), "--out", out],
+            "--config": ["eval", "--gold", str(corpus_dir), "--pred", str(corpus_dir),
+                         "--json", out, "--config", str(path)]}[flag]
+    assert main(argv) == (2 if flag == "--config" else 1)
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "bogus_key" in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
 
 
 # Byte 0xff on the second line, at byte offset 18.

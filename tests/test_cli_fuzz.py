@@ -7,7 +7,8 @@ list), damages it and runs the subcommand that reads it.  The damage is
 a truncation, a few inserted bytes (0xff among them), or, in a JSON
 input, a dropped or renamed key or a value of another type.  The run must
 exit 0, 1 or 2 without a traceback, and a non-zero exit must name the
-damaged file.
+damaged file.  A run-result file is also damaged at every key in turn,
+each way, under ``report --per-split``.
 
 One input is named another way: a ``.txt`` its ``.ann`` no longer fits
 is reported at the ``.ann`` line, so either file of the pair counts.
@@ -73,6 +74,7 @@ _SCENARIOS = [
      ()),
     ("cfg.json", ["eval", "--gold", "@c", "--pred", "@c", "--config", "@cfg.json"], ()),
     ("run.json", ["report", "--results", "@run.json", "--focus", "Tool"], ()),
+    ("run.json", ["report", "--results", "@run.json", "--per-split"], ()),
     ("preds.jsonl", ["silver", "--corpus", "@c", "--predictions", "@preds.jsonl",
                      "--out", "@o"], ()),
     ("pd/d1.ann", ["silver", "--corpus", "@c", "--predictions", "@pd", "--out", "@o"], ()),
@@ -84,7 +86,8 @@ _SCENARIOS = [
                    "--common-words", "@words.txt", "--out", "@o"], ()),
 ]
 
-_VALUES = st.sampled_from([None, True, 0, -1, 1.5, "x", "", [], ["x"], {}, {"x": 1}])
+_VALUE_LIST = [None, True, 0, -1, 1.5, "x", "", [], ["x"], {}, {"x": 1}]
+_VALUES = st.sampled_from(_VALUE_LIST)
 
 
 @pytest.fixture(scope="module")
@@ -115,23 +118,30 @@ def _json_paths(value, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-def _mutate_json(data, draw):
-    """Drop or rename one object key, or give its value another type."""
-    paths = list(_json_paths(data))
-    if not paths:
-        return None
-    *parents, key = draw(st.sampled_from(paths))
+def _damage_key(data, key_path, op, value=None):
+    """Drop (``op`` "drop") or rename ("rename") the object key at
+    ``key_path``, or set its value to ``value`` ("retype")."""
+    *parents, key = key_path
     owner = data
     for part in parents:
         owner = owner[part]
-    op = draw(st.sampled_from(["drop", "rename", "retype"]))
     if op == "drop":
         del owner[key]
     elif op == "rename":
         owner[key + "_x"] = owner.pop(key)
     else:
-        owner[key] = draw(_VALUES)
+        owner[key] = value
     return data
+
+
+def _mutate_json(data, draw):
+    """Drop or rename one object key, or give its value another type."""
+    paths = list(_json_paths(data))
+    if not paths:
+        return None
+    key_path = draw(st.sampled_from(paths))
+    op = draw(st.sampled_from(["drop", "rename", "retype"]))
+    return _damage_key(data, key_path, op, draw(_VALUES) if op == "retype" else None)
 
 
 def _damage(raw: bytes, name: str, draw) -> bytes:
@@ -166,13 +176,13 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=150)
-@given(scenario=st.sampled_from(_SCENARIOS), data=st.data())
-def test_a_damaged_input_exits_cleanly_and_names_its_file(workspace, scenario, data):
+def _check_damaged(workspace, scenario, damaged: bytes) -> None:
+    """Run ``scenario`` with ``damaged`` in place of its file: it exits 0,
+    1 or 2 without a traceback, and a non-zero exit names the file."""
     name, argv, named_by = scenario
     path = workspace / name
     pristine = path.read_bytes()
-    path.write_bytes(_damage(pristine, name, data.draw))
+    path.write_bytes(damaged)
     try:
         code, err = _run([str(workspace / a[1:]) if a[:1] == "@" else a for a in argv])
     finally:
@@ -182,7 +192,27 @@ def test_a_damaged_input_exits_cleanly_and_names_its_file(workspace, scenario, d
             shutil.rmtree(out)
         else:
             out.unlink(missing_ok=True)
-    assert code in (0, 1, 2)
+    assert code in (0, 1, 2), damaged
     assert "Traceback" not in err
     if code != 0:
         assert any(str(workspace / n) in err for n in named_by or (name,)), err
+
+
+@settings(max_examples=150)
+@given(scenario=st.sampled_from(_SCENARIOS), data=st.data())
+def test_a_damaged_input_exits_cleanly_and_names_its_file(workspace, scenario, data):
+    name = scenario[0]
+    _check_damaged(workspace, scenario, _damage((workspace / name).read_bytes(), name,
+                                                data.draw))
+
+
+def test_every_one_key_damage_of_a_run_result_exits_cleanly(workspace):
+    # A run result nests its counts three objects deep, so random damage
+    # seldom reaches a top-level key such as split_id: try every key.
+    scenario = next(s for s in _SCENARIOS if "--per-split" in s[1])
+    pristine = json.loads((workspace / scenario[0]).read_text("utf-8"))
+    damages = [("drop", None), ("rename", None)] + [("retype", v) for v in _VALUE_LIST]
+    for key_path in _json_paths(pristine):
+        for op, value in damages:
+            damaged = _damage_key(json.loads(json.dumps(pristine)), key_path, op, value)
+            _check_damaged(workspace, scenario, json.dumps(damaged).encode("utf-8"))

@@ -150,7 +150,6 @@ def _unread_public_names(paths):
 # Public names that only readers outside the package read, each with its reason.
 UNREAD_PUBLIC_NAMES = {
     "evaluation.match_document": "traced by benchmarks/spans.py",
-    "evaluation.render_report": "traced by benchmarks/spans.py",
     "stats.tokenize": "traced by benchmarks/spans.py",
     "schema.SOFTCITE_QUALIFIERS": "read by benchmarks/test_bench_workloads.py",
     "schema.SchemaDef.category_members": "kept for the per-category report rows (ROADMAP)",

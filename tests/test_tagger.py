@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowner.corpus_io import write_corpus_dir
+from flowner.corpus_io import load_corpus_dir, write_corpus_dir
 from flowner.evaluation import MatchMode, score
 from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.schema import BIOTOFLOW
-from flowner.tagger import (DuplicateDocId, ExternalPredictions,
+from flowner.tagger import (DuplicateDocId, ExternalPredictions, MalformedPrediction,
                             MissingPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
                             provenance_counts, silver_annotate, tag)
@@ -324,16 +324,24 @@ _PREDICTED_LABELS = st.one_of(
     st.tuples(st.just("Tool"), st.sampled_from(sorted(BIOTOFLOW.qualifiers["Tool"]))))
 
 
+# Any string as a label or qualifier, beside the schema's own.
+_ANY_LABELS = st.tuples(
+    st.one_of(st.sampled_from(sorted(BIOTOFLOW.labels)), st.text(max_size=6)),
+    st.one_of(st.none(), st.sampled_from(["", *sorted(BIOTOFLOW.qualifiers["Tool"])]),
+              st.text(max_size=4)))
+
+
 @st.composite
-def _predicted_entities(draw, text):
-    """(label, qualifier, fragments) in file order: fragments cut from
-    sorted distinct offsets, so they are non-empty, ordered and apart."""
+def _predicted_entities(draw, text, labels=_PREDICTED_LABELS, max_entities=5):
+    """(label, qualifier, fragments) in file order, labels drawn from
+    ``labels``: fragments cut from sorted distinct offsets, so they are
+    non-empty, ordered and apart."""
     out = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, max_entities))):
         cuts = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=6,
                                     unique=True)))
         fragments = list(zip(cuts[0::2], cuts[1::2]))
-        out.append((*draw(_PREDICTED_LABELS), fragments))
+        out.append((*draw(labels), fragments))
     return out
 
 
@@ -383,6 +391,28 @@ def test_ann_and_jsonl_predictions_give_the_same_silver_corpus(predicted):
             assert (root / "out_ann" / name).read_bytes() == \
                 (root / "out_jsonl" / name).read_bytes()
         assert len(list((root / "out_jsonl").iterdir())) == 2 * len(_PREDICTED_TEXTS)
+
+
+@given(st.fixed_dictionaries({doc_id: _predicted_entities(text, _ANY_LABELS, 2)
+                              for doc_id, text in _PREDICTED_TEXTS.items()}))
+def test_a_jsonl_that_silver_accepts_writes_a_corpus_that_reads_back(predicted):
+    corpus = Corpus("c", tuple(Document(d, text) for d, text in _PREDICTED_TEXTS.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "preds.jsonl").write_text("".join(
+            _jsonl_line(doc_id, _PREDICTED_TEXTS[doc_id], *entity)
+            for doc_id, entities in predicted.items() for entity in entities), encoding="utf-8")
+        try:
+            silver = silver_annotate(corpus, ExternalPredictions.from_jsonl(root / "preds.jsonl"))
+        except MalformedPrediction as exc:
+            # Every record fits its text: only a label or qualifier is refused.
+            assert exc.reason.startswith(("'label'", "'qualifier'")), exc.reason
+            return
+        write_corpus_dir(silver, root / "c")
+        reloaded = load_corpus_dir(root / "c")
+    # A corpus directory records no provenance: the reload reads as gold.
+    assert [(d.doc_id, d.text, d.entities, d.sidecar) for d in reloaded.documents] == \
+        [(d.doc_id, d.text, d.entities, d.sidecar) for d in silver.documents]
 
 
 def _corpus(name, n, provenance, prefix=""):
