@@ -17,8 +17,8 @@ from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
                          aggregate, make_splits, render_table, split_sizes)
 from .gazetteer import (Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
                         export_vocab, ingest, vocab_lines)
-from .tagger import (DuplicateDocId, ExternalPredictions, MalformedPrediction,
-                     MalformedRules, MissingPrediction, RuleSet, TaggerPredictor,
-                     default_ruleset, fuse, provenance_counts, silver_annotate, tag)
+from .tagger import (DuplicateDocId, MalformedPrediction, MalformedRules, RuleSet,
+                     TaggerPredictor, default_ruleset, fuse, provenance_counts,
+                     read_predictions, silver_annotate, tag)
 
 __version__ = "0.1.0"

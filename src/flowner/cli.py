@@ -268,15 +268,7 @@ def _cmd_tag(args) -> int:
 def _cmd_silver(args) -> int:
     _require(args, "corpus", "predictions", "out")
     corpus = _read_input(corpus_io.load_corpus_dir, args, "corpus")
-    path = Path(args.predictions)
-    read = (tagger.ExternalPredictions.from_jsonl if path.suffix == ".jsonl"
-            else tagger.ExternalPredictions.from_dir)
-    predictor = _read_input(read, args, "predictions", path)
-    unknown = sorted(predictor.readers.keys() - set(corpus.doc_ids()))
-    if unknown:
-        raise tagger.MalformedPrediction(
-            f"prediction(s) for doc_id(s) not in the corpus, e.g. {unknown[:5]}", path)
-    silver = tagger.silver_annotate(corpus, predictor)
+    silver = _read_input(lambda path: tagger.read_predictions(path, corpus), args, "predictions")
     corpus_io.write_corpus_dir(silver, args.out)
     print(f"silver-annotated {len(silver)} document(s) into {args.out}")
     return 0

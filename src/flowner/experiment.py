@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
 from .corpus_io import read_json
-from .evaluation import MatchMode, MatchReport, _aligned, _micro
+from .evaluation import LabelScore, MatchMode, MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -184,11 +184,34 @@ def _check_fields(obj, path, where, required: Sequence[str], optional: Sequence[
         raise MalformedResult(f"unknown field(s) {', '.join(unknown)}", path, where)
 
 
+def _check_counts(row, path, where: str, pooled: Optional[LabelScore]) -> LabelScore:
+    """The score of the counts row ``row`` at key ``where``: a
+    :class:`MalformedResult` unless its counts are non-negative integers (not
+    booleans), equal to those of ``pooled`` if given, and each p/r/f1 it
+    holds is a number within 1e-9 of the one its counts give."""
+    _check_fields(row, path, where, ("tp", "fp", "fn"), ("p", "r", "f1"))
+    for key in ("tp", "fp", "fn"):
+        _expect(type(row[key]) is int and row[key] >= 0, "a non-negative integer",
+                row[key], path, f"{where}.{key}")
+        if pooled is not None:
+            _expect(row[key] == getattr(pooled, key), f"{getattr(pooled, key)}, the per-label "
+                    "sum (over label_filter, if set)", row[key], path, f"{where}.{key}")
+    score = LabelScore.from_counts(row["tp"], row["fp"], row["fn"])
+    for key in ("p", "r", "f1"):
+        if key in row:
+            value, derived = row[key], getattr(score, key)
+            _expect(type(value) in (int, float), "a number", value, path, f"{where}.{key}")
+            # Compared, not subtracted: an int too large for a float compares exactly.
+            _expect(derived - 1e-9 <= value <= derived + 1e-9, f"{derived!r}, as tp/fp/fn give",
+                    value, path, f"{where}.{key}")
+    return score
+
+
 def _check_run_result(data, path) -> None:
     """A :class:`MalformedResult` naming ``path`` and the dotted key at fault
-    unless ``data`` has the shape :meth:`RunResult.to_json_dict` writes.
-    Counts are non-negative integers (not booleans); p/r/f1 and the overall
-    row are derived from the per-label counts when read."""
+    unless ``data`` has the shape :meth:`RunResult.to_json_dict` writes and
+    each stored p/r/f1 and overall count agrees with the per-label counts
+    (see :func:`_check_counts`)."""
     if type(data) is not dict:
         raise MalformedResult("not a run result: expected a JSON object", path)
     _check_fields(data, path, None, ("split_id", "seed_model", "report"), ("meta",))
@@ -206,14 +229,10 @@ def _check_run_result(data, path) -> None:
             "null or a list of strings", flt, path, "report.label_filter")
     per_label = report["per_label"]
     _expect(type(per_label) is dict, "a JSON object", per_label, path, "report.per_label")
-    rows = [(f"report.per_label.{label}", row) for label, row in per_label.items()]
+    scores = {label: _check_counts(row, path, f"report.per_label.{label}", None)
+              for label, row in per_label.items()}
     if "overall" in report:
-        rows.append(("report.overall", report["overall"]))
-    for where, row in rows:
-        _check_fields(row, path, where, ("tp", "fp", "fn"), ("p", "r", "f1"))
-        for key in ("tp", "fp", "fn"):
-            _expect(type(row[key]) is int and row[key] >= 0, "a non-negative integer",
-                    row[key], path, f"{where}.{key}")
+        _check_counts(report["overall"], path, "report.overall", _micro(scores, flt))
 
 
 def run_result_from_file(path) -> RunResult:

@@ -23,8 +23,9 @@ longer do.
 The rule pass adds version-string and citation-marker regex matches.
 Overlapping candidates are resolved greedily by (longer span, earlier
 start, dictionary before rule), so the output is a flat, non-overlapping
-annotation layer; nested predictions only ever come from external
-predictors.
+annotation layer; nested predictions only ever come from models, whose
+output :func:`read_predictions` reads, as an ``.ann`` directory or JSONL,
+into a silver corpus.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import re
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict, namedtuple
 from importlib import resources
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .corpus_io import _read_text, read_json
@@ -262,13 +264,9 @@ def tag(doc_text: str, tagger: TaggerPredictor) -> tuple[Entity, ...]:
     )
 
 
-class MissingPrediction(InputError, KeyError):
-    """No external prediction for a requested doc_id, located by the predictions path."""
-
-
 class MalformedPrediction(InputError):
     """Predictions that cannot be used: a JSONL record, located by file and
-    line, or predictions for documents the corpus lacks, by the path."""
+    line, or a doc_id that the corpus or the predictions lack, by the path."""
 
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
@@ -307,109 +305,97 @@ def _jsonl_fault(rec) -> Optional[str]:
     return None
 
 
-def _ann_reader(ann: str, location: str) -> Callable[[str], tuple[Entity, ...]]:
-    """The entities of one ``.ann`` text, parsed against the document's text
-    and located by ``location``, the file it was read from."""
-    return lambda text: parse_standoff(ann, text, location).entities
+def _check_doc_ids(predicted, corpus: Corpus, path) -> None:
+    """Each prediction names a corpus document, and each document has one."""
+    doc_ids = corpus.doc_ids()
+    unknown = sorted(set(predicted).difference(doc_ids))
+    if unknown:
+        raise MalformedPrediction(
+            f"prediction(s) for doc_id(s) not in the corpus, e.g. {unknown[:5]}", path)
+    for doc_id in doc_ids:
+        if doc_id not in predicted:
+            raise MalformedPrediction(f"no prediction found for doc_id {doc_id!r}", path)
 
 
-def _jsonl_reader(doc_id: str, entities: tuple[Entity, ...], lines: tuple[int, ...],
-                  path) -> Callable[[str], tuple[Entity, ...]]:
-    """One document's JSONL entities, each read from the line of ``path`` at
-    the same index of ``lines``: the first, by line, whose offsets or
-    surface disagree with the document's text is a
-    :class:`MalformedPrediction` at its line."""
-    def read(text: str) -> tuple[Entity, ...]:
-        violations = validate_document(Document(doc_id, text, entities))
+def read_predictions(path, corpus: Corpus) -> Corpus:
+    """``corpus`` re-annotated, as silver, with the model predictions at
+    ``path``: a ``.jsonl`` file, else a directory of ``<doc_id>.ann`` files
+    (``FileNotFoundError`` if it is not one).  A doc_id without a document
+    or a document without a prediction is a :class:`MalformedPrediction`.
+
+    An ``.ann`` is parsed against its document's text, errors located by
+    the file, and keeps its non-entity lines.  A JSONL record is {doc_id,
+    label, start, end, surface[, qualifier]}, start/end integers or
+    equal-length arrays of them; the label is one token and the qualifier
+    one the workflow schema registers for it, so the written corpus reads
+    back.  A faulty record is a :class:`MalformedPrediction` at its line;
+    then so is the first whose offsets or surface do not fit its text.
+    """
+    path = Path(path)
+    read = _read_jsonl if path.suffix == ".jsonl" else _read_ann_dir
+    return Corpus(corpus.name, read(path, corpus))
+
+
+def _read_ann_dir(root: Path, corpus: Corpus) -> list[Document]:
+    if not root.is_dir():
+        raise FileNotFoundError(f"predictions directory not found: {root}")
+    anns = {ann_path.stem: ann_path for ann_path in sorted(root.glob("*.ann"))}
+    _check_doc_ids(anns, corpus, root)
+    out = []
+    for doc in corpus.documents:
+        ann_path = str(anns[doc.doc_id])  # parse errors are located by the file
+        parsed = parse_standoff(_read_text(ann_path, StandoffParseError), doc.text, ann_path)
+        out.append(Document(doc.doc_id, doc.text, parsed.entities, Provenance.SILVER,
+                            parsed.sidecar))
+    return out
+
+
+def _read_jsonl(path: Path, corpus: Corpus) -> list[Document]:
+    per_doc: dict[str, list[Entity]] = {}
+    records = []  # (line_no, doc_id, entity) in file order
+    # newline=None splits lines as a text-mode read of the file would.
+    with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedPrediction(f"invalid JSON: {exc.msg} at column {exc.colno}",
+                                          path, line_no) from None
+            fault = _jsonl_fault(rec)
+            if fault is not None:
+                raise MalformedPrediction(fault, path, line_no)
+            starts, ends = (rec[k] if type(rec[k]) is list else [rec[k]]
+                            for k in ("start", "end"))
+            ents = per_doc.setdefault(rec["doc_id"], [])
+            try:
+                ents.append(Entity(f"T{len(ents) + 1}",
+                                   EntityLabel(rec["label"], rec.get("qualifier")),
+                                   tuple(map(Span, starts, ends)), rec["surface"]))
+            except ValueError as exc:
+                raise MalformedPrediction(str(exc), path, line_no) from None
+            records.append((line_no, rec["doc_id"], ents[-1]))
+    _check_doc_ids(per_doc, corpus, path)
+    texts = {doc.doc_id: doc.text for doc in corpus.documents}
+    for line_no, doc_id, ent in records:
+        violations = validate_document(Document(doc_id, texts[doc_id], (ent,)))
         if violations:
-            line_of = dict(zip((e.id for e in entities), lines))
-            first = min(violations, key=lambda v: line_of[v.entity_id])
-            raise MalformedPrediction(f"{first.kind} in document {doc_id!r}: "
-                                      f"{first.message}", path, line_of[first.entity_id])
-        return entities
-    return read
-
-
-class ExternalPredictions:
-    """Model predictions keyed by doc_id: ``readers`` maps each doc_id to a
-    function from the document's text to its entities.  ``path`` names the
-    directory or file the predictions came from; a document with no reader
-    is a :class:`MissingPrediction` located by it."""
-
-    def __init__(self, readers: Mapping[str, Callable[[str], tuple[Entity, ...]]],
-                 path=None):
-        self.readers = dict(readers)
-        self._path = path
-
-    def __call__(self, doc: Document) -> tuple[Entity, ...]:
-        reader = self.readers.get(doc.doc_id)
-        if reader is None:
-            raise MissingPrediction(f"no prediction found for doc_id {doc.doc_id!r}", self._path)
-        return reader(doc.text)
-
-    @classmethod
-    def from_dir(cls, path) -> "ExternalPredictions":
-        """Read every ``<doc_id>.ann`` under a directory (parsed lazily,
-        against the text of the document being annotated, a parse error
-        located by the file); a path that is not a directory raises
-        ``FileNotFoundError``."""
-        from pathlib import Path
-        root = Path(path)
-        if not root.is_dir():
-            raise FileNotFoundError(f"predictions directory not found: {root}")
-        return cls({ann_path.stem: _ann_reader(_read_text(ann_path, StandoffParseError),
-                                               str(ann_path))
-                    for ann_path in sorted(root.glob("*.ann"))}, path)
-
-    @classmethod
-    def from_jsonl(cls, path) -> "ExternalPredictions":
-        """Read JSONL records {doc_id, label, start, end, surface[, qualifier]};
-        start/end may be equal-length arrays for discontinuous entities.
-        doc_id, label and surface are strings, qualifier a string or null,
-        and an offset an integer (not a boolean); the label is one token
-        without whitespace and a qualifier is one the workflow schema
-        registers for it, so the written corpus reads back.  Every fault is a
-        :class:`MalformedPrediction` naming ``path`` and the line, and so is
-        a record whose offsets or surface do not fit its document's text,
-        found when that document is annotated."""
-        per_doc: dict[str, list[Entity]] = {}
-        lines: dict[str, list[int]] = {}
-        # newline=None splits lines as a text-mode read of the file would.
-        with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedPrediction(f"invalid JSON: {exc.msg} at column {exc.colno}",
-                                              path, line_no) from None
-                fault = _jsonl_fault(rec)
-                if fault is not None:
-                    raise MalformedPrediction(fault, path, line_no)
-                starts, ends = (rec[k] if type(rec[k]) is list else [rec[k]]
-                                for k in ("start", "end"))
-                try:
-                    ents = per_doc.setdefault(rec["doc_id"], [])
-                    ents.append(Entity(
-                        id=f"T{len(ents) + 1}",
-                        label=EntityLabel(rec["label"], rec.get("qualifier")),
-                        fragments=tuple(Span(s, e) for s, e in zip(starts, ends)),
-                        surface=rec["surface"]))
-                except ValueError as exc:
-                    raise MalformedPrediction(str(exc), path, line_no) from None
-                lines.setdefault(rec["doc_id"], []).append(line_no)
-        return cls({doc_id: _jsonl_reader(doc_id, tuple(ents), tuple(lines[doc_id]), path)
-                    for doc_id, ents in per_doc.items()}, path)
+            raise MalformedPrediction(f"{violations[0].kind} in document {doc_id!r}: "
+                                      f"{violations[0].message}", path, line_no)
+    return [Document(doc.doc_id, doc.text, per_doc[doc.doc_id], Provenance.SILVER)
+            for doc in corpus.documents]
 
 
 def silver_annotate(corpus: Corpus,
                     predictor: Callable[[Document], Sequence[Entity]]) -> Corpus:
-    """Re-annotate every document with predictor output.
+    """Re-annotate every document with predictor output, such as a
+    :class:`TaggerPredictor`'s (model predictions are read by
+    :func:`read_predictions`).
 
-    Existing annotations are discarded; output documents carry
-    ``provenance=silver`` and are validated against their text (a
+    Existing annotations and sidecar lines are discarded; output documents
+    carry ``provenance=silver`` and are validated against their text (a
     prediction whose surface disagrees with the text is a hard error).
     """
     out = []

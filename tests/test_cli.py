@@ -9,7 +9,7 @@ from flowner.experiment import split_sizes
 from flowner.gazetteer import SOURCE_KINDS, Gazetteer, build_gazetteer, ingest
 from flowner.model import Corpus
 from flowner.standoff import SurfaceMismatch
-from flowner.tagger import (ExternalPredictions, MalformedPrediction, MalformedRules,
+from flowner.tagger import (MalformedPrediction, MalformedRules, read_predictions,
                             ruleset_from_file)
 from oracles import oracle_dumps_json, oracle_gazetteer_json
 from util import doc_of, ent
@@ -377,13 +377,41 @@ def test_bad_prediction_ann_is_located_by_its_file(tmp_path, capsys):
     pred_dir.mkdir()
     (pred_dir / "d1.ann").write_text("T1\tTool 4 7\tBWA align\n", encoding="utf-8")
     with pytest.raises(SurfaceMismatch):
-        ExternalPredictions.from_dir(pred_dir)(load_corpus_dir(corpus_dir).documents[0])
+        read_predictions(pred_dir, load_corpus_dir(corpus_dir))
     assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(pred_dir),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert (f"error: {pred_dir / 'd1.ann'}:1: recorded surface 'BWA align' != "
             "text slice 'BWA'") in err
     assert "Traceback" not in err
+
+
+def test_silver_keeps_every_line_of_a_prediction_ann(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    pred_dir = tmp_path / "pd"
+    pred_dir.mkdir()
+    ann = "T1\tTool 13 16\tBWA\nA1\tNegated T1\n#1\tAnnotatorNotes T1\tcheck\n"
+    (pred_dir / "d1.ann").write_text(ann, encoding="utf-8")
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(pred_dir),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "d1.ann").read_text("utf-8") == ann
+
+
+def test_jsonl_predictions_are_checked_against_their_texts_in_file_order(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"), doc_of("d2", "short"))),
+                     corpus_dir)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(
+        '{"doc_id": "d2", "label": "Tool", "start": 0, "end": 99, "surface": "short"}\n'
+        '{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, "surface": "BWB"}\n',
+        encoding="utf-8")
+    assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {preds}:1: OffsetOutOfRange in document 'd2': "
+                                       "fragment end 99 exceeds text length 5\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_silver_with_external_predictions(tmp_path, capsys):
@@ -439,10 +467,7 @@ def test_report_cli(tmp_path, capsys):
             "split_id": i, "seed_model": 1,
             "report": {"mode": "relaxed",
                        "per_label": {"Tool": {"tp": tp, "fp": 100 - tp,
-                                              "fn": 100 - tp,
-                                              "p": 0, "r": 0, "f1": 0}},
-                       "overall": {"tp": 0, "fp": 0, "fn": 0,
-                                   "p": 0, "r": 0, "f1": 0},
+                                              "fn": 100 - tp}},
                        "label_filter": None},
             "meta": {"note": "synthetic"},
         }
@@ -455,8 +480,7 @@ def test_report_cli(tmp_path, capsys):
 def test_report_quotes_a_label_that_holds_a_separator(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
-    per_label = {label: {"tp": 1, "fp": 1, "fn": 1, "p": 0, "r": 0, "f1": 0}
-                 for label in ("Tool,x", 'a"b', "A|B")}
+    per_label = {label: {"tp": 1, "fp": 1, "fn": 1} for label in ("Tool,x", 'a"b', "A|B")}
     (results / "run0.json").write_text(json.dumps(
         {"split_id": 0, "seed_model": 1,
          "report": {"mode": "strict", "per_label": per_label, "label_filter": None}}),
@@ -853,7 +877,7 @@ def test_malformed_jsonl_prediction_names_file_and_line(tmp_path, capsys, record
     preds.write_text('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, '
                      '"surface": "BWA"}\n\n' + record + "\n", encoding="utf-8")
     with pytest.raises(MalformedPrediction) as exc:
-        ExternalPredictions.from_jsonl(preds)
+        read_predictions(preds, load_corpus_dir(corpus_dir))
     assert exc.value.where == 3
     assert main(["silver", "--corpus", str(corpus_dir), "--predictions", str(preds),
                  "--out", str(tmp_path / "o")]) == 1
@@ -975,6 +999,24 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
      "report.per_label.Tool.fn: must be a non-negative integer, got True"),
     ("--results", _run_result({"overall": {"tp": 1, "fp": 0}}),
      "report.overall: missing field 'fn'"),
+    ("--results", _run_result(_counts(p="x", f1=7)),
+     "report.per_label.Tool.p: must be a number, got 'x'"),
+    ("--results", _run_result(_counts(r=True)),
+     "report.per_label.Tool.r: must be a number, got True"),
+    ("--results", _run_result(_counts(f1=7)),
+     "report.per_label.Tool.f1: must be 1.0, as tp/fp/fn give, got 7"),
+    ("--results", _run_result(_counts(p=1 - 1e-6)),
+     "report.per_label.Tool.p: must be 1.0, as tp/fp/fn give, got 0.999999"),
+    ("--results", _run_result(_counts(p=float("nan"))),
+     "report.per_label.Tool.p: must be 1.0, as tp/fp/fn give, got nan"),
+    ("--results", _run_result(_counts(r=10 ** 400)),
+     "report.per_label.Tool.r: must be 1.0, as tp/fp/fn give, got 1000"),
+    ("--results", _run_result({"overall": {"tp": 9, "fp": 0, "fn": 0}}),
+     "report.overall.tp: must be 1, the per-label sum (over label_filter, if set), got 9"),
+    ("--results", _run_result({"label_filter": ["Data"], "overall": {"tp": 1, "fp": 0, "fn": 0}}),
+     "report.overall.tp: must be 0, the per-label sum (over label_filter, if set), got 1"),
+    ("--results", _run_result({"overall": {"tp": 1, "fp": 0, "fn": 0, "f1": 0.5}}),
+     "report.overall.f1: must be 1.0, as tp/fp/fn give, got 0.5"),
     ("--config", '{"out": ', "invalid JSON"),
     ("--config", "[]", "--config must contain a JSON object"),
     ("gazetteer build --biotools", '[{"name": ', "payload is not valid JSON"),

@@ -6,8 +6,9 @@ JSONL or a predictions directory, a dump of each kind, a common-word
 list), damages it and runs the subcommand that reads it.  The damage is
 a truncation, a few inserted bytes (0xff among them), or, in a JSON
 input, a dropped or renamed key or a value of another type.  The run must
-exit 0, 1 or 2 without a traceback, and a non-zero exit must name the
-damaged file.  A run-result file is also damaged at every key in turn,
+exit 0, 1 or 2 without a traceback, a non-zero exit must name the
+damaged file, and a ``silver`` run that exits 0 must write a corpus that
+loads again.  A run-result file is also damaged at every key in turn,
 each way, under ``report --per-split``.
 
 One input is named another way: a ``.txt`` its ``.ann`` no longer fits
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowner.cli import main
-from flowner.corpus_io import write_corpus_dir
+from flowner.corpus_io import load_corpus_dir, write_corpus_dir
 from flowner.evaluation import MatchMode, score
 from flowner.experiment import RunResult
 from flowner.gazetteer import build_gazetteer, ingest
@@ -51,8 +52,8 @@ _FILES = {
         {"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, "surface": "BWA"},
         {"doc_id": "d1", "label": "Data", "start": [0, 13], "end": [7, 16],
          "surface": "aligned BWA", "qualifier": None},
-        {"doc_id": "d2", "label": "Tool", "start": 0, "end": 3, "surface": "STAR"}]) + "\n",
-    "pd/d1.ann": "T1\tTool 13 16\tBWA\nA1\tGeneral T1\n",
+        {"doc_id": "d2", "label": "Tool", "start": 0, "end": 4, "surface": "STAR"}]) + "\n",
+    "pd/d1.ann": "T1\tTool 13 16\tBWA\nA1\tGeneral T1\n#1\tAnnotatorNotes T1\tcheck\n",
     "pd/d2.ann": "",
     "biotools.json": json.dumps([{"name": "BWA", "binaries": ["bwa"]}, {"name": "STAR"}]),
     "bioconda.txt": "# index\nbwa\nsamtools\n",
@@ -178,13 +179,16 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 def _check_damaged(workspace, scenario, damaged: bytes) -> None:
     """Run ``scenario`` with ``damaged`` in place of its file: it exits 0,
-    1 or 2 without a traceback, and a non-zero exit names the file."""
+    1 or 2 without a traceback, a non-zero exit names the file, and a
+    ``silver`` run that exits 0 writes a corpus that loads."""
     name, argv, named_by = scenario
     path = workspace / name
     pristine = path.read_bytes()
     path.write_bytes(damaged)
     try:
         code, err = _run([str(workspace / a[1:]) if a[:1] == "@" else a for a in argv])
+        if code == 0 and argv[0] == "silver":
+            load_corpus_dir(workspace / "o")  # the silver corpus reads back
     finally:
         path.write_bytes(pristine)
         out = workspace / "o"  # a corpus directory or a gazetteer file

@@ -14,10 +14,10 @@ from flowner.gazetteer import Gazetteer, VocabEntry, build_gazetteer, ingest
 from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
                            Span, validate_document)
 from flowner.schema import BIOTOFLOW
-from flowner.tagger import (DuplicateDocId, ExternalPredictions, MalformedPrediction,
-                            MissingPrediction, RuleSet,
+from flowner.tagger import (DuplicateDocId, MalformedPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
-                            provenance_counts, silver_annotate, tag)
+                            provenance_counts, read_predictions, silver_annotate, tag)
+from gen import random_document
 from oracles import ORACLE_RULE_PATTERNS, _dict_candidates, _dictionary, oracle_fold
 from util import doc_of, ent
 
@@ -278,18 +278,19 @@ def test_silver_self_consistency():
     assert report.overall.f1 == 1.0
 
 
-def test_external_predictions_missing_doc():
-    preds = ExternalPredictions({"d1": lambda text: (), "d2": lambda text: ()})
+def test_external_predictions_missing_doc(tmp_path):
+    for doc_id in ("d1", "d2"):
+        (tmp_path / f"{doc_id}.ann").write_text("", encoding="utf-8")
     corpus = Corpus("c", tuple(Document(f"d{i}", "text here") for i in (1, 2, 3)))
-    with pytest.raises(MissingPrediction):
-        silver_annotate(corpus, preds)
+    with pytest.raises(MalformedPrediction) as exc:
+        read_predictions(tmp_path, corpus)
+    assert (exc.value.reason, exc.value.path) == ("no prediction found for doc_id 'd3'", tmp_path)
 
 
 def test_external_predictions_from_dir(tmp_path):
     text = "aligned with BWA"
     (tmp_path / "d1.ann").write_text("T1\tTool 13 16\tBWA\n", encoding="utf-8")
-    preds = ExternalPredictions.from_dir(tmp_path)
-    silver = silver_annotate(Corpus("c", (Document("d1", text),)), preds)
+    silver = read_predictions(tmp_path, Corpus("c", (Document("d1", text),)))
     assert [e.surface for e in silver.documents[0].entities] == ["BWA"]
 
 
@@ -301,8 +302,7 @@ def test_external_predictions_from_jsonl(tmp_path):
         '"surface": "RNA reads"}\n'
         '{"doc_id": "d1", "label": "Tool", "start": 4, "end": 9, "surface": "extra"}\n',
         encoding="utf-8")
-    preds = ExternalPredictions.from_jsonl(path)
-    silver = silver_annotate(Corpus("c", (Document("d1", text),)), preds)
+    silver = read_predictions(path, Corpus("c", (Document("d1", text),)))
     entities = silver.documents[0].entities
     assert {e.label.base for e in entities} == {"Data", "Tool"}
     discontinuous = next(e for e in entities if e.label.base == "Data")
@@ -313,9 +313,19 @@ def test_external_prediction_surface_mismatch_is_an_error(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"doc_id": "d1", "label": "Tool", "start": 0, "end": 3, '
                     '"surface": "WRONG"}\n', encoding="utf-8")
-    preds = ExternalPredictions.from_jsonl(path)
     with pytest.raises(ValueError):
-        silver_annotate(Corpus("c", (Document("d1", "BWA here"),)), preds)
+        read_predictions(path, Corpus("c", (Document("d1", "BWA here"),)))
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_a_corpus_read_as_its_own_predictions_comes_back_silver(rng, n_docs):
+    corpus = Corpus("c", tuple(random_document(rng, f"d{i}") for i in range(n_docs)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus_dir(corpus, tmp)
+        silver = read_predictions(tmp, corpus)
+    assert silver == Corpus("c", tuple(
+        Document(d.doc_id, d.text, d.entities, Provenance.SILVER, d.sidecar)
+        for d in corpus.documents))
 
 
 _PREDICTED_TEXTS = {"d1": "aligned with BWA and STAR v1.2", "d2": "génome 配列, reads (x)"}
@@ -379,9 +389,8 @@ def test_ann_and_jsonl_predictions_give_the_same_silver_corpus(predicted):
                                                         encoding="utf-8")
             jsonl += [_jsonl_line(doc_id, text, *entity) for entity in entities]
         (root / "preds.jsonl").write_text("".join(jsonl), encoding="utf-8")
-        from_ann = silver_annotate(corpus, ExternalPredictions.from_dir(root / "ann"))
-        from_jsonl = silver_annotate(corpus,
-                                     ExternalPredictions.from_jsonl(root / "preds.jsonl"))
+        from_ann = read_predictions(root / "ann", corpus)
+        from_jsonl = read_predictions(root / "preds.jsonl", corpus)
         assert from_ann == from_jsonl
         assert [len(doc.entities) for doc in from_ann.documents] == \
             [len(predicted[doc_id]) for doc_id in _PREDICTED_TEXTS]
@@ -403,7 +412,7 @@ def test_a_jsonl_that_silver_accepts_writes_a_corpus_that_reads_back(predicted):
             _jsonl_line(doc_id, _PREDICTED_TEXTS[doc_id], *entity)
             for doc_id, entities in predicted.items() for entity in entities), encoding="utf-8")
         try:
-            silver = silver_annotate(corpus, ExternalPredictions.from_jsonl(root / "preds.jsonl"))
+            silver = read_predictions(root / "preds.jsonl", corpus)
         except MalformedPrediction as exc:
             # Every record fits its text: only a label or qualifier is refused.
             assert exc.reason.startswith(("'label'", "'qualifier'")), exc.reason
