@@ -10,8 +10,8 @@ from .stats import StatsReport, corpus_stats
 from .schema import (BIOTOFLOW, SOFTCITE_QUALIFIERS, ConversionReport,
                      MalformedTable, MappingRule, MappingTable, SchemaDef,
                      UnknownSourceLabel, convert_corpus, default_softcite_table)
-from .evaluation import (DocSetMismatch, EntityRef, LabelScore, MatchMode,
-                         MatchReport, macro_average, match_document, score)
+from .evaluation import (DocSetMismatch, LabelScore, MatchMode, MatchReport,
+                         macro_average, match_document, score)
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
                          MalformedResult, MixedModes, RunResult, SplitManifest,
                          aggregate, make_splits, render_table, split_sizes)

@@ -17,8 +17,8 @@ its flag gets on the command line: one of the flag's choices, ``true`` or
 ``false`` for a switch, an integer for a numeric flag, a list of strings
 for a repeatable flag (``--source``, ``--results``) and a string for any
 other (``--focus`` also takes a list of labels).  An error about a value the
-config file supplied (a ``--focus`` label, a missing input file or corpus
-directory) names the file.
+config file supplied (a ``--focus`` label, an input file or corpus directory
+missing at the path it gave) names the file.
 """
 
 from __future__ import annotations
@@ -72,15 +72,18 @@ def _config_of(args, dest: str):
     return args.config if dest in args.from_config else None
 
 
-def _read_input(read, args, dest: str, path=None):
+def _read_input(read, args, dest: str, path=None, named=None):
     """``read(path)`` of the input file or directory that flag ``dest``
-    names, by default its value; a missing input that the ``--config`` file
-    supplied is an error that names the file."""
+    names, by default its value.  A missing file is an error that names the
+    ``--config`` file if that supplied the value and ``named``, the path the
+    flag named (by default ``path``), does not exist: a file missing inside
+    an existing directory is not the config's fault."""
+    path = getattr(args, dest) if path is None else path
     try:
-        return read(getattr(args, dest) if path is None else path)
+        return read(path)
     except FileNotFoundError as exc:
         config = _config_of(args, dest)
-        if config is None:
+        if config is None or Path(path if named is None else named).exists():
             raise
         raise InputError(str(exc), config) from None
 
@@ -297,12 +300,23 @@ def _cmd_fuse(args) -> int:
 def _cmd_report(args) -> int:
     focus = _labels_arg(args)
     _require(args, "results")
-    paths: list[Path] = []
+    # Each file with the item of --results that named it, and each file's
+    # first name by its resolved path: a file named twice would count twice.
+    files: list[tuple[str, Path]] = []
+    first_names: dict[Path, Path] = {}
     for raw in args.results:
         p = Path(raw)
-        paths.extend(sorted(p.glob("*.json")) if p.is_dir() else [p])
-    results = [_read_input(experiment.run_result_from_file, args, "results", p)
-               for p in paths]
+        for path in sorted(p.glob("*.json")) if p.is_dir() else [p]:
+            key = path.resolve()
+            if key in first_names:
+                first = first_names[key]
+                again = "" if first == path else f", again as {path}"
+                raise UsageError(f"--results names {first} more than once{again}",
+                                 _config_of(args, "results"))
+            first_names[key] = path
+            files.append((raw, path))
+    results = [_read_input(experiment.run_result_from_file, args, "results", path, raw)
+               for raw, path in files]
     if focus:
         _check_focus(focus, {base for r in results for base in r.report.per_label}, args)
     table = experiment.aggregate(results, focus, per_split=args.per_split)

@@ -29,7 +29,6 @@ hands it each document's entity tuples as they are: a :class:`Document`
 keeps them canonical and free of duplicates, so an entity is told by its
 index, with no sort and no set of entities.  ``match_document`` takes any
 iterable and sorts it by :meth:`Entity.sort_key`; no command calls it.
-``EntityRef`` is a record like the model's (see :mod:`flowner.model`).
 
 Every score is P/R/F1 of tp/fp/fn counts pooled over a set of labels
 (:func:`_micro`), with P and R 0 on empty denominators so pooling is
@@ -45,7 +44,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Corpus, Entity
@@ -213,24 +211,22 @@ class LabelScore(namedtuple("LabelScore", "tp fp fn p r f1")):
                 "p": self.p, "r": self.r, "f1": self.f1}
 
 
-class EntityRef(namedtuple("EntityRef", "doc_id entity_id label start end surface")):
-    """Enough of an entity to list it in reports without the document."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, doc_id: str, ent: Entity) -> "EntityRef":
-        fragments = ent[2]
-        return tuple.__new__(cls, (doc_id, ent[0], ent[1][0], fragments[0][0],
-                                   fragments[-1][1], ent[3]))
-
-
-# Reports list entities by (doc_id, start, end, label, entity_id).
-_ref_order = itemgetter(0, 3, 4, 2, 1)
+def _listing_order(listed: tuple[str, Entity]) -> tuple:
+    """The sort key of a ``(doc_id, Entity)`` pair in a report's listings."""
+    doc_id, (entity_id, label, fragments, _surface) = listed
+    return doc_id, fragments[0][0], fragments[-1][1], label[0], entity_id
 
 
 class MatchReport(namedtuple("MatchReport", "mode per_label label_filter missed spurious",
                              defaults=(None, (), ()))):
+    """Per-label counts of one matching mode and the entities it left over.
+
+    ``missed`` (gold) and ``spurious`` (pred) hold each unmatched entity as
+    a ``(doc_id, Entity)`` pair, sorted by doc_id, start, end, base label,
+    then entity id compared as a string (``T10`` before ``T2``); entities
+    that tie on all five keep their document's canonical order.
+    """
+
     __slots__ = ()
 
     @property
@@ -244,15 +240,6 @@ class MatchReport(namedtuple("MatchReport", "mode per_label label_filter missed 
             "overall": self.overall.to_json_dict(),
             "label_filter": list(self.label_filter) if self.label_filter else None,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MatchReport":
-        per_label = {
-            k: LabelScore.from_counts(v["tp"], v["fp"], v["fn"])
-            for k, v in data["per_label"].items()
-        }
-        flt = tuple(data["label_filter"]) if data.get("label_filter") else None
-        return cls(mode=MatchMode(data["mode"]), per_label=per_label, label_filter=flt)
 
 
 def _selected(per_label: Mapping[str, LabelScore],
@@ -299,9 +286,9 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
         raise DocSetMismatch(f"doc_id sets differ, e.g. {missing[:5]}")
 
     pred_by_id = {d.doc_id: d for d in pred_corpus.documents}
-    tp, fn, fp = Counter(), Counter(), Counter()
-    missed: list[EntityRef] = []
-    spurious: list[EntityRef] = []
+    tp = Counter()
+    missed: list[tuple[str, Entity]] = []
+    spurious: list[tuple[str, Entity]] = []
 
     # Documents in any order: the listings are sorted by doc_id first below.
     for gold_doc in gold_corpus.documents:
@@ -311,22 +298,18 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
         gold, pred = gold_doc.entities, pred_by_id[doc_id].entities
         match_g, match_p = _match_indices(gold, pred, mode, qualifier_sensitive)
         tp.update(gold[gi][1][0] for gi in match_g)
-        for i, g in enumerate(gold):
-            if i not in match_g:
-                fn[g[1][0]] += 1
-                missed.append(EntityRef.of(doc_id, g))
-        for i, p in enumerate(pred):
-            if i not in match_p:
-                fp[p[1][0]] += 1
-                spurious.append(EntityRef.of(doc_id, p))
+        missed += [(doc_id, g) for i, g in enumerate(gold) if i not in match_g]
+        spurious += [(doc_id, p) for i, p in enumerate(pred) if i not in match_p]
 
+    fn = Counter(g[1][0] for _doc_id, g in missed)
+    fp = Counter(p[1][0] for _doc_id, p in spurious)
     flt = tuple(sorted(set(label_filter))) if label_filter else None
     per_label = {
         base: LabelScore.from_counts(tp[base], fp[base], fn[base])
         for base in sorted(tp.keys() | fn.keys() | fp.keys() | set(flt or ()))
     }
-    missed.sort(key=_ref_order)
-    spurious.sort(key=_ref_order)
+    missed.sort(key=_listing_order)
+    spurious.sort(key=_listing_order)
     return MatchReport(
         mode=mode,
         per_label=per_label,
@@ -367,8 +350,8 @@ def render_diff(report: MatchReport) -> str:
     one line per entity: a line break in a surface is written as a space,
     as in a ``.ann`` file."""
     lines = []
-    for tag, refs in (("MISSED", report.missed), ("SPURIOUS", report.spurious)):
-        for ref in refs:
-            lines.append(f"{tag}\t{ref.doc_id}\t{ref.label}\t{ref.start} {ref.end}\t"
-                         + _LINE_BREAK_RE.sub(" ", ref.surface))
+    for tag, listed in (("MISSED", report.missed), ("SPURIOUS", report.spurious)):
+        for doc_id, e in listed:
+            lines.append(f"{tag}\t{doc_id}\t{e.label.base}\t{e.start} {e.end}\t"
+                         + _LINE_BREAK_RE.sub(" ", e.surface))
     return "\n".join(lines) + "\n" if lines else ""

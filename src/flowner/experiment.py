@@ -159,12 +159,6 @@ class RunResult(namedtuple("RunResult", "split_id seed_model report meta")):
         return {"split_id": self.split_id, "seed_model": self.seed_model,
                 "report": self.report.to_json_dict(), "meta": dict(self.meta)}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RunResult":
-        return cls(split_id=data["split_id"], seed_model=data["seed_model"],
-                   report=MatchReport.from_json_dict(data["report"]),
-                   meta=data.get("meta", {}))
-
 
 def _expect(ok: bool, what: str, value, path, where) -> None:
     """A :class:`MalformedResult` at key ``where`` unless ``ok``."""
@@ -207,11 +201,12 @@ def _check_counts(row, path, where: str, pooled: Optional[LabelScore]) -> LabelS
     return score
 
 
-def _check_run_result(data, path) -> None:
-    """A :class:`MalformedResult` naming ``path`` and the dotted key at fault
-    unless ``data`` has the shape :meth:`RunResult.to_json_dict` writes and
-    each stored p/r/f1 and overall count agrees with the per-label counts
-    (see :func:`_check_counts`)."""
+def _check_run_result(data, path) -> RunResult:
+    """The :class:`RunResult` that ``data`` holds, built in the walk that
+    checks it: a :class:`MalformedResult` naming ``path`` and the dotted key
+    at fault unless ``data`` has the shape :meth:`RunResult.to_json_dict`
+    writes (``meta`` may be absent) and each stored p/r/f1 and overall count
+    agrees with the per-label counts (see :func:`_check_counts`)."""
     if type(data) is not dict:
         raise MalformedResult("not a run result: expected a JSON object", path)
     _check_fields(data, path, None, ("split_id", "seed_model", "report"), ("meta",))
@@ -233,14 +228,16 @@ def _check_run_result(data, path) -> None:
               for label, row in per_label.items()}
     if "overall" in report:
         _check_counts(report["overall"], path, "report.overall", _micro(scores, flt))
+    return RunResult(data["split_id"], data["seed_model"],
+                     MatchReport(MatchMode(report["mode"]), scores, tuple(flt) if flt else None),
+                     meta)
 
 
 def run_result_from_file(path) -> RunResult:
-    """Read one :meth:`RunResult.to_json_dict` file; every fault is a
+    """The :class:`RunResult` of one :meth:`RunResult.to_json_dict` file,
+    read in one walk (:func:`_check_run_result`); every fault is a
     :class:`MalformedResult` that names ``path`` and the key at fault."""
-    data = read_json(path, MalformedResult)
-    _check_run_result(data, path)
-    return RunResult.from_json_dict(data)
+    return _check_run_result(read_json(path, MalformedResult), path)
 
 
 class MetricRow(namedtuple("MetricRow", "mean_p std_p mean_r std_r mean_f1 std_f1")):

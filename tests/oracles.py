@@ -15,7 +15,11 @@ compatibility test, per-gold sort and augmentation that the package had
 then, so that it pins the exact pairs and tie-breaks, not only their
 count.  ``oracle_score`` is ``evaluation.score`` as it was before it
 matched by index: through that matcher, telling matched entities by set
-membership, with ``EntityRef`` a frozen dataclass (``OracleEntityRef``).
+membership, and sorting each listing by a key of its own.
+``oracle_run_result_from_file`` is likewise ``experiment.run_result_from_file``
+as it was before the walk that checks a run result built it: the package's
+own check, then ``RunResult.from_json_dict`` and ``MatchReport.from_json_dict``
+walking the same keys again.
 ``oracle_aggregate`` is ``experiment.aggregate`` as it was before every
 row became one pooled label set: a per-label row read from the stored
 score, the overall rows pooled, and one averaging path per mode.  The standoff
@@ -44,9 +48,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, make_dataclass
 from typing import TYPE_CHECKING, Optional
 
+from flowner.corpus_io import read_json
 from flowner.evaluation import (DocSetMismatch, LabelScore, MatchMode, MatchReport,
                                 char_overlap)
-from flowner.experiment import AggregateTable, EmptyResults, MetricRow, MixedModes
+from flowner.experiment import (AggregateTable, EmptyResults, MalformedResult, MetricRow,
+                                MixedModes, RunResult, _check_run_result)
 from flowner.gazetteer import BINARY_NAME, TOOL_NAME, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
@@ -186,21 +192,9 @@ def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
     return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
 
 
-@dataclass(frozen=True)
-class OracleEntityRef:
-    doc_id: str
-    entity_id: str
-    label: str
-    start: int
-    end: int
-    surface: str
-
-    @classmethod
-    def of(cls, doc_id: str, ent: Entity) -> "OracleEntityRef":
-        return cls(doc_id, ent.id, ent.label.base, ent.start, ent.end, ent.surface)
-
-    def sort_key(self) -> tuple:
-        return (self.doc_id, self.start, self.end, self.label, self.entity_id)
+def _oracle_listing_key(listed) -> tuple:
+    doc_id, entity = listed
+    return (doc_id, entity.start, entity.end, entity.label.base, entity.id)
 
 
 def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
@@ -216,8 +210,8 @@ def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
 
     pred_by_id = {d.doc_id: d for d in pred_corpus.documents}
     counts: dict[str, Counter] = defaultdict(Counter)
-    missed: list[OracleEntityRef] = []
-    spurious: list[OracleEntityRef] = []
+    missed: list[tuple[str, Entity]] = []
+    spurious: list[tuple[str, Entity]] = []
 
     for gold_doc in sorted(gold_corpus.documents, key=lambda d: d.doc_id):
         pred_doc = pred_by_id[gold_doc.doc_id]
@@ -230,11 +224,11 @@ def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
         for g in gold_doc.entities:
             if g not in matched_gold:
                 counts[g.label.base]["fn"] += 1
-                missed.append(OracleEntityRef.of(gold_doc.doc_id, g))
+                missed.append((gold_doc.doc_id, g))
         for p in pred_doc.entities:
             if p not in matched_pred:
                 counts[p.label.base]["fp"] += 1
-                spurious.append(OracleEntityRef.of(gold_doc.doc_id, p))
+                spurious.append((gold_doc.doc_id, p))
 
     flt = tuple(sorted(set(label_filter))) if label_filter else None
     if flt:
@@ -248,9 +242,30 @@ def oracle_score(gold_corpus, pred_corpus, mode, label_filter=None,
         mode=mode,
         per_label=per_label,
         label_filter=flt,
-        missed=tuple(sorted(missed, key=OracleEntityRef.sort_key)),
-        spurious=tuple(sorted(spurious, key=OracleEntityRef.sort_key)),
+        missed=tuple(sorted(missed, key=_oracle_listing_key)),
+        spurious=tuple(sorted(spurious, key=_oracle_listing_key)),
     )
+
+
+def oracle_match_report_from_json_dict(data) -> MatchReport:
+    """``MatchReport.from_json_dict`` as it was: the report of a checked
+    ``report`` object, its scores computed again from the counts."""
+    per_label = {
+        k: LabelScore.from_counts(v["tp"], v["fp"], v["fn"])
+        for k, v in data["per_label"].items()
+    }
+    flt = tuple(data["label_filter"]) if data.get("label_filter") else None
+    return MatchReport(mode=MatchMode(data["mode"]), per_label=per_label, label_filter=flt)
+
+
+def oracle_run_result_from_file(path) -> RunResult:
+    """``experiment.run_result_from_file`` as it was: one walk to check the
+    file, then ``RunResult.from_json_dict``, a second walk that builds it."""
+    data = read_json(path, MalformedResult)
+    _check_run_result(data, path)
+    return RunResult(split_id=data["split_id"], seed_model=data["seed_model"],
+                     report=oracle_match_report_from_json_dict(data["report"]),
+                     meta=data.get("meta", {}))
 
 
 def _oracle_micro(per_label, label_filter) -> LabelScore:

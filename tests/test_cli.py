@@ -477,6 +477,32 @@ def test_report_cli(tmp_path, capsys):
     assert "Tool,70.0 ±10.0,70.0 ±10.0,70.0 ±10.0" in out
 
 
+def test_a_run_result_file_named_twice_is_a_usage_error(tmp_path, capsys):
+    results = tmp_path / "runs"
+    results.mkdir()
+    for i, tp in enumerate((60, 80)):
+        (results / f"run{i}.json").write_text(json.dumps(
+            {"split_id": i, "seed_model": 1,
+             "report": {"mode": "relaxed",
+                        "per_label": {"Tool": {"tp": tp, "fp": 100 - tp, "fn": 100 - tp}}}}),
+            encoding="utf-8")
+    assert main(["report", "--results", str(results)]) == 0
+    assert "Overall   70.0 ±14.1" in capsys.readouterr().out
+    run0, alias = results / "run0.json", tmp_path / "alias.json"
+    alias.symlink_to(run0)
+    for named, again in (([results, run0], ""), ([results, results], ""),
+                         ([run0, alias], f", again as {alias}")):
+        assert main(["report", "--results", *map(str, named)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: --results names {run0} more than once{again}\n"
+        assert captured.out == ""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"results": [str(results), str(run0)]}), encoding="utf-8")
+    assert main(["report", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {config}: --results names {run0} more than once\n")
+
+
 def test_report_quotes_a_label_that_holds_a_separator(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
@@ -671,6 +697,38 @@ def test_a_missing_corpus_directory_flag_is_reported_as_a_flag(gold_dir, tmp_pat
             assert main(argv + extra) == 1
             assert capsys.readouterr().err == \
                 f"error: corpus directory not found: {missing}\n"
+
+
+@pytest.mark.parametrize("argv, key, name", [
+    (["silver", "--corpus", "@corpus"], "predictions", "d1.ann"),
+    (["report"], "results", "x.json"),
+    (["fuse"], "source", "d1.txt"),
+])
+def test_a_file_missing_inside_a_directory_from_the_config_does_not_name_the_config(
+        tmp_path, capsys, argv, key, name):
+    corpus_dir = tmp_path / "c"
+    write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
+    # A dangling symlink inside a directory that exists.
+    directory = tmp_path / "in"
+    if key == "source":
+        write_corpus_dir(Corpus("in", (doc_of("d1", "aligned with BWA"),)), directory)
+        (directory / name).unlink()
+    else:
+        directory.mkdir()
+    dangling = directory / name
+    dangling.symlink_to(tmp_path / "gone")
+    argv = [str(corpus_dir) if a == "@corpus" else a for a in argv]
+    argv += ["--out", str(tmp_path / "o")]
+    value = f"{directory}:gold" if key == "source" else str(directory)
+    expected = f"error: [Errno 2] No such file or directory: {str(dangling)!r}\n"
+    assert main(argv + [f"--{key}", value]) == 1
+    assert capsys.readouterr().err == expected
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value if key == "predictions" else [value]}),
+                      encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_source_flag_replaces_the_sources_of_the_config(gold_dir, tmp_path, capsys):

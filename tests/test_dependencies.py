@@ -106,19 +106,26 @@ def _module_names(tree):
 def _unread_names(paths, wanted):
     """``module.name`` for each name of ``paths`` (see :func:`_module_names`)
     that ``wanted`` selects and that no module of ``paths`` reads, as a name or
-    as an attribute.  An import is no read, so a re-export in ``__init__`` is
-    none."""
+    as an attribute.  A read ``C.m`` or ``module.C.m``, where ``C`` is a class
+    of ``paths``, reads the method ``C.m`` only; any other attribute read
+    ``.m`` reads the method ``m`` of every class.  An import is no read, so a
+    re-export in ``__init__`` is none."""
     trees = {path: ast.parse(path.read_text("utf-8"), str(path)) for path in paths}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                owner = node.value
+                owner = (owner.id if isinstance(owner, ast.Name)
+                         else owner.attr if isinstance(owner, ast.Attribute) else None)
+                read.add(f"{owner}.{node.attr}" if owner in classes else node.attr)
     return sorted(f"{path.stem}.{name}" for path, tree in trees.items()
                   for name in _module_names(tree)
-                  if wanted(name) and name.rpartition(".")[2] not in read)
+                  if wanted(name) and not {name, name.rpartition(".")[2]} & read)
 
 
 def _unread_private_names(paths):
@@ -153,6 +160,7 @@ UNREAD_PUBLIC_NAMES = {
     "stats.tokenize": "traced by benchmarks/spans.py",
     "schema.SOFTCITE_QUALIFIERS": "read by benchmarks/test_bench_workloads.py",
     "schema.SchemaDef.category_members": "kept for the per-category report rows (ROADMAP)",
+    "experiment.SplitManifest.from_json_dict": "first reader: `eval --split` (ROADMAP item 2)",
 }
 
 
@@ -168,9 +176,13 @@ def test_the_public_name_walk_finds_a_name_without_a_reader(tmp_path):
                  "def dead():\n    return used()\nclass Gone:\n    pass\n"
                  "class Kept:\n    def read(self):\n        pass\n"
                  "    def unread(self):\n        pass\n    def _private(self):\n        pass\n"
+                 "class A:\n    def load(self):\n        pass\n"
+                 "class B:\n    def load(self):\n        pass\n"
                  "def seen_by_b():\n    return Kept().read()\n", encoding="utf-8")
-    b.write_text("import a\na.seen_by_b()\n", encoding="utf-8")
-    assert _unread_public_names([init, a, b]) == ["a.Gone", "a.Kept.unread", "a.Y", "a.dead"]
+    b.write_text("import a\nfrom a import A\na.seen_by_b()\nA.load(a.B())\na.A.load(None)\n",
+                 encoding="utf-8")
+    assert _unread_public_names([init, a, b]) == ["a.B.load", "a.Gone", "a.Kept.unread",
+                                                  "a.Y", "a.dead"]
 
 
 _REFERENCE = re.compile(r":(class|func|meth|attr|mod):`([^`]+)`")

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowner.corpus_io import atomic_write_json
 from flowner.evaluation import LabelScore, MatchMode, MatchReport
 from flowner.experiment import (CorpusTooSmall, EmptyResults, MixedModes,
                                 RunResult, SplitManifest, SplitRng, _splitmix64,
                                 aggregate, make_splits, render_table,
-                                split_sizes)
+                                run_result_from_file, split_sizes)
 from flowner.model import Corpus, Document
-from oracles import oracle_aggregate
+from oracles import oracle_aggregate, oracle_run_result_from_file
 
 
 def test_splitmix64_reference_vector():
@@ -213,6 +214,35 @@ def test_aggregate_equals_the_oracle_and_ignores_run_order(runs, label_filter, p
     for layout in ("text", "markdown", "csv"):
         assert (render_table(aggregate(shuffled, label_filter, per_split), layout)
                 == render_table(table, layout))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+# ``meta`` None is a file without the key; ``label_filter`` is written as drawn.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.integers(), st.sampled_from(MatchMode),
+       st.dictionaries(st.sampled_from(_LABELS), _counts),
+       st.none() | st.just([]) | st.lists(st.sampled_from(_LABELS + ("Other",)), min_size=1),
+       st.none() | st.dictionaries(st.text(max_size=4), _json_values, max_size=3))
+def test_a_run_result_file_reads_in_one_walk_as_the_two_walk_oracle_reads_it(
+        tmp_path_factory, split_id, seed_model, mode, counts, label_filter, meta):
+    report = _report(mode, counts)._replace(
+        label_filter=tuple(label_filter) if label_filter else None)
+    data = RunResult(split_id, seed_model, report, meta).to_json_dict()
+    data["report"]["label_filter"] = label_filter
+    if meta is None:
+        del data["meta"]
+    path = tmp_path_factory.getbasetemp() / "run.json"
+    atomic_write_json(path, data)
+    got = run_result_from_file(path)
+    assert got == oracle_run_result_from_file(path)
+    assert got == RunResult(split_id, seed_model, report, meta)
 
 
 def test_render_one_decimal_plus_minus():

@@ -177,9 +177,8 @@ def test_records_are_immutable_values():
 
 
 def test_the_records_are_namedtuples_that_add_no_field_boilerplate():
-    from flowner.evaluation import EntityRef
     from flowner.gazetteer import VocabEntry
-    for cls in (Span, EntityLabel, Entity, EntityRef, VocabEntry):
+    for cls in (Span, EntityLabel, Entity, VocabEntry):
         assert cls.__bases__[0].__bases__ == (tuple,) and cls.__slots__ == ()
         own = vars(cls)
         assert not {"__repr__", "__match_args__", *cls._fields} & own.keys(), cls
