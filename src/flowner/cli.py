@@ -12,13 +12,14 @@ subcommand writes byte-identical outputs.
 A JSON file passed via ``--config PATH`` or ``--config=PATH`` supplies
 defaults for any long flag (keys are flag destinations, e.g.
 ``{"focus": "Tool,Biblio"}``); flags given on the command line win, and a
-key that no subcommand accepts is a usage error.  A value gets the check
-its flag gets on the command line: one of the flag's choices, ``true`` or
-``false`` for a switch, an integer for a numeric flag, a list of strings
-for a repeatable flag (``--source``, ``--results``) and a string for any
-other (``--focus`` also takes a list of labels).  An error about a value the
-config file supplied (a ``--focus`` label, an input file or corpus directory
-missing at the path it gave) names the file.
+key that no subcommand accepts is a usage error
+(:func:`corpus_io.check_fields`).  A value gets the check its flag gets on
+the command line: one of the flag's choices, ``true`` or ``false`` for a
+switch, an integer for a numeric flag, a list of strings for a repeatable
+flag (``--source``, and ``--results``, which needs at least one) and a
+string for any other (``--focus`` also takes a list of labels).  An error
+about a value the config file supplied (a ``--focus`` label, an input file
+or corpus directory missing at the path it gave) names the file.
 """
 
 from __future__ import annotations
@@ -450,8 +451,9 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
             number = None
         return None if type(number) is int else "takes an integer"
     if isinstance(action, argparse._AppendAction) or action.nargs == "+":
-        return None if isinstance(value, list) and all(
-            isinstance(v, str) for v in value) else "takes a list of strings"
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            return "takes a list of strings"
+        return "takes at least one string" if action.nargs == "+" and not value else None
     if action.type is None and action.nargs is None and action.dest != "focus":
         return None if isinstance(value, str) else "takes a string"
     return None
@@ -460,14 +462,10 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
 def _apply_config(path, registry: dict[str, argparse.ArgumentParser], command: str) -> None:
     """Set the config file's values as flag defaults, each checked against
     the flag of the subcommand ``command`` (its registry name)."""
-    config = corpus_io.read_json(path, UsageError)
-    if not isinstance(config, dict):
-        raise UsageError("--config must contain a JSON object", path)
     valid = {a.dest for sub in registry.values() for a in sub._actions
              if a.option_strings} - {"help", "config"}
-    unknown = sorted(config.keys() - valid)
-    if unknown:
-        raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    config = corpus_io.check_fields(corpus_io.read_json(path, UsageError), UsageError, path,
+                                    None, optional=sorted(valid))
     for action in registry[command]._actions:
         if action.dest in config:
             value = config[action.dest]

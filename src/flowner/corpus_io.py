@@ -16,6 +16,10 @@ non-ASCII characters as unescaped UTF-8, keys in insertion order.  The
 gazetteer file is the one artifact built from a row template instead, for
 speed at tens of thousands of names; ``Gazetteer.to_json_text`` writes it,
 byte-identical to :func:`dumps_json` of the same data.
+
+Every JSON record that a reader takes has its keys checked by
+:func:`check_fields`, for one of three reasons: ``expected a JSON object``,
+``missing field(s) a, b`` or ``unknown field(s) x, y (expected a, b, c)``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .model import Corpus, Document, InputError
 from .standoff import StandoffParseError, parse_standoff, serialize_standoff
@@ -103,6 +107,25 @@ def read_json(path, error: type[InputError]):
                     f"column {exc.colno}", path) from None
 
 
+def check_fields(obj, error: type[InputError], path, where,
+                 required: Sequence[str] = (), optional: Sequence[str] = ()):
+    """``obj`` if it is a JSON object with every ``required`` key and none
+    outside ``required`` and ``optional``, else ``error(reason, path, where)``
+    at the record ``where`` (None: the top level), missing and expected keys
+    listed in declared order, unknown keys sorted."""
+    if type(obj) is not dict:
+        raise error("expected a JSON object", path, where)
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error(f"missing field(s) {', '.join(missing)}", path, where)
+    expected = (*required, *optional)
+    unknown = sorted(obj.keys() - set(expected))
+    if unknown:
+        raise error(f"unknown field(s) {', '.join(unknown)} (expected {', '.join(expected)})",
+                    path, where)
+    return obj
+
+
 def _stem(path: str) -> str:
     """``Path(path).stem``: the file name less its last suffix, where a
     leading dot does not start a suffix (``.txt`` is its own stem)."""
@@ -137,8 +160,9 @@ def load_document(txt_path, ann_path=None,
     """Parse one document; with no file at ``ann_path`` it has no
     annotations.  A ``StandoffParseError`` is located by the path and line
     of the file at fault: a byte that is not UTF-8 in either file, a bad
-    line of the ``.ann``, or an ``.ann`` with no ``txt_path`` (None).  The
-    document's doc_id is the file stem."""
+    line of the ``.ann``, an ``.ann`` with no ``txt_path`` (None), or an
+    ``.ann`` that is a dangling symbolic link.  The document's doc_id is
+    the file stem."""
     if txt_path is None:
         raise StandoffParseError("annotations without a text: no .txt file names this .ann",
                                  ann_path)
@@ -148,7 +172,8 @@ def load_document(txt_path, ann_path=None,
         try:
             ann = _read_text(ann_path, StandoffParseError)
         except FileNotFoundError:
-            pass
+            if os.path.lexists(ann_path):
+                raise StandoffParseError("dangling symbolic link", ann_path) from None
     try:
         return parse_standoff(ann, text, _stem(os.fspath(txt_path)), qualifiers=qualifiers)
     except StandoffParseError as exc:

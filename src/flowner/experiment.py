@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import read_json
+from .corpus_io import check_fields, read_json
 from .evaluation import LabelScore, MatchMode, MatchReport, _aligned, _micro
 from .model import Corpus, InputError
 
@@ -166,24 +166,12 @@ def _expect(ok: bool, what: str, value, path, where) -> None:
         raise MalformedResult(f"must be {what}, got {value!r}", path, where)
 
 
-def _check_fields(obj, path, where, required: Sequence[str], optional: Sequence[str]) -> None:
-    """A :class:`MalformedResult` at ``where`` unless ``obj`` is a JSON object
-    with every ``required`` key and no key outside ``required`` and ``optional``."""
-    _expect(type(obj) is dict, "a JSON object", obj, path, where)
-    for key in required:
-        if key not in obj:
-            raise MalformedResult(f"missing field {key!r}", path, where)
-    unknown = sorted(obj.keys() - {*required, *optional})
-    if unknown:
-        raise MalformedResult(f"unknown field(s) {', '.join(unknown)}", path, where)
-
-
 def _check_counts(row, path, where: str, pooled: Optional[LabelScore]) -> LabelScore:
     """The score of the counts row ``row`` at key ``where``: a
     :class:`MalformedResult` unless its counts are non-negative integers (not
     booleans), equal to those of ``pooled`` if given, and each p/r/f1 it
     holds is a number within 1e-9 of the one its counts give."""
-    _check_fields(row, path, where, ("tp", "fp", "fn"), ("p", "r", "f1"))
+    check_fields(row, MalformedResult, path, where, ("tp", "fp", "fn"), ("p", "r", "f1"))
     for key in ("tp", "fp", "fn"):
         _expect(type(row[key]) is int and row[key] >= 0, "a non-negative integer",
                 row[key], path, f"{where}.{key}")
@@ -206,16 +194,17 @@ def _check_run_result(data, path) -> RunResult:
     checks it: a :class:`MalformedResult` naming ``path`` and the dotted key
     at fault unless ``data`` has the shape :meth:`RunResult.to_json_dict`
     writes (``meta`` may be absent) and each stored p/r/f1 and overall count
-    agrees with the per-label counts (see :func:`_check_counts`)."""
-    if type(data) is not dict:
-        raise MalformedResult("not a run result: expected a JSON object", path)
-    _check_fields(data, path, None, ("split_id", "seed_model", "report"), ("meta",))
+    agrees with the per-label counts (see :func:`_check_counts`); each
+    record's keys are checked by :func:`corpus_io.check_fields`."""
+    check_fields(data, MalformedResult, path, None, ("split_id", "seed_model", "report"),
+                 ("meta",))
     for key in ("split_id", "seed_model"):
         _expect(type(data[key]) is int, "an integer", data[key], path, key)
     meta = data.get("meta", {})
     _expect(type(meta) is dict, "a JSON object", meta, path, "meta")
     report = data["report"]
-    _check_fields(report, path, "report", ("mode", "per_label"), ("overall", "label_filter"))
+    check_fields(report, MalformedResult, path, "report", ("mode", "per_label"),
+                 ("overall", "label_filter"))
     modes = [m.value for m in MatchMode]
     _expect(report["mode"] in modes, f"one of {', '.join(modes)}", report["mode"], path,
             "report.mode")

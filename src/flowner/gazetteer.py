@@ -213,18 +213,15 @@ class Gazetteer(namedtuple("Gazetteer", "entries normalization")):
         return ",\n".join(rows)
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, path=None) -> "Gazetteer":
+    def from_json_dict(cls, data: dict, path=None) -> "Gazetteer":
         """Read :meth:`to_json_dict` output; a :class:`MalformedDump` names
-        ``path`` and the index of the entry at fault (a repeated key
-        among them), or the top-level key that is neither ``entries`` nor
-        ``normalization``.  Entries with equal ``sources`` lists share one
-        frozenset."""
-        if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
+        ``path`` and, for an entry at fault (a repeated key among them), its
+        index.  The top level is checked by :func:`corpus_io.check_fields`:
+        ``entries`` is required and ``normalization`` optional.  Entries
+        with equal ``sources`` lists share one frozenset."""
+        corpus_io.check_fields(data, MalformedDump, path, None, ("entries",), ("normalization",))
+        if not isinstance(data["entries"], list):
             raise MalformedDump("expected a JSON object with an 'entries' list", path)
-        unknown = sorted(data.keys() - {"entries", "normalization"})
-        if unknown:
-            raise MalformedDump(f"unknown key(s) {', '.join(unknown)} (expected entries, "
-                                "normalization)", path)
         normalization = data.get("normalization", {})
         if not isinstance(normalization, Mapping):
             raise MalformedDump("'normalization' must be a JSON object", path)

@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import read_json
+from .corpus_io import check_fields, read_json
 from .model import Corpus, Document, Entity, EntityLabel, InputError, Provenance
 from .standoff import attribute_values
 
@@ -192,17 +192,10 @@ def convert_corpus(corpus: Corpus, table: MappingTable, strict: bool = False,
             ConversionReport(mapped, dropped, unknown, warnings))
 
 
-_ROW_KEYS = frozenset({"source", "attribute", "target", "qualifier"})
-
-
 def _rule_of(row) -> MappingRule:
-    if not isinstance(row, Mapping):
-        raise MalformedTable("expected a JSON object")
-    unknown = sorted(row.keys() - _ROW_KEYS)
-    if unknown:
-        raise MalformedTable(f"unknown key(s) {', '.join(unknown)} (expected "
-                             "source, attribute, target, qualifier)")
-    if not isinstance(row.get("source"), str):
+    check_fields(row, MalformedTable, None, None, ("source",),
+                 ("attribute", "target", "qualifier"))
+    if not isinstance(row["source"], str):
         raise MalformedTable("'source' must be a string")
     for key in ("attribute", "target", "qualifier"):
         if not isinstance(row.get(key), (str, type(None))):
@@ -217,9 +210,10 @@ def _rule_of(row) -> MappingRule:
     return MappingRule(source=row["source"], attribute=row.get("attribute"), target=target)
 
 
-def load_mapping_table(rows: Sequence[Mapping], path=None) -> MappingTable:
-    """Build a table from JSON rows {source, attribute, target, qualifier};
-    every fault raises :class:`MalformedTable` naming ``path`` and the row."""
+def load_mapping_table(rows: Sequence[dict], path=None) -> MappingTable:
+    """Build a table from JSON objects {source[, attribute, target,
+    qualifier]}; every fault raises :class:`MalformedTable` naming ``path``
+    and the row."""
     if not isinstance(rows, (list, tuple)):
         raise MalformedTable("expected a JSON array of rows", path)
     rules = []

@@ -39,7 +39,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .corpus_io import _read_text, read_json
+from .corpus_io import _read_text, check_fields, read_json
 from .gazetteer import Gazetteer
 from .model import (Corpus, Document, Entity, EntityLabel, InputError, Provenance,
                     Span, validate_document)
@@ -48,7 +48,8 @@ from .standoff import StandoffParseError, parse_standoff
 
 
 class MalformedRules(InputError):
-    """A rule set that cannot be used, located by rules file and key."""
+    """A rule set that cannot be used, located by rules file and, for a
+    field's value, by its key."""
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
@@ -96,15 +97,12 @@ class RuleSet(namedtuple("RuleSet", "version_patterns biblio_patterns fixed_list
         return tuple.__new__(cls, (*checked, fixed_lists))
 
 
-def ruleset_from_json(data: Mapping, path) -> RuleSet:
-    """Build a rule set from parsed JSON; every fault names ``path`` and its key."""
+def ruleset_from_json(data: dict, path) -> RuleSet:
+    """Build a rule set from parsed JSON, a JSON object whose keys are
+    :class:`RuleSet` fields (:func:`corpus_io.check_fields`); every fault
+    names ``path``, and a fault of a field's value names its key."""
+    check_fields(data, MalformedRules, path, None, optional=RuleSet._fields)
     try:
-        if not isinstance(data, Mapping):
-            raise MalformedRules("expected a JSON object")
-        unknown = sorted(data.keys() - set(RuleSet._fields))
-        if unknown:
-            raise MalformedRules(f"unknown key (expected one of {', '.join(RuleSet._fields)})",
-                                 where=unknown[0])
         return RuleSet(**data)
     except MalformedRules as exc:
         raise MalformedRules(exc.reason, path, exc.where) from None
@@ -270,20 +268,12 @@ class MalformedPrediction(InputError):
 
 
 _JSONL_REQUIRED = ("doc_id", "label", "start", "end", "surface")
-_JSONL_FIELDS = frozenset(_JSONL_REQUIRED + ("qualifier",))
 _LABEL_TOKEN = re.compile(r"\S+").fullmatch
 
 
-def _jsonl_fault(rec) -> Optional[str]:
-    """Why a parsed JSONL line is not a prediction record, or None."""
-    if not isinstance(rec, dict):
-        return "record is not a JSON object"
-    missing = [k for k in _JSONL_REQUIRED if k not in rec]
-    if missing:
-        return f"missing field(s) {', '.join(missing)}"
-    unknown = sorted(rec.keys() - _JSONL_FIELDS)
-    if unknown:
-        return f"unknown field(s) {', '.join(unknown)}"
+def _jsonl_fault(rec: dict) -> Optional[str]:
+    """Why the values of a JSONL record with the right fields do not make a
+    prediction, or None."""
     for key in ("doc_id", "label", "surface"):
         if type(rec[key]) is not str:
             return f"{key!r} must be a string, got {rec[key]!r}"
@@ -324,8 +314,9 @@ def read_predictions(path, corpus: Corpus) -> Corpus:
     or a document without a prediction is a :class:`MalformedPrediction`.
 
     An ``.ann`` is parsed against its document's text, errors located by
-    the file, and keeps its non-entity lines.  A JSONL record is {doc_id,
-    label, start, end, surface[, qualifier]}, start/end integers or
+    the file, and keeps its non-entity lines.  A JSONL record is a JSON
+    object {doc_id, label, start, end, surface[, qualifier]}, its fields
+    checked by :func:`corpus_io.check_fields`, start/end integers or
     equal-length arrays of them; the label is one token and the qualifier
     one the workflow schema registers for it, so the written corpus reads
     back.  A faulty record is a :class:`MalformedPrediction` at its line;
@@ -364,6 +355,8 @@ def _read_jsonl(path: Path, corpus: Corpus) -> list[Document]:
             except json.JSONDecodeError as exc:
                 raise MalformedPrediction(f"invalid JSON: {exc.msg} at column {exc.colno}",
                                           path, line_no) from None
+            check_fields(rec, MalformedPrediction, path, line_no, _JSONL_REQUIRED,
+                         ("qualifier",))
             fault = _jsonl_fault(rec)
             if fault is not None:
                 raise MalformedPrediction(fault, path, line_no)

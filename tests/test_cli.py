@@ -800,6 +800,8 @@ def test_a_focus_label_from_a_corpus_or_result_outside_the_schema_is_known(tmp_p
      "config key 'source' in {} takes a list of strings, got ['g', 5]"),
     (["report"], {"results": "runs"},
      "config key 'results' in {} takes a list of strings, got 'runs'"),
+    (["report"], {"results": []},
+     "config key 'results' in {} takes at least one string, got []"),
     (["split"], {"n": "x"}, "config key 'n' in {} takes an integer, got 'x'"),
     (["split"], {"ratios": "x"}, "{}: --ratios takes two comma-separated fractions, got 'x'"),
     (["split"], {"ratios": "0.6,0.2,0.2"},
@@ -840,7 +842,8 @@ def test_a_config_before_a_gazetteer_subcommand_is_a_usage_error(tmp_path, capsy
     assert exc.value.code == 2 and not out.exists()
     code = main(["gazetteer", "build", "--config", str(path)] + argv)
     if "bogus" in config:
-        assert code == 2 and "unknown config key(s)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2 and f"usage error: {path}: unknown field(s) bogus (expected " in err
     else:
         assert code == 0 and "gazetteer: 1 entries" in capsys.readouterr().out
 
@@ -880,8 +883,13 @@ def test_unknown_config_keys_exit_two(gold_dir, tmp_path, capsys):
                                   "outt": "x"}), encoding="utf-8")
     assert main(["stats", "--corpus", str(gold_dir), "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"usage error: unknown config key(s) in {config}: "
-                            "label_filter, outt\n")
+    assert captured.err == (
+        f"usage error: {config}: unknown field(s) label_filter, outt (expected annotator_a, "
+        "annotator_b, bioconda, biocontainers, biotools, bioweb, common_words, corpus, custom, "
+        "diff, focus, for_training, gazetteer, gold, json, keep_common, keep_numeric, layout, "
+        "macro, min_length, mode, n, out, per_split, pred, predictions, prefix_collisions, "
+        "qualifier_sensitive, ratios, report, results, rules, schema, seed, source, "
+        "split_multiword, strict, table)\n")
     assert captured.out == ""
 
 
@@ -900,7 +908,7 @@ def test_fuse_unknown_role_exits_two(tmp_path, capsys):
     ('{"doc_id": "d1", "label": "Tool", "start": 13, "end": 16, "surface": "BWA", '
      '"qualifer": "General"}', "unknown field(s) qualifer"),
     ('{"doc_id": "d1", "label": "Tool", "start": 13,', "invalid JSON"),
-    ('["d1", "Tool", 13, 16, "BWA"]', "not a JSON object"),
+    ('["d1", "Tool", 13, 16, "BWA"]', "expected a JSON object"),
     ('{"doc_id": "d1", "label": "Tool", "start": 16, "end": 13, "surface": "BWA"}',
      "span must be non-empty"),
     ('{"doc_id": "d1", "label": "Tool", "start": true, "end": 3, "surface": "ali"}',
@@ -964,7 +972,8 @@ def test_a_jsonl_prediction_that_does_not_fit_its_text_names_its_line(
 
 
 @pytest.mark.parametrize("rules, key, reason", [
-    ('{"version_pattern": ["v[0-9]+"]}', "version_pattern", "unknown key"),
+    ('{"version_pattern": ["v[0-9]+"]}', None, "unknown field(s) version_pattern "
+     "(expected version_patterns, biblio_patterns, fixed_lists)"),
     ('{"fixed_lists": {"ProgrammingLanguage": "Python"}}',
      "fixed_lists.ProgrammingLanguage", "expected a list of strings"),
     ('{"biblio_patterns": ["[0-9"]}', "biblio_patterns[0]", "invalid regex"),
@@ -1015,7 +1024,7 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
 
 @pytest.mark.parametrize("flag, content, reason", [
     ("--gazetteer", '{"entries": [', "invalid JSON"),
-    ("--gazetteer", "[]", "expected a JSON object with an 'entries' list"),
+    ("--gazetteer", "[]", "expected a JSON object"),
     ("--gazetteer", '{"entries": [{"canonical": "BWA", "kind": "tool_name", '
                     '"sources": []}]}', "record 0: entry must be an object"),
     ("--gazetteer", '{"entries": [{"key": "bwa", "canonical": "BWA", "kind": "tool_name", '
@@ -1024,25 +1033,31 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
      "record 1: duplicate key 'bwa'"),
     ("--gazetteer", '{"normalization": 5, "entries": []}',
      "'normalization' must be a JSON object"),
+    ("--gazetteer", '{"entries": [], "normalisation": {}}',
+     "unknown field(s) normalisation (expected entries, normalization)"),
     ("--gazetteer", _LINE_BREAK_GAZETTEER, "record 1: line break in 'canonical'"),
     ("gazetteer export --gazetteer", _LINE_BREAK_GAZETTEER.replace(r"\n", r"\r"),
      "record 1: line break in 'canonical'"),
     ("--table", '[{"source": ', "invalid JSON"),
     ("--table", '{"source": "software"}', "expected a JSON array of rows"),
-    ("--table", '[{"target": "Tool"}]', "row 0: 'source' must be a string"),
+    ("--table", '[{"target": "Tool"}]', "row 0: missing field(s) source"),
+    ("--table", '[{"source": "software"}, {"source": "url", "targt": "Tool"}]',
+     "row 1: unknown field(s) targt (expected source, attribute, target, qualifier)"),
     ("--table", '[{"source": "software", "target": "Toool"}]',
      "row 0: target Toool is not a label of the workflow schema"),
     ("--table", '[{"source": "software", "target": "Tool", "qualifier": "Nope"}]',
      "row 0: target Tool(Nope) is not a label"),
     ("--results", '{"split_id": ', "invalid JSON"),
-    ("--results", "[]", "not a run result"),
+    ("--results", "[]", "expected a JSON object"),
+    ("--results", _run_result(split=0, notes="x"),
+     "unknown field(s) notes, split (expected split_id, seed_model, report, meta)"),
     ("--results", '{"split_id": 0, "seed_model": 1, "report": {"mode": "strict"}}',
-     "missing field 'per_label'"),
+     "report: missing field(s) per_label"),
     ("--results", _run_result(split_id=[0]), "split_id: must be an integer, got [0]"),
     ("--results", _run_result(seed_model=True), "seed_model: must be an integer, got True"),
     ("--results", _run_result(meta=[]), "meta: must be a JSON object, got []"),
     ("--results", '{"split_id": 0, "seed_model": 1, "report": []}',
-     "report: must be a JSON object, got []"),
+     "report: expected a JSON object"),
     ("--results", _run_result({"mode": "loose"}),
      "report.mode: must be one of strict, relaxed, got 'loose'"),
     ("--results", _run_result({"label_filter": "Tool"}),
@@ -1056,7 +1071,7 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
     ("--results", _run_result(_counts(fn=True)),
      "report.per_label.Tool.fn: must be a non-negative integer, got True"),
     ("--results", _run_result({"overall": {"tp": 1, "fp": 0}}),
-     "report.overall: missing field 'fn'"),
+     "report.overall: missing field(s) fn"),
     ("--results", _run_result(_counts(p="x", f1=7)),
      "report.per_label.Tool.p: must be a number, got 'x'"),
     ("--results", _run_result(_counts(r=True)),
@@ -1075,8 +1090,9 @@ _LINE_BREAK_GAZETTEER = ('{"entries": [{"key": "bwa", "canonical": "BWA", "kind"
      "report.overall.tp: must be 0, the per-label sum (over label_filter, if set), got 1"),
     ("--results", _run_result({"overall": {"tp": 1, "fp": 0, "fn": 0, "f1": 0.5}}),
      "report.overall.f1: must be 1.0, as tp/fp/fn give, got 0.5"),
+    ("--rules", "[]", "expected a JSON object"),
     ("--config", '{"out": ', "invalid JSON"),
-    ("--config", "[]", "--config must contain a JSON object"),
+    ("--config", "[]", "expected a JSON object"),
     ("gazetteer build --biotools", '[{"name": ', "payload is not valid JSON"),
     ("gazetteer build --biotools", '{"name": "BWA"}', "payload must be a JSON array"),
     ("gazetteer build --biotools", '[{"name": "BWA"}, {"label": "x"}]',
@@ -1091,6 +1107,8 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
     write_corpus_dir(Corpus("c", (doc_of("d1", "aligned with BWA"),)), corpus_dir)
     path = tmp_path / "input.json"
     path.write_text(content, encoding="utf-8")
+    gaz_path = tmp_path / "gaz.json"
+    gaz_path.write_text('{"entries": []}', encoding="utf-8")
     out = str(tmp_path / "o")
     argv = {
         "--gazetteer": ["tag", "--corpus", str(corpus_dir), "--gazetteer", str(path),
@@ -1100,6 +1118,8 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
         "--table": ["convert", "--corpus", str(corpus_dir), "--table", str(path),
                     "--out", out],
         "--results": ["report", "--results", str(path), "--out", out],
+        "--rules": ["tag", "--corpus", str(corpus_dir), "--gazetteer", str(gaz_path),
+                    "--rules", str(path), "--out", out],
         "--config": ["stats", "--corpus", str(corpus_dir), "--config", str(path),
                      "--out", out],
         "gazetteer build --biotools": ["gazetteer", "build", "--biotools", str(path),
@@ -1107,7 +1127,7 @@ def test_malformed_json_input_names_its_file(tmp_path, capsys, flag, content, re
     }[flag]
     assert main(argv) == (2 if flag == "--config" else 1)
     err = capsys.readouterr().err
-    assert f"{path}: " in err and reason in err and "Traceback" not in err
+    assert f"{path}: {reason}" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -1209,6 +1229,25 @@ def test_validate_lists_an_ann_without_its_txt_and_checks_the_rest(tmp_path, cap
     assert f"OffsetOutOfRange at {corpus_dir / 'd1.ann'}:1" in captured.out
     assert "2 violation(s) in 1 document(s)" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_an_ann_that_is_a_dangling_link_is_an_error_that_names_it(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "d1.txt").write_text("aligned with BWA", encoding="utf-8")
+    link = corpus_dir / "d1.ann"
+    link.symlink_to(corpus_dir / "gone.ann")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    assert capsys.readouterr().out == (f"StandoffParseError at {link}: dangling symbolic link\n"
+                                       "1 violation(s) in 1 document(s)\n")
+    out = str(tmp_path / "o")
+    for argv in (["stats", "--corpus", str(corpus_dir)],
+                 ["fuse", "--source", f"{corpus_dir}:gold", "--out", out]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {link}: dangling symbolic link\n"
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", ["--table", "--gazetteer", "gazetteer build --biotools",

@@ -4,16 +4,17 @@ import os
 import stat
 import sys
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowner import corpus_io
-from flowner.corpus_io import (atomic_write_json, atomic_write_text, document_paths,
-                               dumps_json, load_corpus_dir, write_corpus_dir)
+from flowner.corpus_io import (atomic_write_json, atomic_write_text, check_fields,
+                               document_paths, dumps_json, load_corpus_dir, write_corpus_dir)
 from flowner.gazetteer import build_gazetteer, ingest
 from flowner.evaluation import MatchMode, score
-from flowner.model import Corpus, Document, Entity, Provenance, _extents_increase
+from flowner.model import Corpus, Document, Entity, InputError, Provenance, _extents_increase
 from flowner.standoff import StandoffParseError
 from oracles import oracle_dumps_json, oracle_gazetteer_json
 from util import doc_of, ent, synthetic_table1_corpus
@@ -46,6 +47,31 @@ def test_an_ann_that_no_txt_names_is_listed_first_without_a_text(tmp_path):
 def test_listing_a_missing_directory_is_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError, match="corpus directory not found"):
         document_paths(tmp_path / "nope")
+
+
+class _Fault(InputError):
+    pass
+
+
+@pytest.mark.parametrize("obj, reason", [
+    ([], "expected a JSON object"),
+    (None, "expected a JSON object"),
+    (MappingProxyType({"b": 1, "c": 2}), "expected a JSON object"),
+    ({"a": 1}, "missing field(s) c, b"),
+    ({}, "missing field(s) c, b"),
+    ({"c": 1, "b": 2, "z": 3, "a": 4, "y": 5}, "unknown field(s) y, z (expected c, b, a)"),
+])
+def test_check_fields_raises_one_reason_at_the_record(obj, reason):
+    with pytest.raises(_Fault) as exc:
+        check_fields(obj, _Fault, "f.json", "row 3", ("c", "b"), ("a",))
+    assert (exc.value.reason, exc.value.path, exc.value.where) == (reason, "f.json", "row 3")
+
+
+def test_check_fields_returns_the_object_itself():
+    obj = {"c": [], "b": None}
+    assert check_fields(obj, _Fault, None, None, ("c", "b"), ("a",)) is obj
+    assert check_fields({}, _Fault, None, None) == {}
+    assert check_fields({"a": 1}, _Fault, None, None, optional=("a",)) == {"a": 1}
 
 
 def test_dot_file_documents_load_with_their_stems(tmp_path):

@@ -185,6 +185,44 @@ def test_the_public_name_walk_finds_a_name_without_a_reader(tmp_path):
                                                   "a.Y", "a.dead"]
 
 
+def _key_differences(paths):
+    """``module.name`` for each ``….keys() - …`` set difference in
+    ``paths``, ``name`` being the dotted path of its innermost enclosing
+    function or class, and absent at the top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub) and \
+                    isinstance(child.left, ast.Call) and \
+                    isinstance(child.left.func, ast.Attribute) and child.left.func.attr == "keys":
+                found.append(where)
+            visit(child, where)
+
+    for path in paths:
+        visit(ast.parse(path.read_text("utf-8"), str(path)), path.stem)
+    return sorted(found)
+
+
+# The key policy of every JSON record lives in one place.
+def test_check_fields_holds_the_one_key_difference_of_the_package():
+    assert _key_differences(SOURCES) == ["corpus_io.check_fields"]
+
+
+def test_the_key_difference_walk_finds_each_one(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("TOP = {}.keys() - {'x'}\n"
+                 "def f(d):\n    return sorted(d.keys() - {'a'})\n"
+                 "class C:\n    def m(self, d):\n"
+                 "        return [k for k in (d.keys() - set()) - {'b'}]\n"
+                 "def g(d):\n    return set(d) - {'a'}, d.keys() & {'a'}, d.values() - 1, "
+                 "len(d) - 1, {'a'} - d.keys()\n", encoding="utf-8")
+    assert _key_differences([a]) == ["a", "a.C.m", "a.f"]
+
+
 _REFERENCE = re.compile(r":(class|func|meth|attr|mod):`([^`]+)`")
 _MISSING = object()
 
