@@ -13,8 +13,8 @@ from .schema import (BIOTOFLOW, SOFTCITE_QUALIFIERS, ConversionReport,
 from .evaluation import (DocSetMismatch, LabelScore, MatchMode, MatchReport,
                          macro_average, match_document, score)
 from .experiment import (AggregateTable, CorpusTooSmall, EmptyResults,
-                         MalformedResult, MixedModes, RunResult, SplitManifest,
-                         aggregate, make_splits, render_table, split_sizes)
+                         MalformedManifest, MalformedResult, MixedModes, RunResult,
+                         SplitManifest, aggregate, make_splits, render_table, split_sizes)
 from .gazetteer import (Gazetteer, MalformedDump, VocabEntry, build_gazetteer,
                         export_vocab, ingest, vocab_lines)
 from .tagger import (DuplicateDocId, MalformedPrediction, MalformedRules, RuleSet,

@@ -154,26 +154,37 @@ def document_paths(path) -> list[tuple[Optional[str], str]]:
         [(os.path.join(root, txt), os.path.join(root, ann)) for txt, ann in sorted(anns.items())]
 
 
+def _read_document_file(path) -> str:
+    """:func:`_read_text` of a document's file; a dangling symbolic link at
+    ``path`` is a ``StandoffParseError`` that names it, not a
+    ``FileNotFoundError``."""
+    try:
+        return _read_text(path, StandoffParseError)
+    except FileNotFoundError:
+        if os.path.lexists(path):
+            raise StandoffParseError("dangling symbolic link", path) from None
+        raise
+
+
 def load_document(txt_path, ann_path=None,
                   qualifiers: Optional[Mapping[str, frozenset[str]]] = None,
                   ) -> Document:
     """Parse one document; with no file at ``ann_path`` it has no
     annotations.  A ``StandoffParseError`` is located by the path and line
     of the file at fault: a byte that is not UTF-8 in either file, a bad
-    line of the ``.ann``, an ``.ann`` with no ``txt_path`` (None), or an
-    ``.ann`` that is a dangling symbolic link.  The document's doc_id is
-    the file stem."""
+    line of the ``.ann``, an ``.ann`` with no ``txt_path`` (None), or a
+    ``.txt`` or ``.ann`` that is a dangling symbolic link.  The document's
+    doc_id is the file stem."""
     if txt_path is None:
         raise StandoffParseError("annotations without a text: no .txt file names this .ann",
                                  ann_path)
-    text = _read_text(txt_path, StandoffParseError)
+    text = _read_document_file(txt_path)
     ann = ""
     if ann_path is not None:
         try:
-            ann = _read_text(ann_path, StandoffParseError)
+            ann = _read_document_file(ann_path)
         except FileNotFoundError:
-            if os.path.lexists(ann_path):
-                raise StandoffParseError("dangling symbolic link", ann_path) from None
+            pass
     try:
         return parse_standoff(ann, text, _stem(os.fspath(txt_path)), qualifiers=qualifiers)
     except StandoffParseError as exc:

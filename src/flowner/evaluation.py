@@ -8,11 +8,11 @@ pass, makes the pair count well-defined, order-independent and testable
 against brute force.  Which maximum matching is returned is fixed by two
 steps: compatible pairs are first taken greedily in preference order
 (larger character overlap, then smaller gold start offset, then smaller
-pred start offset), then each unmatched gold, in canonical order, is
-augmented along its pairs in the same order.  This is deterministic but
-does not maximize total overlap: relaxed gold ``[3,7)``, ``[5,10)`` and
-pred ``[1,6)``, ``[3,8)`` pair ``[3,7)-[3,8)`` (overlap 4) and
-``[5,10)-[1,6)`` (1), not the pairs of overlap 3 and 3.
+pred start offset), then each unmatched gold, in input order (canonical
+for a document), is augmented along its pairs in the same order.  This
+is deterministic but does not maximize total overlap: relaxed gold
+``[3,7)``, ``[5,10)`` and pred ``[1,6)``, ``[3,8)`` pair ``[3,7)-[3,8)``
+(overlap 4) and ``[5,10)-[1,6)`` (1), not the pairs of overlap 3 and 3.
 
 Matching a document takes time near-linear in its entity count plus its
 candidate pairs, not gold×pred.  Candidates come from an index: strict
@@ -24,11 +24,11 @@ kept when ``char_overlap``, computed once per candidate for the preference
 order, is positive.  So the matched pairs and their tie-breaks are exactly
 those of the all-pairs test.
 
-Both entry points share one matcher over index positions.  ``score``
-hands it each document's entity tuples as they are: a :class:`Document`
-keeps them canonical and free of duplicates, so an entity is told by its
-index, with no sort and no set of entities.  ``match_document`` takes any
-iterable and sorts it by :meth:`Entity.sort_key`; no command calls it.
+There is one entry point, :func:`match_document`, and it works on index
+positions.  ``score`` calls it once per document with the document's
+entity tuples as they are: a :class:`Document` keeps them canonical and
+free of duplicates, so an entity is told by its index, with no sort and
+no set of entities.
 
 Every score is P/R/F1 of tp/fp/fn counts pooled over a set of labels
 (:func:`_micro`), with P and R 0 on empty denominators so pooling is
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import Corpus, Entity
 from .standoff import _LINE_BREAK_RE
@@ -144,10 +144,16 @@ def _candidate_pairs(gold: Sequence[Entity], pred: Sequence[Entity], mode: Match
             heappush(active[side], (end, i))
 
 
-def _match_indices(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
-                   qualifier_sensitive: bool) -> tuple[dict[int, int], dict[int, int]]:
-    """Maximum matching of two canonically ordered entity sequences, as the
-    index maps ``match_g`` (gold index -> pred index) and ``match_p``."""
+def match_document(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMode,
+                   qualifier_sensitive: bool = False) -> dict[int, int]:
+    """Maximum-cardinality one-to-one matching of one document's entities,
+    as a map from each matched gold index to its pred index.
+
+    The pairs follow the order of the input sequences, which break ties
+    (see the module docstring).  A :class:`Document`'s entities are
+    canonical and distinct, so for them the pairs depend on the entity sets
+    alone.  The pair count is maximum, so it does not depend on the order.
+    """
     edges: list[tuple[int, int, int, int, int]] = []
     for gi, pi in _candidate_pairs(gold, pred, mode, qualifier_sensitive):
         g, p = gold[gi], pred[pi]
@@ -169,31 +175,7 @@ def _match_indices(gold: Sequence[Entity], pred: Sequence[Entity], mode: MatchMo
     for gi in range(len(gold)):
         if gi not in match_g and gi in adj:
             _augment(gi, adj, match_g, match_p)
-    return match_g, match_p
-
-
-def match_document(gold: Iterable[Entity], pred: Iterable[Entity], mode: MatchMode,
-                   qualifier_sensitive: bool = False,
-                   ) -> list[tuple[Entity, Entity]]:
-    """Maximum-cardinality one-to-one matching for one document.
-
-    Returns (gold, pred) pairs in gold order.  The result is a pure function
-    of the entity sets: inputs are canonically sorted first, candidate
-    edges are greedily seeded in preference order (overlap desc, gold
-    start, pred start) and then augmented to maximum cardinality.  The
-    pair count is maximum; the total overlap need not be (see the module
-    docstring).
-
-    Only candidate pairs are considered: a hash join on (label, fragments)
-    in strict mode, and in relaxed mode a per-label sweep over extents that
-    keeps the pairs sharing a character.  These are exactly the compatible
-    pairs, so the edge set, its total order and hence the pairs and
-    tie-breaks are those of testing all gold×pred pairs.
-    """
-    gold_list = sorted(gold, key=Entity.sort_key)
-    pred_list = sorted(pred, key=Entity.sort_key)
-    match_g, _match_p = _match_indices(gold_list, pred_list, mode, qualifier_sensitive)
-    return [(gold_list[gi], pred_list[pi]) for gi, pi in sorted(match_g.items())]
+    return match_g
 
 
 class LabelScore(namedtuple("LabelScore", "tp fp fn p r f1")):
@@ -296,10 +278,11 @@ def score(gold_corpus: Corpus, pred_corpus: Corpus, mode: MatchMode,
         # Canonical and duplicate-free (the Document invariant): an entity
         # is told by its index, and no sort is needed.
         gold, pred = gold_doc.entities, pred_by_id[doc_id].entities
-        match_g, match_p = _match_indices(gold, pred, mode, qualifier_sensitive)
+        match_g = match_document(gold, pred, mode, qualifier_sensitive)
+        matched_pred = set(match_g.values())
         tp.update(gold[gi][1][0] for gi in match_g)
         missed += [(doc_id, g) for i, g in enumerate(gold) if i not in match_g]
-        spurious += [(doc_id, p) for i, p in enumerate(pred) if i not in match_p]
+        spurious += [(doc_id, p) for i, p in enumerate(pred) if i not in matched_pred]
 
     fn = Counter(g[1][0] for _doc_id, g in missed)
     fp = Counter(p[1][0] for _doc_id, p in spurious)

@@ -46,6 +46,11 @@ class MalformedResult(InputError):
     dotted key at fault (or by line, for a byte that is not UTF-8)."""
 
 
+class MalformedManifest(InputError):
+    """A split manifest that cannot be used, located by path and by the
+    dotted key at fault."""
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -91,11 +96,36 @@ class SplitManifest(namedtuple("SplitManifest",
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SplitManifest":
-        return cls(split_id=data["split_id"], seed=data["seed"],
-                   train_ids=tuple(data["train"]), dev_ids=tuple(data["dev"]),
-                   test_ids=tuple(data["test"]),
-                   ratios=(data["ratios"][0], data["ratios"][1]))
+    def from_json_dict(cls, data, path=None) -> "SplitManifest":
+        """The manifest that ``data`` holds, built in the walk that checks
+        it: a :class:`MalformedManifest` naming ``path`` and the key at
+        fault unless ``data`` has the keys :meth:`to_json_dict` writes
+        (:func:`corpus_io.check_fields`), ``split_id`` and ``seed`` are
+        integers, the three id lists hold strings and no id twice, within a
+        list or across them, and ``ratios`` are two numbers that
+        :func:`ratios_in_range` accepts."""
+        def expect(ok: bool, what: str, value, where: str) -> None:
+            _expect(ok, what, value, path, where, MalformedManifest)
+
+        check_fields(data, MalformedManifest, path, None,
+                     ("split_id", "seed", "train", "dev", "test", "ratios"))
+        for key in ("split_id", "seed"):
+            expect(type(data[key]) is int, "an integer", data[key], key)
+        seen: set[str] = set()
+        for key in ("train", "dev", "test"):
+            ids = data[key]
+            expect(type(ids) is list, "a list of strings", ids, key)
+            for i, doc_id in enumerate(ids):
+                expect(type(doc_id) is str, "a string", doc_id, f"{key}[{i}]")
+                expect(doc_id not in seen, "an id that no list holds before it", doc_id,
+                       f"{key}[{i}]")
+                seen.add(doc_id)
+        ratios = data["ratios"]
+        expect(type(ratios) is list and len(ratios) == 2
+               and all(type(r) in (int, float) for r in ratios) and ratios_in_range(ratios),
+               "[train, dev] with 0 < train < 1 and 0 <= dev < 1", ratios, "ratios")
+        return cls(data["split_id"], data["seed"], tuple(data["train"]), tuple(data["dev"]),
+                   tuple(data["test"]), (ratios[0], ratios[1]))
 
 
 def ratios_in_range(ratios: Sequence[float]) -> bool:
@@ -160,10 +190,11 @@ class RunResult(namedtuple("RunResult", "split_id seed_model report meta")):
                 "report": self.report.to_json_dict(), "meta": dict(self.meta)}
 
 
-def _expect(ok: bool, what: str, value, path, where) -> None:
-    """A :class:`MalformedResult` at key ``where`` unless ``ok``."""
+def _expect(ok: bool, what: str, value, path, where,
+            error: type[InputError] = MalformedResult) -> None:
+    """An ``error`` at key ``where`` unless ``ok``."""
     if not ok:
-        raise MalformedResult(f"must be {what}, got {value!r}", path, where)
+        raise error(f"must be {what}, got {value!r}", path, where)
 
 
 def _check_counts(row, path, where: str, pooled: Optional[LabelScore]) -> LabelScore:

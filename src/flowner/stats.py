@@ -1,10 +1,10 @@
 """Occurrence counts, token counts and nesting fraction for a corpus.
 
-Token counts use the toolkit tokenizer: maximal runs of alphanumerics,
-with every punctuation character (underscore included) as its own token.
-Published token figures for this corpus family were produced by an
-unspecified tokenizer, so ours are reported as "toolkit tokens" and only
-compared loosely.
+Token counts use the toolkit tokenizer, :func:`tokenize`: maximal runs of
+alphanumerics, with every punctuation character (underscore included) as
+its own token.  Published token figures for this corpus family were
+produced by an unspecified tokenizer, so ours are reported as "toolkit
+tokens" and only compared loosely.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from collections import Counter, namedtuple
 from .model import Corpus, Document
 
 TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
-_find_tokens = TOKEN_RE.findall
+# tokenize(text[, start[, end]]): the token strings of text[start:end].
+tokenize = TOKEN_RE.findall
 _alnum_run = re.compile(r"[^\W_]+").fullmatch
-
-
-def tokenize(text: str) -> list[tuple[int, int]]:
-    """Token spans (start, end) under the toolkit tokenizer."""
-    return [m.span() for m in TOKEN_RE.finditer(text)]
 
 
 class StatsReport(namedtuple("StatsReport", "labels entities nested_entities tokens "
@@ -86,13 +82,13 @@ def document_stats(doc: Document) -> StatsReport:
                                 for e in doc.entities for f in e.fragments])
     annotated = 0
     for start, end in covered:
-        annotated += len(_find_tokens(text, start, end))
+        annotated += len(tokenize(text, start, end))
     n = len(text)
     for (_s, gap_start), (gap_end, _e) in zip(covered, covered[1:]):
         if gap_end < n and _alnum_run(text, gap_start - 1, gap_end + 1):
             annotated -= 1
     return StatsReport(Counter(e.label.base for e in doc.entities), len(doc.entities),
-                       count_nested(doc), len(_find_tokens(text)), annotated, 1)
+                       count_nested(doc), len(tokenize(text)), annotated, 1)
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:

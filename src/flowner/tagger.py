@@ -37,6 +37,7 @@ from bisect import bisect_left, insort
 from collections import Counter, defaultdict, namedtuple
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .corpus_io import _read_text, check_fields, read_json
@@ -44,7 +45,7 @@ from .gazetteer import Gazetteer
 from .model import (Corpus, Document, Entity, EntityLabel, InputError, Provenance,
                     Span, validate_document)
 from .schema import BIOTOFLOW
-from .standoff import StandoffParseError, parse_standoff
+from .standoff import StandoffParseError, _norm_space, parse_standoff
 
 
 class MalformedRules(InputError):
@@ -72,8 +73,7 @@ class RuleSet(namedtuple("RuleSet", "version_patterns biblio_patterns fixed_list
     __slots__ = ()
 
     def __new__(cls, version_patterns: Sequence[str] = (), biblio_patterns: Sequence[str] = (),
-                fixed_lists: Optional[Mapping[str, Sequence[str]]] = None) -> "RuleSet":
-        fixed_lists = {} if fixed_lists is None else fixed_lists
+                fixed_lists: Mapping[str, Sequence[str]] = MappingProxyType({})) -> "RuleSet":
         if not isinstance(fixed_lists, Mapping):
             raise MalformedRules("expected an object of lists", where="fixed_lists")
         fixed_lists = {base: _strings(surfaces, f"fixed_lists.{base}")
@@ -320,7 +320,9 @@ def read_predictions(path, corpus: Corpus) -> Corpus:
     equal-length arrays of them; the label is one token and the qualifier
     one the workflow schema registers for it, so the written corpus reads
     back.  A faulty record is a :class:`MalformedPrediction` at its line;
-    then so is the first whose offsets or surface do not fit its text.
+    then so is the first whose offsets or surface do not fit its text.  As
+    in an ``.ann`` line, a surface fits if it equals the text's slices up to
+    runs of whitespace, and the entity keeps the slices.
     """
     path = Path(path)
     read = _read_jsonl if path.suffix == ".jsonl" else _read_ann_dir
@@ -343,7 +345,7 @@ def _read_ann_dir(root: Path, corpus: Corpus) -> list[Document]:
 
 def _read_jsonl(path: Path, corpus: Corpus) -> list[Document]:
     per_doc: dict[str, list[Entity]] = {}
-    records = []  # (line_no, doc_id, entity) in file order
+    records = []  # (line_no, doc_id, index in per_doc[doc_id]) in file order
     # newline=None splits lines as a text-mode read of the file would.
     with io.StringIO(_read_text(path, MalformedPrediction), newline=None) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -369,11 +371,16 @@ def _read_jsonl(path: Path, corpus: Corpus) -> list[Document]:
                                    tuple(map(Span, starts, ends)), rec["surface"]))
             except ValueError as exc:
                 raise MalformedPrediction(str(exc), path, line_no) from None
-            records.append((line_no, rec["doc_id"], ents[-1]))
+            records.append((line_no, rec["doc_id"], len(ents) - 1))
     _check_doc_ids(per_doc, corpus, path)
     texts = {doc.doc_id: doc.text for doc in corpus.documents}
-    for line_no, doc_id, ent in records:
-        violations = validate_document(Document(doc_id, texts[doc_id], (ent,)))
+    for line_no, doc_id, i in records:
+        ent, text = per_doc[doc_id][i], texts[doc_id]
+        # As in a .ann line: equal up to runs of whitespace, keeping the slices.
+        canonical = ent.slice_text(text)
+        if ent.surface != canonical and _norm_space(ent.surface) == _norm_space(canonical):
+            ent = per_doc[doc_id][i] = ent._replace(surface=canonical)
+        violations = validate_document(Document(doc_id, text, (ent,)))
         if violations:
             raise MalformedPrediction(f"{violations[0].kind} in document {doc_id!r}: "
                                       f"{violations[0].message}", path, line_no)

@@ -9,12 +9,13 @@ replaced it, SoftCite attribute resolution by the candidate sort that
 ``schema.convert_corpus`` used before ``MappingTable.lookup`` took
 several attributes, and nesting by comparing every pair of extents.  The
 one exception is ``oracle_match_document``: it is
-``evaluation.match_document`` as it was before candidate indexing,
-testing every gold×pred pair with the package's own overlap and the
-compatibility test, per-gold sort and augmentation that the package had
-then, so that it pins the exact pairs and tie-breaks, not only their
-count.  ``oracle_score`` is ``evaluation.score`` as it was before it
-matched by index: through that matcher, telling matched entities by set
+``evaluation.match_document`` as it was before candidate indexing, when
+it sorted its inputs and listed the matched entity pairs, testing every
+gold×pred pair with the package's own overlap and the compatibility
+test, per-gold sort and augmentation that the package had then, so that
+it pins the exact pairs and tie-breaks, not only their count.
+``oracle_score`` is ``evaluation.score`` as it was before it matched by
+index: through that matcher, telling matched entities by set
 membership, and sorting each listing by a key of its own.
 ``oracle_run_result_from_file`` is likewise ``experiment.run_result_from_file``
 as it was before the walk that checks a run result built it: the package's
@@ -31,7 +32,8 @@ template are checked against.  The gazetteer build is
 ``gazetteer.build_gazetteer`` and ``to_json_dict`` as they were while
 entries were frozen dataclasses, rebuilt for every kept name and each
 given its own sorted ``sources`` list.  Document statistics are
-``stats.document_stats`` as it was with a sweep over every token, the
+``stats.document_stats`` as it was with a sweep over the span of every
+token, found by ``TOKEN_RE.finditer`` as ``stats.tokenize`` did, the
 tagger's fold is its per-character definition, and the shipped rule
 patterns are kept as they were with a leading word boundary.  ``OracleSpan``,
 ``OracleEntityLabel`` and ``OracleEntity`` are the model's records as they
@@ -57,7 +59,7 @@ from flowner.gazetteer import BINARY_NAME, TOOL_NAME, shipped_common_words
 from flowner.model import Document, Entity, EntityLabel, Provenance, Span
 from flowner.schema import BIOTOFLOW
 from flowner.standoff import DuplicateId, MalformedLine, OffsetOutOfRange, SurfaceMismatch
-from flowner.stats import StatsReport, _merge_intervals, count_nested, tokenize
+from flowner.stats import TOKEN_RE, StatsReport, _merge_intervals, count_nested
 
 if TYPE_CHECKING:
     from flowner.gazetteer import Gazetteer, VocabEntry
@@ -161,7 +163,8 @@ def _oracle_augment(root: int, adj: dict[int, list[tuple[int, int, int]]],
 
 
 def oracle_match_document(gold, pred, mode, qualifier_sensitive: bool = False):
-    """``evaluation.match_document`` with its all-pairs edge loop, its
+    """The (gold, pred) pairs, in gold order, of ``evaluation.match_document``
+    as it was with its input sort, its all-pairs edge loop, its
     compatibility test, its per-gold sort and its frame-based augmentation."""
     gold_list = sorted(gold, key=Entity.sort_key)
     pred_list = sorted(pred, key=Entity.sort_key)
@@ -347,12 +350,12 @@ def oracle_count_nested(doc) -> int:
 
 
 def oracle_document_stats(doc: Document) -> StatsReport:
-    """``stats.document_stats`` as it was with a loop over every token."""
+    """``stats.document_stats`` as it was with a loop over every token span."""
     labels: Counter = Counter()
     for ent in doc.entities:
         labels[ent.label.base] += 1
 
-    token_spans = tokenize(doc.text)
+    token_spans = [m.span() for m in TOKEN_RE.finditer(doc.text)]
     covered = _merge_intervals([(f.start, f.end)
                                 for e in doc.entities for f in e.fragments])
     # Two sorted sweeps: a token is annotated if it overlaps any covered interval.

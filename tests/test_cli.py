@@ -721,6 +721,8 @@ def test_a_file_missing_inside_a_directory_from_the_config_does_not_name_the_con
     argv += ["--out", str(tmp_path / "o")]
     value = f"{directory}:gold" if key == "source" else str(directory)
     expected = f"error: [Errno 2] No such file or directory: {str(dangling)!r}\n"
+    if key == "source":  # a corpus loader names a dangling link as such
+        expected = f"error: {dangling}: dangling symbolic link\n"
     assert main(argv + [f"--{key}", value]) == 1
     assert capsys.readouterr().err == expected
     config = tmp_path / "cfg.json"
@@ -980,6 +982,7 @@ def test_a_jsonl_prediction_that_does_not_fit_its_text_names_its_line(
     ('{"fixed_lists": {', None, "invalid JSON"),
     ('{"fixed_lists": {"Toool": ["BWA"]}}', "fixed_lists.Toool",
      "not a label of the workflow schema"),
+    ('{"fixed_lists": null}', "fixed_lists", "expected an object of lists"),
 ])
 def test_malformed_rules_file_names_file_and_key(tmp_path, capsys, rules, key, reason):
     corpus_dir = tmp_path / "c"
@@ -1243,6 +1246,30 @@ def test_an_ann_that_is_a_dangling_link_is_an_error_that_names_it(tmp_path, caps
     out = str(tmp_path / "o")
     for argv in (["stats", "--corpus", str(corpus_dir)],
                  ["fuse", "--source", f"{corpus_dir}:gold", "--out", out]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {link}: dangling symbolic link\n"
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_txt_that_is_a_dangling_link_is_an_error_that_names_it(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    link = corpus_dir / "d1.txt"
+    link.symlink_to(corpus_dir / "gone.txt")
+    (corpus_dir / "d2.txt").write_text("aligned with BWA", encoding="utf-8")
+    (corpus_dir / "d2.ann").write_text("T1\tTool 13 99\tBWA\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"StandoffParseError at {link}: dangling symbolic link",
+        f"OffsetOutOfRange at {corpus_dir / 'd2.ann'}:1: fragment end 99 exceeds text length 16",
+        "2 violation(s) in 2 document(s)"]
+    out = str(tmp_path / "o")
+    for argv in (["stats", "--corpus", str(corpus_dir)],
+                 ["fuse", "--source", f"{corpus_dir}:gold", "--out", out],
+                 ["eval", "--gold", str(corpus_dir), "--pred", str(corpus_dir)]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {link}: dangling symbolic link\n"

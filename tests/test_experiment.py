@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowner.corpus_io import atomic_write_json
 from flowner.evaluation import LabelScore, MatchMode, MatchReport
-from flowner.experiment import (CorpusTooSmall, EmptyResults, MixedModes,
+from flowner.experiment import (CorpusTooSmall, EmptyResults, MalformedManifest, MixedModes,
                                 RunResult, SplitManifest, SplitRng, _splitmix64,
                                 aggregate, make_splits, render_table,
                                 run_result_from_file, split_sizes)
@@ -97,6 +97,49 @@ def test_manifest_json_roundtrip():
     (m,) = make_splits(_corpus(_ids(10)), 1, 3)
     data = json.loads(json.dumps(m.to_json_dict()))
     assert SplitManifest.from_json_dict(data) == m
+
+
+@settings(max_examples=100)
+@given(n=st.integers(4, 40), n_splits=st.integers(1, 3), seed=st.integers(-5, 2**40),
+       ratios=st.tuples(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                        st.floats(0, 1, exclude_max=True)))
+def test_every_manifest_of_make_splits_reads_back_through_its_check(n, n_splits, seed,
+                                                                       ratios):
+    for m in make_splits(_corpus(_ids(n)), n_splits, seed, ratios):
+        data = json.loads(json.dumps(m.to_json_dict()))
+        assert SplitManifest.from_json_dict(data, "m.json") == m
+
+
+_MANIFEST = {"split_id": 0, "seed": 3, "train": ["a", "b"], "dev": ["c"], "test": ["d"],
+             "ratios": [0.75, 0.5]}
+
+
+@pytest.mark.parametrize("change, where, reason", [
+    (None, None, "expected a JSON object"),
+    ({"ratios": ...}, None, "missing field(s) ratios"),
+    ({"extra": 1}, None, "unknown field(s) extra "
+     "(expected split_id, seed, train, dev, test, ratios)"),
+    ({"split_id": True}, "split_id", "must be an integer, got True"),
+    ({"seed": "3"}, "seed", "must be an integer, got '3'"),
+    ({"train": "ab"}, "train", "must be a list of strings, got 'ab'"),
+    ({"dev": [1]}, "dev[0]", "must be a string, got 1"),
+    ({"train": ["a", "b", "a"]}, "train[2]", "must be an id that no list holds before it, "
+     "got 'a'"),
+    ({"test": ["d", "b"]}, "test[1]", "must be an id that no list holds before it, got 'b'"),
+    ({"ratios": [0.75]}, "ratios", "must be [train, dev] with 0 < train < 1 and "
+     "0 <= dev < 1, got [0.75]"),
+    ({"ratios": [1.0, 0.5]}, "ratios", "must be [train, dev] with 0 < train < 1 and "
+     "0 <= dev < 1, got [1.0, 0.5]"),
+    ({"ratios": [0.75, True]}, "ratios", "must be [train, dev] with 0 < train < 1 and "
+     "0 <= dev < 1, got [0.75, True]"),
+])
+def test_each_manifest_fault_names_the_path_and_the_key(change, where, reason):
+    data = [] if change is None else {k: v for k, v in {**_MANIFEST, **change}.items()
+                                      if v is not ...}
+    with pytest.raises(MalformedManifest) as exc:
+        SplitManifest.from_json_dict(data, "m.json")
+    assert (exc.value.path, exc.value.where, exc.value.reason) == ("m.json", where, reason)
+    assert str(exc.value) == ": ".join(p for p in ("m.json", where, reason) if p)
 
 
 def _report(mode, counts):

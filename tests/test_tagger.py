@@ -16,7 +16,8 @@ from flowner.model import (Corpus, Document, Entity, EntityLabel, Provenance,
 from flowner.schema import BIOTOFLOW
 from flowner.tagger import (DuplicateDocId, MalformedPrediction, RuleSet,
                             TaggerPredictor, _FOLD_BLOCK, _fold, default_ruleset, fuse,
-                            provenance_counts, read_predictions, silver_annotate, tag)
+                            provenance_counts, read_predictions, ruleset_from_file,
+                            silver_annotate, tag)
 from gen import random_document
 from oracles import ORACLE_RULE_PATTERNS, _dict_candidates, _dictionary, oracle_fold
 from util import doc_of, ent
@@ -73,6 +74,13 @@ def test_version_patterns(text, expected):
     entities = tag(text, TaggerPredictor(None, default_ruleset()))
     versions = [e.surface for e in entities if e.label.base == "Version"]
     assert versions == [expected]
+
+
+def test_a_rules_file_that_leaves_out_fixed_lists_has_none(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('{"version_patterns": ["v[0-9]+"]}', encoding="utf-8")
+    rules = ruleset_from_file(path)
+    assert rules == RuleSet(version_patterns=["v[0-9]+"]) and rules.fixed_lists == {}
 
 
 def test_biblio_patterns():
@@ -328,7 +336,8 @@ def test_a_corpus_read_as_its_own_predictions_comes_back_silver(rng, n_docs):
         for d in corpus.documents))
 
 
-_PREDICTED_TEXTS = {"d1": "aligned with BWA and STAR v1.2", "d2": "génome 配列, reads (x)"}
+_PREDICTED_TEXTS = {"d1": "aligned with BWA and STAR v1.2", "d2": "génome 配列, reads (x)",
+                    "d3": "STAR\nmaps reads"}
 _PREDICTED_LABELS = st.one_of(
     st.tuples(st.sampled_from(sorted(BIOTOFLOW.labels)), st.none()),
     st.tuples(st.just("Tool"), st.sampled_from(sorted(BIOTOFLOW.qualifiers["Tool"]))))
@@ -355,9 +364,15 @@ def _predicted_entities(draw, text, labels=_PREDICTED_LABELS, max_entities=5):
     return out
 
 
+def _surface(text, fragments):
+    """The surface as ``serialize_standoff`` writes it: the slices joined by
+    a space, each line break written as a space."""
+    return re.sub(r"[\r\n]", " ", " ".join(text[s:e] for s, e in fragments))
+
+
 def _ann_text(text, entities):
     lines = [f"T{i}\t{label} {';'.join(f'{s} {e}' for s, e in fragments)}\t"
-             + " ".join(text[s:e] for s, e in fragments)
+             + _surface(text, fragments)
              for i, (label, _qualifier, fragments) in enumerate(entities, start=1)]
     lines += [f"A{i}\t{qualifier} T{i}"
               for i, (_label, qualifier, _fragments) in enumerate(entities, start=1) if qualifier]
@@ -369,7 +384,7 @@ def _jsonl_line(doc_id, text, label, qualifier, fragments):
     record = {"doc_id": doc_id, "label": label,
               "start": starts if len(starts) > 1 else starts[0],
               "end": ends if len(ends) > 1 else ends[0],
-              "surface": " ".join(text[s:e] for s, e in fragments)}
+              "surface": _surface(text, fragments)}
     if qualifier is not None:
         record["qualifier"] = qualifier
     return json.dumps(record, ensure_ascii=False) + "\n"
